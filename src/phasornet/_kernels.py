@@ -1,8 +1,7 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Convolution kernels: numba-jitted loops with pure-numpy fallbacks.
 
 Set PHASORNET_DISABLE_NUMBA=1 to force the numpy path (also used automatically
-when numba is not importable). Both paths implement identical arithmetic; the
-benchmark script under scripts/ compares them.
+when numba is not importable). Both paths implement identical arithmetic.
 """
 
 import os
@@ -130,10 +129,9 @@ def conv2d_backward_input_numba(delta, kernels):
     return gx
 
 
-# Default dispatch per scripts/benchmark_kernels.py: the im2col+BLAS numpy
-# code wins for the forward pass and the kernel gradient at training batch
-# sizes, while the jitted scatter loop wins for the input gradient (and the
-# circuit integration loop in _circuit_kernels is numba throughout).
+# Default dispatch: the im2col+BLAS numpy code wins for the forward pass and
+# the kernel gradient at training batch sizes, while the jitted scatter loop
+# wins for the input gradient.
 conv2d_forward = conv2d_forward_numpy
 conv2d_backward_kernels = conv2d_backward_kernels_numpy
 if NUMBA_AVAILABLE:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _circuit_kernels as ck
-from ._kernels import NUMBA_AVAILABLE
 from .complex_core import phase as cphase
 from .errors import NumericError, ValidationError
 from .phasor_net import encode_input, apply_input_phase_shift, forward, predict
@@ -113,6 +112,7 @@ class CircuitResult:
     trace_vm: np.ndarray = None  # (n_steps, n_recorded)
     segment_starts: list = field(default_factory=list)
     total_time: float = 0.0
+    deliveries: int = 0  # one per arrival; two arrivals in one step reset a synapse once
 
 
 def synapse_magnitude_delay(weights, period):
@@ -239,7 +239,7 @@ def stimulus_phase_offsets(circuit, image):
     return np.concatenate([offsets, [0.0]])
 
 
-def run(circuit, stimuli, v_threshold=None, record_neurons=(), use_numba=None):
+def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     """Integrate the circuit over a stimulus sequence.
 
     stimuli: list of (image, n_cycles); examples switch instantaneously.
@@ -254,39 +254,13 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=(), use_numba=None):
         raise ValidationError(
             "no spike threshold set; pass v_threshold or calibrate the circuit"
         )
-    if use_numba is None:
-        use_numba = NUMBA_AVAILABLE
-
-    n, s = circuit.n_neurons, circuit.n_synapses
-    vm = np.zeros(n)
-    vdbar = np.zeros(n)
-    refr = np.zeros(n, dtype=np.uint8)
-    vs = np.zeros(s)
-    ws = np.zeros(s)
-    vm_max = np.zeros(n)
-
     total_cycles = sum(nc for _, nc in stimuli)
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
     total_steps = int(round(total_cycles * p.period / p.dt))
     rec_vm = np.zeros((total_steps, rec_ids.shape[0]))
+    kernel = ck.Integrator(circuit, float(v_threshold), total_steps)
 
-    ev_cap = n * (total_cycles + 4) + 64
     gen_events = []
-    kernel_events = []
-
-    if use_numba:
-        heap_cap = 3 * s + 1024
-        heap_t = np.zeros(heap_cap)
-        heap_s = np.zeros(heap_cap, dtype=np.int64)
-        heap_r = np.zeros(heap_cap, dtype=np.int64)
-        heap_size = np.zeros(1, dtype=np.int64)
-        ev_time = np.zeros(ev_cap)
-        ev_neuron = np.zeros(ev_cap, dtype=np.int64)
-        ev_count = np.zeros(1, dtype=np.int64)
-    else:
-        heap = []
-        events = []
-
     seg_start = 0.0
     step_base = 0
     segment_starts = []
@@ -297,33 +271,10 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=(), use_numba=None):
         for g in range(offsets.shape[0] - 1):  # generator raster, layer 0
             for c in range(n_cycles):
                 gen_events.append(SpikeEvent(0, g, seg_start + c * p.period + offsets[g]))
-        if use_numba:
-            ck.program_generators_numba(
-                seg_start, offsets, n_cycles, circuit.out_ptr, circuit.out_syn,
-                circuit.syn_delay, heap_t, heap_s, heap_r, heap_size)
-            err, done = ck.run_segment_numba(
-                seg_start, n_steps, p.dt, p.period,
-                p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d, p.l_res, p.w_spike,
-                p.inv_tau_s, float(v_threshold),
-                circuit.syn_ptr, circuit.syn_w, circuit.syn_delay,
-                circuit.out_ptr, circuit.out_syn, circuit.n_gen,
-                vm, vdbar, refr, vs, ws, vm_max,
-                heap_t, heap_s, heap_r, heap_size,
-                ev_time, ev_neuron, ev_count,
-                rec_ids, rec_vm[step_base:step_base + n_steps])
-        else:
-            ck.program_generators_numpy(
-                seg_start, offsets, n_cycles, circuit.out_ptr, circuit.out_syn,
-                circuit.syn_delay, heap)
-            err, done = ck.run_segment_numpy(
-                seg_start, n_steps, p.dt, p.period,
-                p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d, p.l_res, p.w_spike,
-                p.inv_tau_s, float(v_threshold),
-                circuit.syn_ptr, circuit.syn_w, circuit.syn_delay,
-                circuit.out_ptr, circuit.out_syn, circuit.n_gen,
-                vm, vdbar, refr, vs, ws, vm_max,
-                heap, circuit.syn_owner,
-                events, rec_ids, rec_vm[step_base:step_base + n_steps])
+        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
+            err, done = kernel.run_segment(seg_start, step_base, n_steps, offsets,
+                                           n_cycles, rec_ids,
+                                           rec_vm[step_base:step_base + n_steps])
         if err >= 0:
             t_err = seg_start + done * p.dt
             raise NumericError(
@@ -332,34 +283,21 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=(), use_numba=None):
         seg_start += n_cycles * p.period
         step_base += n_steps
 
-    if use_numba:
-        count = int(ev_count[0])
-        kernel_events = [
-            SpikeEvent(int(circuit.neuron_layer[ev_neuron[i]]),
-                       int(ev_neuron[i] - circuit.layer_offsets[
-                           circuit.neuron_layer[ev_neuron[i]] - 1]),
-                       float(ev_time[i]))
-            for i in range(count)
-        ]
-    else:
-        kernel_events = [
-            SpikeEvent(int(circuit.neuron_layer[ni]),
-                       int(ni - circuit.layer_offsets[circuit.neuron_layer[ni] - 1]),
-                       t)
-            for t, ni in events
-        ]
-
-    all_events = gen_events + kernel_events
+    times, neurons = kernel.spikes()
+    layers = circuit.neuron_layer[neurons]
+    local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
+    all_events = gen_events + [SpikeEvent(int(l), int(i), float(t))
+                               for l, i, t in zip(layers, local, times)]
     all_events.sort(key=lambda e: (e.time, e.layer, e.neuron))
     raster = SpikeRaster(events=all_events, period=p.period, n_cycles=total_cycles)
-    times = np.arange(1, total_steps + 1) * p.dt
     return CircuitResult(
         raster=raster,
-        vm_max=vm_max,
-        trace_times=times,
+        vm_max=kernel.vm_max,
+        trace_times=np.arange(1, total_steps + 1) * p.dt,
         trace_vm=rec_vm,
         segment_starts=segment_starts,
         total_time=seg_start,
+        deliveries=kernel.deliveries,
     )
 
 

@@ -203,9 +203,12 @@ def cmd_spikes(args):
     cfg = _load_config(args)
     net = load_model(args.model)
     ds = _load_split(cfg, args.split)
-    if not 0 <= args.example < len(ds):
-        raise ValidationError(
-            f"example index {args.example} out of range [0, {len(ds)})")
+    for flag, value, bound in (("example", args.example, len(ds)),
+                               ("second example", args.second_example, len(ds)),
+                               ("record output unit", args.record_output_unit,
+                                net.n_outputs)):
+        if value is not None and not 0 <= value < bound:
+            raise ValidationError(f"{flag} index {value} out of range [0, {bound})")
     out_dir = args.out_dir
     _write_manifest(out_dir, "spikes", cfg,
                     {"model": args.model, "backend": args.backend,

@@ -222,7 +222,8 @@ def encode_input(pixels, dtype=np.complex64):
     proportional to pixel magnitude.
     """
     p = np.asarray(pixels, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    # written so that NaN, which fails every comparison, is rejected too
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValidationError(
             f"pixels must lie in [0,1]; got range [{p.min()}, {p.max()}]"
         )

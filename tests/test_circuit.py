@@ -1,5 +1,3 @@
-import heapq
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from phasornet.circuit import (
     stimulus_phase_offsets,
     synapse_magnitude_delay,
 )
-from phasornet._circuit_kernels import run_segment_numpy
+from phasornet._circuit_kernels import GRID_EPS, synapse_modes
 from phasornet.errors import NumericError, ValidationError
 from phasornet.phasor_net import (
     LayerSpec,
@@ -26,6 +24,8 @@ from phasornet.phasor_net import (
     predict,
 )
 from phasornet.spikemap import SpikeEvent, SpikeRaster
+
+import euler_reference
 
 
 def tiny_net(seed=0):
@@ -149,37 +149,13 @@ class TestBuild:
 
 class TestSynapseResonance:
     def _trace(self, dt, n_cycles=2):
-        """Single synapse kicked once at t = 0, stepped one dt at a time."""
+        """Single synapse kicked once at t = 0: its voltage after each step,
+        evaluated through the kernel's closed form sum_j c_j lam_j^n."""
         p = CircuitParams(dt=dt)
-        syn_ptr = np.array([0, 1], dtype=np.int64)
-        syn_w = np.array([1.0])
-        syn_delay = np.array([0.0])
-        syn_owner = np.array([0], dtype=np.int64)
-        out_ptr = np.array([0, 1, 1], dtype=np.int64)
-        out_syn = np.array([0], dtype=np.int64)
-        vm = np.zeros(1)
-        vdbar = np.zeros(1)
-        refr = np.zeros(1, dtype=np.uint8)
-        vs = np.zeros(1)
-        ws = np.zeros(1)
-        vm_max = np.zeros(1)
-        heap = [(0.0, 0, 0)]
-        heapq.heapify(heap)
-        events = []
-        rec = np.zeros((1, 0))
+        lam, c = synapse_modes(p)
         n_steps = int(round(n_cycles * p.period / dt))
-        trace = np.zeros(n_steps)
-        for k in range(n_steps):
-            err, _ = run_segment_numpy(
-                k * dt, 1, dt, p.period,
-                p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d, p.l_res, p.w_spike,
-                p.inv_tau_s, 1e30,
-                syn_ptr, syn_w, syn_delay, out_ptr, out_syn, 1,
-                vm, vdbar, refr, vs, ws, vm_max,
-                heap, syn_owner, events, np.zeros(0, dtype=np.int64), rec)
-            assert err < 0
-            trace[k] = vs[0]
-        return p, trace
+        ages = np.arange(1, n_steps + 1)[:, None]
+        return p, (c * lam ** ages).sum(axis=1).real
 
     def test_amplitude_two_percent(self):
         # vs(t) = -(w_spike / (c_m * omega)) sin(omega t): check the first peak
@@ -246,15 +222,14 @@ class TestRun:
         for a, b in zip(r1.raster.events, r2.raster.events):
             assert (a.layer, a.neuron, a.time) == (b.layer, b.neuron, b.time)
 
-    def test_numba_and_numpy_paths_agree_exactly(self, calibrated):
-        net, circuit, images, thr, _ = calibrated
-        ra = run(circuit, [(images[0], 6)], v_threshold=thr, use_numba=False)
-        rb = run(circuit, [(images[0], 6)], v_threshold=thr, use_numba=True)
-        assert len(ra.raster.events) == len(rb.raster.events)
-        for a, b in zip(ra.raster.events, rb.raster.events):
-            assert (a.layer, a.neuron) == (b.layer, b.neuron)
-            assert a.time == b.time
-        np.testing.assert_array_equal(ra.vm_max, rb.vm_max)
+    def test_deliveries_match_raster_and_csr(self):
+        net = tiny_net(seed=0)
+        net.biases[0][:3] = 0.5 + 0.5j  # bias synapses on the reference generator
+        circuit = build_circuit(net)
+        result = run(circuit, [(tiny_images(1)[0], 4)], v_threshold=0.005)
+        assert any(e.layer > 0 for e in result.raster.events), "no neuron spiked"
+        last = (len(result.trace_times) - 1) * circuit.params.dt
+        assert result.deliveries == delivery_count(circuit, result.raster, last)
 
     def test_voltage_recording(self, calibrated):
         net, circuit, images, thr, _ = calibrated
@@ -272,6 +247,100 @@ class TestRun:
         circuit = build_circuit(net, params)
         with pytest.raises(NumericError, match="blew up"):
             run(circuit, [(tiny_images(1)[0], 5)], v_threshold=0.01)
+
+
+def delivery_count(circuit, raster, last_step_time):
+    """Deliveries a run made, from its raster and the outgoing CSR: a spike
+    from source s at time t reaches each outgoing synapse k at t + delay[k],
+    delivered when that is at most the last step time. The reference
+    generator (biases) fires at each cycle start and is not in the raster."""
+    period = circuit.params.period
+    spikes = [(e.neuron if e.layer == 0 else
+               circuit.n_gen + circuit.layer_offsets[e.layer - 1] + e.neuron, e.time)
+              for e in raster.events]
+    n_cycles = int(round((last_step_time + circuit.params.dt) / period))
+    spikes += [(circuit.n_gen - 1, c * period) for c in range(n_cycles)]
+    total = 0
+    for src, t in spikes:
+        out = circuit.out_syn[circuit.out_ptr[src]:circuit.out_ptr[src + 1]]
+        arrivals = t + circuit.syn_delay[out]
+        total += int(np.count_nonzero(arrivals <= last_step_time + GRID_EPS))
+    return total
+
+
+class TestKernelMatchesEulerReference:
+    """The closed-form kernel against the explicit Euler + heap loop."""
+
+    def _check(self, net, circuit, stimuli, v_threshold):
+        result = run(circuit, stimuli, v_threshold=v_threshold)
+        want, want_vm_max = euler_reference.run(circuit, stimuli, v_threshold)
+        got = [e for e in result.raster.events if e.layer > 0]
+        assert len(want) > 0, "no soma spiked; the case checks nothing"
+        assert [(e.layer, e.neuron) for e in got] == [(e.layer, e.neuron) for e in want]
+        np.testing.assert_allclose([e.time for e in got], [e.time for e in want],
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.vm_max, want_vm_max, rtol=0, atol=1e-12)
+        p, depth = circuit.params, len(net.layers)
+        ref_raster = SpikeRaster(events=want, period=p.period,
+                                 n_cycles=result.raster.n_cycles)
+        got_class = decode_output(result.raster, circuit.n_outputs, depth,
+                                  now=result.total_time)
+        assert got_class is not None
+        assert got_class == decode_output(ref_raster, circuit.n_outputs, depth,
+                                          now=result.total_time)
+
+    def test_dense_tiny_net(self, calibrated):
+        net, circuit, images, thr, _ = calibrated
+        self._check(net, circuit, [(images[0], 6)], thr)
+
+    def test_two_segment_stimulus(self, calibrated):
+        net, circuit, images, thr, _ = calibrated
+        self._check(net, circuit, [(images[0], 4), (images[1], 4)], thr)
+
+    def test_conv_net_with_biases(self):
+        specs = [
+            LayerSpec("conv3x3", in_channels=1, out_channels=2),
+            LayerSpec("dense", fan_in=2 * 4 * 4, fan_out=4),
+        ]
+        net = PhasorNetwork.create((1, 6, 6), specs, seed=2, dtype=np.complex64)
+        net.biases[0][:] = 0.1 + 0.1j
+        net.biases[1][:] = 0.1 - 0.1j
+        # zero-phase weights: zero-delay synapses, delivered on the next step
+        net.weights[1][:, :8] = np.abs(net.weights[1][:, :8])
+        circuit = build_circuit(net)
+        image = np.random.default_rng(3).uniform(size=36)
+        thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
+        self._check(net, circuit, [(image, 6)], thr)
+
+    def test_switch_delivers_a_synapse_twice_in_one_step(self, calibrated):
+        # Input 0's phase is shifted so that its spike sits just before the
+        # cycle end for the first image and just after the start for the
+        # second: the first image's last volley, carried over the switch,
+        # and the second image's first volley reach its synapses together.
+        net, circuit, images, thr, _ = calibrated
+        circuit = build_circuit(net)
+        circuit.phase_shifts = np.zeros(16)
+        circuit.phase_shifts[0] = 1.5 * np.pi
+        first, second = images[0].copy(), images[1].copy()
+        first[0], second[0] = 0.5001, 0.4999
+        self._check(net, circuit, [(first, 3), (second, 4)], thr)
+
+    @pytest.mark.parametrize("tau_s", [20.0, 0.5], ids=["underdamped", "overdamped"])
+    def test_damped_synapses(self, tau_s):
+        net = tiny_net(seed=0)
+        net.biases[0][:3] = 0.5 + 0.5j
+        circuit = build_circuit(net, CircuitParams(tau_s=tau_s))
+        lam, _ = synapse_modes(circuit.params)
+        assert np.all(lam.imag == 0) == (tau_s == 0.5)
+        image = tiny_images(1)[0]
+        thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
+        self._check(net, circuit, [(image, 6)], thr)
+
+    def test_critically_damped_synapse_is_rejected(self):
+        # dt/tau_s = 2 dt / sqrt(L C_m), exact in binary: one repeated eigenvalue
+        p = CircuitParams(dt=2.0 ** -6, c_m=8.0, l_res=0.5, tau_s=1.0)
+        with pytest.raises(ValidationError, match="critically damped"):
+            synapse_modes(p)
 
 
 def make_raster(spikes, period=10.0, n_cycles=3):

@@ -156,6 +156,17 @@ class TestSpikes:
                    "--example", "999"])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--second-example", "-1"), ("--second-example", "16"),
+        ("--record-output-unit", "10"), ("--record-output-unit", "-1")])
+    def test_index_flags_out_of_range(self, workdir, tmp_path, capsys, flag, value):
+        root, out = workdir
+        rc = main(["simulate", str(out / "model.phzn"),
+                   "--data-dir", str(root / "data"), "--out-dir", str(tmp_path),
+                   "--v-threshold", "0.02", "--n-cycles", "2", flag, value])
+        assert rc == 1
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_metrics_plot(self, workdir, tmp_path):

@@ -97,7 +97,7 @@ class TestEnvFlag:
 
     def test_dispatch_matches_availability(self):
         # forward and kernel-gradient default to the BLAS-backed numpy code
-        # (faster per the benchmark script); input gradient prefers numba
+        # (faster at training batch sizes); input gradient prefers numba
         assert K.conv2d_forward is K.conv2d_forward_numpy
         assert K.conv2d_backward_kernels is K.conv2d_backward_kernels_numpy
         if K.NUMBA_AVAILABLE:

@@ -44,6 +44,10 @@ class TestEncodeInput:
         with pytest.raises(ValidationError):
             encode_input(np.array([-0.1]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            encode_input(np.array([0.5, np.nan]))
+
 
 class TestPhaseShifts:
     def test_zero_shift_is_identity(self):
