@@ -1,140 +1,50 @@
-"""Convolution kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Convolution kernels: valid-padding 3x3 cross-correlation by im2col + BLAS.
 
-Set PHASORNET_DISABLE_NUMBA=1 to force the numpy path (also used automatically
-when numba is not importable). Both paths implement identical arithmetic.
+Shapes: x (B, C, H, W), kernels (F, C, 3, 3), bias (F,) -> (B, F, OH, OW)
+with OH, OW = H-2, W-2. The forward pass lays the input out once as im2col
+columns (B, C*9, OH*OW); row c*9 + 3p + q of column (i, j) holds
+x[b, c, i+p, j+q]. The backward pass reuses those columns for the kernel
+gradient, and scatters column cotangents back onto the input (col2im) for
+the input gradient.
 """
-
-import os
 
 import numpy as np
 
-DISABLE_ENV = "PHASORNET_DISABLE_NUMBA"
-
-
-def numba_disabled_by_env():
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in ("1", "true", "yes")
-
-
+# Convolution is numpy only. perfbench/run.py still reports this constant,
+# so it stays until the benchmark's next change.
 NUMBA_AVAILABLE = False
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-
-if not NUMBA_AVAILABLE:
-
-    def njit(*args, **kwargs):
-        # no-op decorator so jitted defs below stay importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
-# ---------------------------------------------------------------------------
-# Valid-padding 3x3 cross-correlation, complex multiply-accumulate.
-# Shapes: x (B, C, H, W), kernels (F, C, 3, 3), bias (F,) -> (B, F, H-2, W-2)
-# ---------------------------------------------------------------------------
-
-
-def conv2d_forward_numpy(x, kernels, bias):
+def conv2d_forward(x, kernels, bias):
+    """Returns (out, cols): the correlation and the im2col columns of x."""
     b, c, h, w = x.shape
     f = kernels.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
-    # win: (B, C, OH, OW, 3, 3) -> (B, OH, OW, C*9)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, h - 2, w - 2, c * 9)
-    out = np.tensordot(cols, kernels.reshape(f, c * 9), axes=([3], [1]))
-    out = out + bias
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    win = np.lib.stride_tricks.sliding_window_view(x, (h - 2, w - 2), axis=(2, 3))
+    # win: (B, C, 3, 3, OH, OW); the reshape copies it into columns
+    cols = win.reshape(b, c * 9, (h - 2) * (w - 2))
+    out = np.matmul(kernels.reshape(f, c * 9), cols)
+    out += bias[:, None]
+    return out.reshape(b, f, h - 2, w - 2), cols
 
 
-@njit(cache=True)
-def conv2d_forward_numba(x, kernels, bias):
-    b, c, h, w = x.shape
-    f = kernels.shape[0]
-    oh, ow = h - 2, w - 2
-    out = np.empty((b, f, oh, ow), dtype=x.dtype)
-    for n in range(b):
-        for k in range(f):
-            for i in range(oh):
-                for j in range(ow):
-                    acc = bias[k]
-                    for ch in range(c):
-                        for p in range(3):
-                            for q in range(3):
-                                acc += kernels[k, ch, p, q] * x[n, ch, i + p, j + q]
-                    out[n, k, i, j] = acc
-    return out
-
-
-def conv2d_backward_kernels_numpy(x, delta):
-    # gk[f,c,p,q] = sum_{b,i,j} delta[b,f,i,j] * conj(x[b,c,i+p,j+q])
-    b, c, h, w = x.shape
-    oh, ow = h - 2, w - 2
-    win = np.lib.stride_tricks.sliding_window_view(x, (oh, ow), axis=(2, 3))
-    # win: (B, C, 3, 3, OH, OW)
-    return np.tensordot(delta, np.conj(win), axes=([0, 2, 3], [0, 4, 5]))
-
-
-@njit(cache=True)
-def conv2d_backward_kernels_numba(x, delta):
-    b, c, h, w = x.shape
-    f = delta.shape[1]
-    oh, ow = h - 2, w - 2
-    gk = np.zeros((f, c, 3, 3), dtype=x.dtype)
-    for n in range(b):
-        for k in range(f):
-            for i in range(oh):
-                for j in range(ow):
-                    d = delta[n, k, i, j]
-                    for ch in range(c):
-                        for p in range(3):
-                            for q in range(3):
-                                gk[k, ch, p, q] += d * np.conj(x[n, ch, i + p, j + q])
-    return gk
-
-
-def conv2d_backward_input_numpy(delta, kernels):
-    # full correlation of zero-padded delta with conj, spatially flipped,
-    # channel-transposed kernels; reuses the forward kernel
+def conv2d_backward_kernels(cols, delta):
+    """gk[f,c,p,q] = sum_{b,i,j} delta[b,f,i,j] * conj(x[b,c,i+p,j+q]),
+    one GEMM per example against the forward pass's columns of x."""
     b, f, oh, ow = delta.shape
-    pad = np.zeros((b, f, oh + 4, ow + 4), dtype=delta.dtype)
-    pad[:, :, 2:-2, 2:-2] = delta
-    kt = np.ascontiguousarray(np.conj(kernels[:, :, ::-1, ::-1]).transpose(1, 0, 2, 3))
-    zero_bias = np.zeros(kt.shape[0], dtype=delta.dtype)
-    return conv2d_forward_numpy(pad, kt, zero_bias)
+    # conj(conj(delta) @ cols^T) conjugates the small operand, not the columns
+    dc = np.conj(delta.reshape(b, f, oh * ow))
+    gk = np.conj(np.matmul(dc, cols.transpose(0, 2, 1)).sum(axis=0))
+    return gk.reshape(f, cols.shape[1] // 9, 3, 3)
 
 
-@njit(cache=True)
-def conv2d_backward_input_numba(delta, kernels):
+def conv2d_backward_input(delta, kernels):
+    """gx[b,c,i+p,j+q] += conj(kernels[f,c,p,q]) * delta[b,f,i,j] (col2im)."""
     b, f, oh, ow = delta.shape
     c = kernels.shape[1]
-    h, w = oh + 2, ow + 2
-    gx = np.zeros((b, c, h, w), dtype=delta.dtype)
-    for n in range(b):
-        for k in range(f):
-            for i in range(oh):
-                for j in range(ow):
-                    d = delta[n, k, i, j]
-                    for ch in range(c):
-                        for p in range(3):
-                            for q in range(3):
-                                gx[n, ch, i + p, j + q] += np.conj(kernels[k, ch, p, q]) * d
+    kc = np.conj(kernels.reshape(f, c * 9)).T
+    dcols = np.matmul(kc, delta.reshape(b, f, oh * ow)).reshape(b, c, 3, 3, oh, ow)
+    gx = np.zeros((b, c, oh + 2, ow + 2), dtype=dcols.dtype)
+    for p in range(3):
+        for q in range(3):
+            gx[:, :, p:p + oh, q:q + ow] += dcols[:, :, p, q]
     return gx
-
-
-# Default dispatch: the im2col+BLAS numpy code wins for the forward pass and
-# the kernel gradient at training batch sizes, while the jitted scatter loop
-# wins for the input gradient.
-conv2d_forward = conv2d_forward_numpy
-conv2d_backward_kernels = conv2d_backward_kernels_numpy
-if NUMBA_AVAILABLE:
-    conv2d_backward_input = conv2d_backward_input_numba
-else:
-    conv2d_backward_input = conv2d_backward_input_numpy

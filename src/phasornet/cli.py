@@ -317,7 +317,6 @@ def _add_common(p):
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--out-dir", dest="out_dir", default="out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help="numba thread cap")
     p.add_argument("--period", type=float, help="cycle period T, ms")
     p.add_argument("--dt", type=float, help="integration step, ms")
     p.add_argument("--n-cycles", dest="n_cycles", type=int)
@@ -378,13 +377,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        try:
-            import numba
-
-            numba.set_num_threads(args.threads)
-        except ImportError:
-            pass
     try:
         return args.func(args)
     except (DataFormatError,) as e:

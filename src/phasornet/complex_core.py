@@ -53,11 +53,13 @@ def matvec(w, h, b):
     return h @ w.T + b
 
 
-def conv2d_valid(x, kernels, bias):
+def conv2d_valid(x, kernels, bias, return_cols=False):
     """Valid-padding stride-1 cross-correlation with 3x3 kernels.
 
     x: (C, H, W) or batched (B, C, H, W); kernels: (F, C, 3, 3); bias: (F,).
-    Returns (..., F, H-2, W-2).
+    Returns (..., F, H-2, W-2). With return_cols, also returns the im2col
+    columns of x (batched even for a single x) that the backward pass
+    reuses; see _kernels.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -77,6 +79,7 @@ def conv2d_valid(x, kernels, bias):
         raise DimensionError(f"bias shape {bias.shape} != ({kernels.shape[0]},)")
     if x.shape[2] < 3 or x.shape[3] < 3:
         raise DimensionError(f"spatial extent too small for 3x3 kernel: {x.shape}")
-    x = np.ascontiguousarray(x)
-    out = _kernels.conv2d_forward(x, np.ascontiguousarray(kernels), bias)
-    return out[0] if single else out
+    out, cols = _kernels.conv2d_forward(x, np.ascontiguousarray(kernels), bias)
+    if single:
+        out = out[0]
+    return (out, cols) if return_cols else out

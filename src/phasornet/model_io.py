@@ -15,6 +15,7 @@ Parameter byte width follows the header's dtype field (complex64/complex128).
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -60,30 +61,35 @@ def save_model(net, path, optimizer=None):
         "has_optimizer_state": optimizer is not None,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    # arrays already in the file's dtype and layout are written without a copy
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(np.uint32(VERSION).tobytes())
         f.write(np.uint32(len(blob)).tobytes())
         f.write(blob)
-        f.write(net.phase_shifts.astype("<f8").tobytes())
+        f.write(np.ascontiguousarray(net.phase_shifts, dtype="<f8"))
         wide = "<c16" if dtype_name == "complex128" else "<c8"
         for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w).astype(wide).tobytes())
-            f.write(np.ascontiguousarray(b).astype(wide).tobytes())
+            f.write(np.ascontiguousarray(w, dtype=wide))
+            f.write(np.ascontiguousarray(b, dtype=wide))
         if optimizer is not None:
             real = "<f8" if dtype_name == "complex128" else "<f4"
             f.write(np.int64(optimizer.t).tobytes())
             for m, v in zip(optimizer.m, optimizer.v):
-                f.write(np.ascontiguousarray(m).astype(real).tobytes())
-                f.write(np.ascontiguousarray(v).astype(real).tobytes())
+                f.write(np.ascontiguousarray(m, dtype=real))
+                f.write(np.ascontiguousarray(v, dtype=real))
 
 
-def _take(buf, n, path, what):
-    if len(buf[0]) - buf[1] < n:
-        raise DataFormatError(f"file ended inside {what}", path=path, offset=buf[1])
-    out = buf[0][buf[1]:buf[1] + n]
-    buf[1] += n
-    return out
+def _take(src, dtype, count, path, what):
+    """The next count items of dtype from src = (open model file, its size),
+    read straight into a fresh 1-d array."""
+    f, size = src
+    dtype = np.dtype(dtype)
+    if size - f.tell() < count * dtype.itemsize:
+        raise DataFormatError(f"file ended inside {what}", path=path, offset=f.tell())
+    arr = np.empty(count, dtype=dtype)
+    f.readinto(arr.view(np.uint8))
+    return arr
 
 
 def load_model(path, with_optimizer=False):
@@ -93,26 +99,29 @@ def load_model(path, with_optimizer=False):
     t, m, v suitable for Adam.load_state.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    buf = [raw, 0]
-    if _take(buf, 4, path, "magic") != MAGIC:
+        net, opt_state = _read_model((f, os.fstat(f.fileno()).st_size), path)
+    return (net, opt_state) if with_optimizer else net
+
+
+def _read_model(src, path):
+    if _take(src, np.uint8, 4, path, "magic").tobytes() != MAGIC:
         raise DataFormatError(f"bad magic; not a model file", path=path, offset=0)
-    version = int(np.frombuffer(_take(buf, 4, path, "version"), dtype="<u4")[0])
+    version = int(_take(src, "<u4", 1, path, "version")[0])
     if version != VERSION:
         raise DataFormatError(
             f"unsupported model format version {version} (expected {VERSION})",
             path=path, offset=4)
-    hlen = int(np.frombuffer(_take(buf, 4, path, "header length"), dtype="<u4")[0])
-    header = json.loads(_take(buf, hlen, path, "header").decode())
+    hlen = int(_take(src, "<u4", 1, path, "header length")[0])
+    header = json.loads(_take(src, np.uint8, hlen, path, "header").tobytes().decode())
     dtype = _DTYPES.get(header["dtype"])
     if dtype is None:
         raise DataFormatError(f"unknown dtype {header['dtype']}", path=path)
     input_shape = tuple(header["input_shape"])
     layers = [_layer_from_dict(d) for d in header["layers"]]
     n_in = int(np.prod(input_shape))
-    shifts = np.frombuffer(_take(buf, 8 * n_in, path, "phase shifts"), dtype="<f8").copy()
+    shifts = _take(src, "<f8", n_in, path, "phase shifts")
 
-    wide = np.dtype("<c16" if header["dtype"] == "complex128" else "<c8")
+    wide = "<c16" if header["dtype"] == "complex128" else "<c8"
     weights, biases = [], []
     for spec in layers:
         if spec.kind == "dense":
@@ -121,31 +130,26 @@ def load_model(path, with_optimizer=False):
             wshape = (spec.out_channels, spec.in_channels, 3, 3)
             bshape = (spec.out_channels,)
         for shape, dest in ((wshape, weights), (bshape, biases)):
-            count = int(np.prod(shape))
-            arr = np.frombuffer(
-                _take(buf, count * wide.itemsize, path, "parameters"), dtype=wide)
-            dest.append(arr.reshape(shape).astype(dtype))
+            arr = _take(src, wide, int(np.prod(shape)), path, "parameters")
+            dest.append(arr.reshape(shape).astype(dtype, copy=False))
 
     opt_state = None
     if header.get("has_optimizer_state"):
-        real = np.dtype("<f8" if header["dtype"] == "complex128" else "<f4")
-        t = int(np.frombuffer(_take(buf, 8, path, "optimizer step"), dtype="<i8")[0])
+        real = "<f8" if header["dtype"] == "complex128" else "<f4"
+        t = int(_take(src, "<i8", 1, path, "optimizer step")[0])
         m, v = [], []
         for spec, w, b in zip(layers, weights, biases):
             for ref in (w, b):
                 # shape of the interleaved-real view of the parameter
                 rshape = ref.shape[:-1] + (ref.shape[-1] * 2,)
                 n = ref.size * 2
-                m.append(np.frombuffer(
-                    _take(buf, n * real.itemsize, path, "optimizer m"),
-                    dtype=real).copy().reshape(rshape))
-                v.append(np.frombuffer(
-                    _take(buf, n * real.itemsize, path, "optimizer v"),
-                    dtype=real).copy().reshape(rshape))
+                m.append(_take(src, real, n, path, "optimizer m").reshape(rshape))
+                v.append(_take(src, real, n, path, "optimizer v").reshape(rshape))
         opt_state = {"t": t, "m": m, "v": v}
-    if buf[1] != len(raw):
+    f, size = src
+    if f.tell() != size:
         raise DataFormatError(
-            f"{len(raw) - buf[1]} trailing bytes after payload", path=path, offset=buf[1])
+            f"{size - f.tell()} trailing bytes after payload", path=path, offset=f.tell())
 
     net = PhasorNetwork(
         input_shape, layers, weights, biases,
@@ -153,6 +157,4 @@ def load_model(path, with_optimizer=False):
         phase_shift_seed=header["phase_shift_seed"],
         v_threshold=header["v_threshold"],
     )
-    if with_optimizer:
-        return net, opt_state
-    return net
+    return net, opt_state

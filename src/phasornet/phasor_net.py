@@ -49,12 +49,16 @@ class TargetEncoding:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations, activations and active masks from forward()."""
+    """Per-layer pre-activations, activations and active masks from forward(),
+    plus each conv layer's im2col input columns (None for dense layers),
+    which backward() reuses. The columns keep the batch axis even for a
+    single example."""
 
     x: np.ndarray
     z: list
     h: list
     masks: list
+    cols: list
 
     @property
     def output(self):
@@ -280,13 +284,20 @@ def encode_target_phases(labels, n_classes):
 # -- activation and its Jacobian ---------------------------------------------
 
 
-def tpam_activation(z, theta=0.0):
-    """Project onto the unit circle if |z| - theta > 0, else exactly zero."""
+def tpam_activation(z, theta=0.0, return_mask=False):
+    """Project onto the unit circle if |z| - theta > 0, else exactly zero.
+
+    With return_mask, also returns the boolean mask of active units. A NaN
+    pre-activation is inactive, and its output is NaN, not zero.
+    """
     z = np.asarray(z)
     mag = np.abs(z)
-    mask = mag - theta > 0.0
-    safe = np.where(mask, mag, 1.0)
-    return np.where(mask, z / safe, np.zeros((), dtype=z.dtype))
+    mask = mag > theta  # |z| - theta > 0, without forming the difference
+    # numpy divides by a real-valued complex as a product with its reciprocal,
+    # so z * (1/|z|) equals z / |z| bit for bit
+    inv = np.reciprocal(mag, out=np.zeros_like(mag), where=mask)
+    h = z * inv
+    return (h, mask) if return_mask else h
 
 
 def activation_jacobian(z):
@@ -332,26 +343,26 @@ def forward(net, x):
             f"input shape {x.shape[1:]} does not match network input {net.input_shape}"
         )
     h = x
-    zs, hs, masks = [], [], []
+    zs, hs, masks, cols = [], [], [], []
     for spec, w, b in zip(net.layers, net.weights, net.biases):
+        c = None
         if spec.kind == "dense":
             if h.ndim > 2:
                 h = h.reshape(h.shape[0], -1)
             z = matvec(w, h, b)
         else:
-            z = conv2d_valid(h, w, b)
-        mask = np.abs(z) - spec.theta > 0.0
-        safe = np.where(mask, np.abs(z), 1.0)
-        h = np.where(mask, z / safe, np.zeros((), dtype=z.dtype))
+            z, c = conv2d_valid(h, w, b, return_cols=True)
+        h, mask = tpam_activation(z, spec.theta, return_mask=True)
         zs.append(z)
         hs.append(h)
         masks.append(mask)
+        cols.append(c)
     if single:
         x = x[0]
         zs = [z[0] for z in zs]
         hs = [a[0] for a in hs]
         masks = [m[0] for m in masks]
-    return ForwardTrace(x=x, z=zs, h=hs, masks=masks)
+    return ForwardTrace(x=x, z=zs, h=hs, masks=masks, cols=cols)
 
 
 def loss_cosine(output_phases, target_phases):
@@ -406,22 +417,20 @@ def backward(net, trace, target_phases):
     g_weights = [None] * len(net.layers)
     g_biases = [None] * len(net.layers)
     shape_chain = PhasorNetwork._shape_chain(net.input_shape, net.layers)
+    # layer 0's input gradient is the network input's, which nothing uses
     for l in range(len(net.layers) - 1, -1, -1):
         spec, w = net.layers[l], net.weights[l]
         gz = _activation_backward(g, zs[l], masks[l])
-        h_prev = hs[l]
         if spec.kind == "dense":
-            if h_prev.ndim > 2:
-                h_prev = h_prev.reshape(batch, -1)
-            g_weights[l] = gz.T @ np.conj(h_prev)
+            g_weights[l] = gz.T @ np.conj(hs[l].reshape(batch, -1))
             g_biases[l] = gz.sum(axis=0)
-            g = (gz @ np.conj(w)).reshape((batch,) + shape_chain[l])
+            if l:
+                g = (gz @ np.conj(w)).reshape((batch,) + shape_chain[l])
         else:
-            g_weights[l] = _kernels.conv2d_backward_kernels(
-                np.ascontiguousarray(h_prev), np.ascontiguousarray(gz))
+            g_weights[l] = _kernels.conv2d_backward_kernels(trace.cols[l], gz)
             g_biases[l] = gz.sum(axis=(0, 2, 3))
-            g = _kernels.conv2d_backward_input(
-                np.ascontiguousarray(gz), np.ascontiguousarray(w))
+            if l:
+                g = _kernels.conv2d_backward_input(gz, w)
     return Gradients(
         weights=g_weights,
         biases=g_biases,
@@ -438,27 +447,21 @@ def predict(output):
     Scores argmax_i mean_{j != i} (1 - cos(theta_i - theta_j)) over active
     units; inactive units are excluded. Returns None when nothing is active.
     """
-    output = np.asarray(output)
-    active = np.abs(output) > 0.0
-    n_active = int(active.sum())
-    if n_active == 0:
-        return None
-    idx = np.nonzero(active)[0]
-    if n_active == 1:
-        return int(idx[0])
-    u = output[idx] / np.abs(output[idx])
-    total = u.sum()
-    # sum_{j != i} cos(ti - tj) = Re(conj(u_i) * total) - 1 for unit phasors
-    cos_sum = np.real(np.conj(u) * total) - 1.0
-    scores = 1.0 - cos_sum / (n_active - 1)
-    return int(idx[int(np.argmax(scores))])
+    p = int(predict_batch(np.asarray(output)[None])[0])
+    return None if p < 0 else p
 
 
 def predict_batch(outputs):
-    """Vectorized predict over a batch; -1 marks "no prediction"."""
+    """predict() over the rows of a (B, n_out) batch; -1 marks "no prediction"."""
     outputs = np.asarray(outputs)
-    out = np.empty(outputs.shape[0], dtype=np.int64)
-    for i in range(outputs.shape[0]):
-        p = predict(outputs[i])
-        out[i] = -1 if p is None else p
-    return out
+    mag = np.abs(outputs)
+    active = mag > 0.0
+    n_active = active.sum(axis=1, keepdims=True)
+    u = np.where(active, outputs / np.where(active, mag, 1.0), 0.0)
+    # sum_{j != i} cos(ti - tj) = Re(conj(u_i) * total) - 1 for unit phasors
+    cos_sum = np.real(np.conj(u) * u.sum(axis=1, keepdims=True)) - 1.0
+    # a lone active unit scores 1 - 0/1; inactive units never win
+    scores = np.where(active, 1.0 - cos_sum / np.maximum(n_active - 1, 1), -np.inf)
+    pred = np.argmax(scores, axis=1)
+    pred[n_active[:, 0] == 0] = -1
+    return pred

@@ -221,3 +221,8 @@ class TestExitCodes:
             main(["train", "--data-dir", str(root / "data"),
                   "--out-dir", str(tmp_path), "--epochs", "three"])
         assert e.value.code == 1
+
+    def test_removed_threads_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--threads", "2", "--out-dir", str(tmp_path)])
+        assert e.value.code == 1

@@ -17,6 +17,7 @@ from phasornet.phasor_net import (
     loss_phase_gradient,
     make_phase_shifts,
     predict,
+    predict_batch,
     tpam_activation,
 )
 
@@ -118,6 +119,11 @@ class TestActivation:
             a = tpam_activation(z, 0.0)
             b = tpam_activation(lam * z, 0.0)
             np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_nan_propagates_and_is_inactive(self):
+        h, mask = tpam_activation(np.array([np.nan + 0j, 2.0]), 0.0, return_mask=True)
+        assert np.isnan(h[0]) and not mask[0]
+        assert h[1] == 1.0 and mask[1]
 
 
 class TestActivationJacobian:
@@ -256,8 +262,8 @@ def _finite_diff_check(net, x, target_phases, rel_tol=1e-6, abs_floor=1e-8, step
     trace = forward(net, x)
     grads = backward(net, trace, target_phases)
 
-    def total():
-        return float(np.sum(loss_mse(forward(net, x).output, target_phases)))
+    def total():  # backward differentiates the batch-mean loss
+        return float(np.mean(loss_mse(forward(net, x).output, target_phases)))
 
     for l, (w, gw) in enumerate(zip(net.weights, grads.weights)):
         flat = w.reshape(-1)
@@ -297,6 +303,18 @@ class TestBackward:
         rng = np.random.default_rng(21)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         _finite_diff_check(net, x, encode_target(1, 2).phases)
+
+    def test_gradient_matches_finite_differences_conv_conv(self):
+        # a conv layer after a conv layer is the one place the conv input
+        # gradient (col2im) runs; check it single and batched
+        specs = [LayerSpec("conv3x3", in_channels=2, out_channels=2),
+                 LayerSpec("conv3x3", in_channels=2, out_channels=3),
+                 LayerSpec("dense", fan_in=3 * 4 * 4, fan_out=2)]
+        net = PhasorNetwork.create((2, 8, 8), specs, seed=25, dtype=np.complex128)
+        rng = np.random.default_rng(25)
+        x = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 2, 8, 8)))
+        _finite_diff_check(net, x[0], encode_target(0, 2).phases)
+        _finite_diff_check(net, x, encode_target_phases(np.array([1, 0, 1]), 2))
 
     def test_zero_gradient_at_target(self):
         # identity single layer, input already equals the target encoding
@@ -376,3 +394,32 @@ class TestPredict:
         out = np.exp(1j * np.array([0.0, np.pi, 0.0]))
         out[1] = 0.0  # the out-of-phase unit is silent
         assert predict(out) in (0, 2)
+
+
+class TestPredictBatch:
+    @staticmethod
+    def _rule(row):
+        # the scoring rule evaluated directly over the active units
+        idx = np.flatnonzero(np.abs(row) > 0.0)
+        if idx.size == 0:
+            return -1
+        if idx.size == 1:
+            return int(idx[0])
+        th = np.angle(row[idx])
+        scores = [np.mean(1 - np.cos(th[i] - np.delete(th, i))) for i in range(idx.size)]
+        return int(idx[int(np.argmax(scores))])
+
+    def test_matches_predict_per_row(self):
+        rng = np.random.default_rng(26)
+        out = np.exp(1j * rng.uniform(0, 2 * np.pi, (60, 10)))
+        out[rng.uniform(size=out.shape) < 0.3] = 0.0
+        out[:5] = 0.0  # no active unit
+        out[5:10] = 0.0
+        lone = rng.integers(0, 10, 5)
+        out[np.arange(5, 10), lone] = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+        got = predict_batch(out)
+        want = [-1 if p is None else p for p in map(predict, out)]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, [self._rule(row) for row in out])
+        np.testing.assert_array_equal(got[:5], -1)
+        np.testing.assert_array_equal(got[5:10], lone)
