@@ -18,9 +18,7 @@ from . import _circuit_kernels as ck
 from .complex_core import phase as cphase
 from .errors import NumericError, ValidationError
 from .phasor_net import encode_input, apply_input_phase_shift, forward, predict
-from .spikemap import SpikeEvent, SpikeRaster, time_to_phase
-
-TWO_PI = 2.0 * np.pi
+from .spikemap import TWO_PI, SpikeRaster, synapse_delay, time_to_phase
 
 
 @dataclass
@@ -115,13 +113,6 @@ class CircuitResult:
     deliveries: int = 0  # one per arrival; two arrivals in one step reset a synapse once
 
 
-def synapse_magnitude_delay(weights, period):
-    """Vectorized |W| and phase(W)*T/2pi for an array of complex weights."""
-    mags = np.abs(weights).astype(np.float64)
-    delays = (cphase(weights).astype(np.float64) % TWO_PI) * period / TWO_PI
-    return mags, delays
-
-
 def build_circuit(net, params=None):
     """One soma per hidden/output unit, one synapse per nonzero weight/bias."""
     if params is None:
@@ -137,16 +128,14 @@ def build_circuit(net, params=None):
         np.full(sz, l + 1, dtype=np.int64) for l, sz in enumerate(layer_sizes)
     ])
 
-    owners, srcs, mags, delays = [], [], [], []
+    owners, srcs, coeffs = [], [], []  # per layer: its weights, then its biases
     for l, spec in enumerate(net.layers):
         w, b = net.weights[l], net.biases[l]
         own_base = layer_offsets[l]
         src_base = n_gen + layer_offsets[l - 1] if l > 0 else 0
         if spec.kind == "dense":
-            rows, cols = np.nonzero(w)
-            coeffs = w[rows, cols]
-            owner_local = rows
-            src_local = cols
+            owner_local, src_local = np.nonzero(w)
+            coeff = w[owner_local, src_local]
         else:
             c_in, h, wd = shapes[l]
             f, oh, ow = shapes[l + 1]
@@ -154,48 +143,28 @@ def build_circuit(net, params=None):
                 np.arange(f), np.arange(oh), np.arange(ow),
                 np.arange(c_in), np.arange(3), np.arange(3),
                 indexing="ij")
-            coeffs = np.ascontiguousarray(w[ff, cc, pp, qq]).reshape(-1)
-            owner_local = ((ff * oh + ii) * ow + jj).reshape(-1)
-            src_local = ((cc * h + (ii + pp)) * wd + (jj + qq)).reshape(-1)
-            keep = coeffs != 0
-            coeffs = coeffs[keep]
-            owner_local = owner_local[keep]
-            src_local = src_local[keep]
-        m, d = synapse_magnitude_delay(coeffs, params.period)
+            coeff = np.ascontiguousarray(w[ff, cc, pp, qq]).reshape(-1)
+            keep = coeff != 0
+            coeff = coeff[keep]
+            owner_local = ((ff * oh + ii) * ow + jj).reshape(-1)[keep]
+            src_local = ((cc * h + (ii + pp)) * wd + (jj + qq)).reshape(-1)[keep]
         owners.append(own_base + owner_local.astype(np.int64))
         srcs.append(src_base + src_local.astype(np.int64))
-        mags.append(m)
-        delays.append(d)
+        coeffs.append(coeff)
         # bias synapses, driven by the reference generator
         bidx = np.nonzero(b)[0]
-        if spec.kind == "conv3x3" and bidx.size:
+        if spec.kind == "conv3x3":
             # one synapse per output unit of each biased channel
-            f, oh, ow = shapes[l + 1]
-            per_ch = oh * ow
-            ch = np.repeat(bidx, per_ch)
-            pos = np.tile(np.arange(per_ch), bidx.size)
-            owner_local = ch * per_ch + pos
-            coeffs = b[ch]
+            _, oh, ow = shapes[l + 1]
+            owner_local = (bidx[:, None] * (oh * ow) + np.arange(oh * ow)).reshape(-1)
+            bidx = np.repeat(bidx, oh * ow)
         else:
             owner_local = bidx
-            coeffs = b[bidx]
-        if owner_local.size:
-            m, d = synapse_magnitude_delay(coeffs, params.period)
-            owners.append(own_base + owner_local.astype(np.int64))
-            srcs.append(np.full(owner_local.size, ref_gen, dtype=np.int64))
-            mags.append(m)
-            delays.append(d)
-
-    if owners:
-        owner = np.concatenate(owners)
-        src = np.concatenate(srcs)
-        mag = np.concatenate(mags)
-        delay = np.concatenate(delays)
-    else:
-        owner = np.zeros(0, dtype=np.int64)
-        src = np.zeros(0, dtype=np.int64)
-        mag = np.zeros(0)
-        delay = np.zeros(0)
+        owners.append(own_base + owner_local.astype(np.int64))
+        srcs.append(np.full(owner_local.size, ref_gen, dtype=np.int64))
+        coeffs.append(b[bidx])
+    owner, src = np.concatenate(owners), np.concatenate(srcs)
+    mag, delay = synapse_delay(np.concatenate(coeffs), params.period)
 
     # incoming CSR: synapses sorted by owning neuron, stable within a neuron
     order = np.argsort(owner, kind="stable")
@@ -260,7 +229,7 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     rec_vm = np.zeros((total_steps, rec_ids.shape[0]))
     kernel = ck.Integrator(circuit, float(v_threshold), total_steps)
 
-    gen_events = []
+    columns = []  # (layer, neuron, time) of the generator volleys, then the soma spikes
     seg_start = 0.0
     step_base = 0
     segment_starts = []
@@ -268,9 +237,11 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
         segment_starts.append(seg_start)
         offsets = stimulus_phase_offsets(circuit, image)
         n_steps = int(round(n_cycles * p.period / p.dt))
-        for g in range(offsets.shape[0] - 1):  # generator raster, layer 0
-            for c in range(n_cycles):
-                gen_events.append(SpikeEvent(0, g, seg_start + c * p.period + offsets[g]))
+        n_in = offsets.shape[0] - 1  # input generators are layer 0; the reference is not
+        columns.append((np.zeros(n_in * n_cycles, dtype=np.int64),
+                        np.repeat(np.arange(n_in), n_cycles),
+                        ((seg_start + np.arange(n_cycles) * p.period)
+                         + offsets[:-1, None]).reshape(-1)))
         with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
             err, done = kernel.run_segment(seg_start, step_base, n_steps, offsets,
                                            n_cycles, rec_ids,
@@ -286,10 +257,9 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     times, neurons = kernel.spikes()
     layers = circuit.neuron_layer[neurons]
     local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
-    all_events = gen_events + [SpikeEvent(int(l), int(i), float(t))
-                               for l, i, t in zip(layers, local, times)]
-    all_events.sort(key=lambda e: (e.time, e.layer, e.neuron))
-    raster = SpikeRaster(events=all_events, period=p.period, n_cycles=total_cycles)
+    columns.append((layers, local, times))
+    raster = SpikeRaster.sorted(*(np.concatenate(c) for c in zip(*columns)),
+                                p.period, total_cycles)
     return CircuitResult(
         raster=raster,
         vm_max=kernel.vm_max,
@@ -312,58 +282,53 @@ def decode_output(raster, n_outputs, output_layer, now, window_cycles=3):
     output units; score unit i by the mean over its spikes; return the
     argmax (ties to the lowest index) or None when no output spiked.
     """
+    t = raster.time
     lo = now - window_cycles * raster.period
-    unit_times = [[] for _ in range(n_outputs)]
-    for e in raster.events:
-        if e.layer == output_layer and lo <= e.time <= now:
-            unit_times[e.neuron].append(e.time)
+    w = slice(t.searchsorted(lo), t.searchsorted(now, side="right"))
+    out = raster.layer[w] == output_layer
+    return _decode_window(raster.neuron[w][out], t[w][out], n_outputs)
 
+
+def _decode_window(units, times, n_outputs):
+    """decode_output's rule on the output spikes of one window, in time order."""
+    spiking = np.flatnonzero(np.bincount(units, minlength=n_outputs))
+    if spiking.size <= 1:  # a sole spiking unit wins by default
+        return int(spiking[0]) if spiking.size else None
     scores = np.full(n_outputs, -np.inf)
-    for i in range(n_outputs):
-        if not unit_times[i]:
-            continue
-        others = np.sort(np.concatenate(
-            [np.asarray(unit_times[j]) for j in range(n_outputs)
-             if j != i and unit_times[j]] or [np.zeros(0)]))
-        if others.size == 0:
-            scores[i] = np.inf  # sole spiking unit wins by default
-            continue
-        terms = []
-        for t in unit_times[i]:
-            later = others[others >= t]
-            earlier = others[others <= t]
-            dists = []
-            if later.size:
-                dists.append(later[0] - t)
-            if earlier.size:
-                dists.append(t - earlier[-1])
-            if dists:
-                terms.append(0.5 * sum(dists) if len(dists) == 2 else dists[0])
-        if terms:
-            scores[i] = float(np.mean(terms))
-    if np.all(scores == -np.inf):
-        return None
+    for i in spiking:
+        mine = units == i
+        # the other units' spikes, between sentinels: a missing side is inf away
+        own, others = times[mine], np.concatenate(([-np.inf], times[~mine], [np.inf]))
+        d_later = others[others.searchsorted(own, side="left")] - own
+        d_earlier = own - others[others.searchsorted(own, side="right") - 1]
+        one_sided = np.isinf(d_later) | np.isinf(d_earlier)
+        scores[i] = np.mean(np.where(one_sided, np.minimum(d_later, d_earlier),
+                                     0.5 * (d_later + d_earlier)))
     return int(np.argmax(scores))
 
 
 def decode_over_time(raster, n_outputs, output_layer, times, window_cycles=3):
     """Decoded class at each sample time; -1 where nothing spiked yet."""
-    out = np.empty(len(times), dtype=np.int64)
-    for i, t in enumerate(times):
-        d = decode_output(raster, n_outputs, output_layer, t, window_cycles)
-        out[i] = -1 if d is None else d
+    out_layer = raster.layer == output_layer
+    units, spikes = raster.neuron[out_layer], raster.time[out_layer]
+    times = np.asarray(times, dtype=np.float64)
+    los = spikes.searchsorted(times - window_cycles * raster.period)
+    his = spikes.searchsorted(times, side="right")
+    out = np.empty(times.size, dtype=np.int64)
+    for k, (a, b) in enumerate(zip(los.tolist(), his.tolist())):
+        d = _decode_window(units[a:b], spikes[a:b], n_outputs)
+        out[k] = -1 if d is None else d
     return out
 
 
 def output_spike_phases(raster, n_outputs, output_layer, now, window_cycles=3):
     """Mean phase (circular) per output unit over the decode window."""
     lo = now - window_cycles * raster.period
+    t = raster.time
+    sel = (raster.layer == output_layer) & (lo <= t) & (t <= now)
     acc = np.zeros(n_outputs, dtype=np.complex128)
-    for e in raster.events:
-        if e.layer == output_layer and lo <= e.time <= now:
-            acc[e.neuron] += np.exp(1j * time_to_phase(e.time, raster.period))
-    phases = np.where(np.abs(acc) > 0, np.angle(acc), np.nan)
-    return phases
+    np.add.at(acc, raster.neuron[sel], np.exp(1j * time_to_phase(t[sel], raster.period)))
+    return np.where(np.abs(acc) > 0, np.angle(acc), np.nan)
 
 
 # -- threshold calibration ---------------------------------------------------

@@ -224,7 +224,7 @@ def cmd_spikes(args):
         raster = unroll(net, x, cfg["period"], n_cycles)
         path = os.path.join(out_dir, "raster_ideal.csv")
         write_raster_csv(raster, path)
-        print(f"wrote {path} ({len(raster.events)} events)")
+        print(f"wrote {path} ({raster.time.size} events)")
         return 0
 
     # circuit backend
@@ -247,7 +247,7 @@ def cmd_spikes(args):
                              record_neurons=record)
     path = os.path.join(out_dir, "raster_circuit.csv")
     write_raster_csv(result.raster, path)
-    print(f"wrote {path} ({len(result.raster.events)} events)")
+    print(f"wrote {path} ({result.raster.time.size} events)")
     times = np.arange(1.0, result.total_time + 0.5, 1.0)
     decoded = decode_over_time(result.raster, circ.n_outputs, out_layer, times)
     dpath = os.path.join(out_dir, "decoded_class.csv")

@@ -6,7 +6,10 @@ byte-identical output.
 
 import csv
 
+import numpy as np
+
 from .errors import DataFormatError
+from .spikemap import CSV_HEADER, read_raster_csv
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 45
@@ -71,7 +74,8 @@ def _read_csv(path):
 
 
 def plot_metrics_svg(csv_path, out_path):
-    """epoch,train_err,test_err,loss -> error-rate-vs-epoch line plot."""
+    """epoch,train_err,test_err,loss -> error-rate-vs-epoch line plot;
+    returns the number of rows."""
     header, body = _read_csv(csv_path)
     parts = _axes("epoch", "error rate", "classification error")
     if body:
@@ -100,43 +104,35 @@ def plot_metrics_svg(csv_path, out_path):
                         f'font-size="12" fill="{_PALETTE[si]}">{name}</text>')
     with open(out_path, "w") as f:
         f.write(_svg(parts))
+    return len(body)
 
 
 def plot_raster_svg(csv_path, out_path):
-    """layer,neuron,time_ms -> spike raster scatter, one row per neuron."""
-    header, body = _read_csv(csv_path)
+    """layer,neuron,time_ms -> spike raster scatter, one row per neuron;
+    returns the number of spikes."""
+    raster = read_raster_csv(csv_path)
     parts = _axes("time (ms)", "neuron", "spike raster")
-    if body:
-        try:
-            events = [(int(r[0]), int(r[1]), float(r[2])) for r in body]
-        except (ValueError, IndexError) as e:
-            raise DataFormatError(f"malformed raster row: {e}", path=csv_path)
+    if raster.time.size:
         # stack layers vertically: rows grouped by layer, neuron order within
-        layers = sorted({e[0] for e in events})
-        layer_units = {l: sorted({n for (ll, n, _) in events if ll == l}) for l in layers}
-        rows = {}
-        row = 0
-        for l in layers:
-            for n in layer_units[l]:
-                rows[(l, n)] = row
-                row += 1
-        times = [t for (_, _, t) in events]
+        _, layer_idx = np.unique(raster.layer, return_inverse=True)
+        units, row_idx = np.unique(np.stack([raster.layer, raster.neuron], axis=1),
+                                   axis=0, return_inverse=True)
+        times = raster.time.tolist()
         to_x, _, _ = _scale(times, MARGIN_L, WIDTH - MARGIN_R)
-        to_y, _, _ = _scale([0, max(row - 1, 1)], HEIGHT - MARGIN_B, MARGIN_T)
-        for (l, n, t) in events:
-            color = _PALETTE[layers.index(l) % len(_PALETTE)]
+        to_y, _, _ = _scale([0, max(len(units) - 1, 1)], HEIGHT - MARGIN_B, MARGIN_T)
+        for t, row, li in zip(times, row_idx.tolist(), layer_idx.tolist()):
             parts.append(
-                f'<circle cx="{_fmt(to_x(t))}" cy="{_fmt(to_y(rows[(l, n)]))}" '
-                f'r="1.4" fill="{color}"/>')
+                f'<circle cx="{_fmt(to_x(t))}" cy="{_fmt(to_y(row))}" '
+                f'r="1.4" fill="{_PALETTE[li % len(_PALETTE)]}"/>')
     with open(out_path, "w") as f:
         f.write(_svg(parts))
+    return raster.time.size
 
 
 def plot_csv(csv_path, out_path):
-    """Dispatch on the CSV header; warns (via return value) on empty body."""
-    header, body = _read_csv(csv_path)
-    if header[:3] == ["layer", "neuron", "time_ms"]:
-        plot_raster_svg(csv_path, out_path)
-    else:
-        plot_metrics_svg(csv_path, out_path)
-    return len(body)
+    """Dispatch on the CSV header; returns the number of data rows plotted."""
+    with open(csv_path, newline="") as f:
+        header = next(csv.reader(f), None)
+    if header is not None and header[:3] == CSV_HEADER:
+        return plot_raster_svg(csv_path, out_path)
+    return plot_metrics_svg(csv_path, out_path)

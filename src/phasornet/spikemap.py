@@ -8,32 +8,48 @@ circuit-level simulator.
 """
 
 import csv
+import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complex_core import phase as cphase
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 from .phasor_net import forward
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass
-class SpikeEvent:
-    layer: int
-    neuron: int
-    time: float  # ms
+CSV_HEADER = ["layer", "neuron", "time_ms"]
+SpikeEvent = namedtuple("SpikeEvent", "layer neuron time")  # time in ms
 
 
 @dataclass
 class SpikeRaster:
-    events: list  # SpikeEvent, sorted by time
+    """Spikes as three columns, ordered by (time, layer, neuron)."""
+
+    layer: np.ndarray  # int64
+    neuron: np.ndarray  # int64
+    time: np.ndarray  # float64 ms, non-decreasing
     period: float  # cycle period T, ms
     n_cycles: int
 
-    def times(self):
-        return np.array([e.time for e in self.events])
+    def __post_init__(self):
+        self.layer = np.ascontiguousarray(self.layer, dtype=np.int64)
+        self.neuron = np.ascontiguousarray(self.neuron, dtype=np.int64)
+        self.time = np.ascontiguousarray(self.time, dtype=np.float64)
+
+    @classmethod
+    def sorted(cls, layer, neuron, time, period, n_cycles):
+        """A raster of unordered columns, put in (time, layer, neuron) order."""
+        order = np.lexsort((neuron, layer, time))
+        return cls(layer[order], neuron[order], time[order], period, n_cycles)
+
+    @property
+    def events(self):
+        """One SpikeEvent per spike, built on each access, for perfbench/ only.
+        It stays until the next benchmark change ports perfbench to the columns."""
+        return [SpikeEvent(*e) for e in
+                zip(self.layer.tolist(), self.neuron.tolist(), self.time.tolist())]
 
 
 def phase_to_time(theta, period):
@@ -51,11 +67,11 @@ def time_to_phase(t, period):
     return TWO_PI * (np.asarray(t, dtype=np.float64) % period) / period
 
 
-def synapse_delay(weight, period):
-    """Complex weight -> (magnitude, delay): phase scaled into [0, T)."""
-    mag = float(np.abs(weight))
-    theta = float(cphase(weight)) % TWO_PI
-    return mag, theta * period / TWO_PI
+def synapse_delay(weights, period):
+    """Complex weights -> (magnitudes, delays): |W| and phase(W) scaled into [0, T)."""
+    mags = np.abs(weights).astype(np.float64)
+    delays = (cphase(weights).astype(np.float64) % TWO_PI) * period / TWO_PI
+    return mags, delays
 
 
 def unroll(net, x, period, n_cycles):
@@ -71,30 +87,28 @@ def unroll(net, x, period, n_cycles):
             f"need at least depth+1 = {depth + 1} cycles for the output layer to emit"
         )
     trace = forward(net, x)
-    layer_phases = [cphase(np.asarray(x).reshape(-1))]
-    layer_active = [np.abs(np.asarray(x).reshape(-1)) > 0.0]
-    for h, m in zip(trace.h, trace.masks):
-        layer_phases.append(cphase(h.reshape(-1)))
-        layer_active.append(m.reshape(-1))
-
-    events = []
-    for layer, (phases, active) in enumerate(zip(layer_phases, layer_active)):
-        offsets = phase_to_time(phases, period)
-        for cycle in range(layer, n_cycles):
-            base = cycle * period
-            for neuron in np.nonzero(active)[0]:
-                events.append(SpikeEvent(layer, int(neuron), base + float(offsets[neuron])))
-    events.sort(key=lambda e: (e.time, e.layer, e.neuron))
-    return SpikeRaster(events=events, period=period, n_cycles=n_cycles)
+    x = np.asarray(x).reshape(-1)
+    states = [(x, np.abs(x) > 0.0)] + [(h.reshape(-1), m.reshape(-1))
+                                        for h, m in zip(trace.h, trace.masks)]
+    layers, neurons, times = [], [], []
+    for layer, (h, active) in enumerate(states):
+        units = np.flatnonzero(active)
+        bases = np.arange(layer, n_cycles) * period
+        layers.append(np.full(units.size * bases.size, layer, dtype=np.int64))
+        neurons.append(np.tile(units, bases.size))
+        times.append(np.repeat(bases, units.size)
+                     + np.tile(phase_to_time(cphase(h[units]), period), bases.size))
+    return SpikeRaster.sorted(np.concatenate(layers), np.concatenate(neurons),
+                              np.concatenate(times), period, n_cycles)
 
 
 def raster_phases(raster, layer, n_units, cycle):
     """Recover unit phases from one cycle of a raster (nan where silent)."""
     phases = np.full(n_units, np.nan)
     lo, hi = cycle * raster.period, (cycle + 1) * raster.period
-    for e in raster.events:
-        if e.layer == layer and lo <= e.time < hi:
-            phases[e.neuron] = time_to_phase(e.time, raster.period)
+    t = raster.time
+    sel = (raster.layer == layer) & (lo <= t) & (t < hi)
+    phases[raster.neuron[sel]] = time_to_phase(t[sel], raster.period)
     return phases
 
 
@@ -102,20 +116,40 @@ def write_raster_csv(raster, path):
     """CSV export: header layer,neuron,time_ms; >= 9 significant digits."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["layer", "neuron", "time_ms"])
-        for e in raster.events:
-            writer.writerow([e.layer, e.neuron, f"{e.time:.12g}"])
+        writer.writerow(CSV_HEADER)
+        writer.writerows(zip(raster.layer.tolist(), raster.neuron.tolist(),
+                             [f"{t:.12g}" for t in raster.time.tolist()]))
 
 
 def read_raster_csv(path):
-    events = []
+    """A raster CSV back as columns, in the file's order. The file holds no
+    period or cycle count, so both read as 0."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["layer", "neuron", "time_ms"]:
+        header = next(csv.reader([f.readline()]), [])
+        if header != CSV_HEADER:
             raise ValidationError(f"unexpected raster header: {header}")
-        for row in reader:
-            events.append(SpikeEvent(int(row[0]), int(row[1]), float(row[2])))
-    period = 0.0
-    n_cycles = 0
-    return SpikeRaster(events=events, period=period, n_cycles=n_cycles)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: empty raster
+                layer, neuron, time = np.loadtxt(
+                    f, delimiter=",", comments=None, ndmin=1, unpack=True,
+                    dtype=[("layer", np.int64), ("neuron", np.int64), ("time", np.float64)])
+        except ValueError as e:
+            raise DataFormatError(f"malformed raster row: {e}", path=path,
+                                  offset=_first_bad_line(path)) from None
+    return SpikeRaster(layer, neuron, time, period=0.0, n_cycles=0)
+
+
+def _first_bad_line(path):
+    """1-based line number of the first body row that is not int,int,float,
+    or None when every row is."""
+    with open(path, newline="") as f:
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if lineno == 1 or not row:  # header; loadtxt skips blank lines
+                continue
+            try:
+                int(row[0]), int(row[1]), float(row[2])
+            except (ValueError, IndexError):
+                return lineno
+            if len(row) != 3:
+                return lineno

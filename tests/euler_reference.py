@@ -14,7 +14,7 @@ import numpy as np
 from phasornet._circuit_kernels import GRID_EPS
 from phasornet.circuit import stimulus_phase_offsets
 from phasornet.errors import NumericError
-from phasornet.spikemap import SpikeEvent
+from phasornet.spikemap import SpikeRaster
 
 
 def program_generators(seg_start, gen_offsets, n_cycles, out_ptr, out_syn,
@@ -67,7 +67,7 @@ def run_segment(t0, n_steps, dt, period,
 
 
 def run(circuit, stimuli, v_threshold):
-    """Soma spikes (layers >= 1, sorted by time) and per-neuron vm_max."""
+    """Raster of the soma spikes (layers >= 1) and per-neuron vm_max."""
     p = circuit.params
     n, s = circuit.n_neurons, circuit.n_synapses
     vm, vdbar, vm_max = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -91,9 +91,9 @@ def run(circuit, stimuli, v_threshold):
             if err >= 0:
                 raise NumericError(f"integration blew up at neuron {err}")
             seg_start += n_cycles * p.period
-    layer = circuit.neuron_layer
-    spikes = [SpikeEvent(int(layer[ni]),
-                         int(ni - circuit.layer_offsets[layer[ni] - 1]), t)
-              for t, ni in events]
-    spikes.sort(key=lambda e: (e.time, e.layer, e.neuron))
-    return spikes, vm_max
+    times = np.array([t for t, _ in events])
+    neurons = np.array([ni for _, ni in events], dtype=np.int64)
+    layers = circuit.neuron_layer[neurons]
+    local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
+    n_cycles = sum(nc for _, nc in stimuli)
+    return SpikeRaster.sorted(layers, local, times, p.period, n_cycles), vm_max

@@ -265,13 +265,11 @@ def test_limit_cycle_settling(trained_fc_mnist):
     locked = total = 0
     for image in images:
         result = run(circuit, [(image, 15)], v_threshold=thr)
-        per_unit = {}
-        for e in result.raster.events:
-            if e.layer == out_layer:
-                per_unit.setdefault(e.neuron, []).append(e.time)
-        for times in per_unit.values():
+        out = result.raster.layer == out_layer
+        units, spikes = result.raster.neuron[out], result.raster.time[out]
+        for unit in np.unique(units):
             total += 1
-            times = np.sort(times)
+            times = spikes[units == unit]
             drifts = np.abs(np.diff(times) - T)
             # locked from cycle 10 on: every later inter-spike gap within 0.05 T
             tail = drifts[times[:-1] >= 10 * T]

@@ -11,7 +11,6 @@ from phasornet.circuit import (
     output_spike_phases,
     run,
     stimulus_phase_offsets,
-    synapse_magnitude_delay,
 )
 from phasornet._circuit_kernels import GRID_EPS, synapse_modes
 from phasornet.errors import NumericError, ValidationError
@@ -23,8 +22,9 @@ from phasornet.phasor_net import (
     forward,
     predict,
 )
-from phasornet.spikemap import SpikeEvent, SpikeRaster
+from phasornet.spikemap import SpikeRaster, synapse_delay
 
+import decode_reference
 import euler_reference
 
 
@@ -116,13 +116,13 @@ class TestBuild:
         circuit = build_circuit(net)
         assert np.all(circuit.syn_delay >= 0.0)
         assert np.all(circuit.syn_delay < circuit.params.period)
-        mags, delays = synapse_magnitude_delay(net.weights[0].reshape(-1), 10.0)
+        mags, delays = synapse_delay(net.weights[0].reshape(-1), 10.0)
         # every first-layer weight must appear with its magnitude and delay
         first = circuit.syn_owner < 12
         got = set(zip(np.round(circuit.syn_w[first], 6),
                       np.round(circuit.syn_delay[first], 6)))
         nz = net.biases[0][net.biases[0] != 0]
-        bias_m, bias_d = synapse_magnitude_delay(nz, 10.0)
+        bias_m, bias_d = synapse_delay(nz, 10.0)
         want = set(zip(np.round(np.concatenate([mags, bias_m]), 6),
                        np.round(np.concatenate([delays, bias_d]), 6)))
         assert got == want
@@ -200,15 +200,15 @@ class TestRun:
         net = tiny_net(seed=6)
         circuit = build_circuit(net)
         result = run(circuit, [(tiny_images(1)[0], 3)], v_threshold=1e30)
-        gen = [e for e in result.raster.events if e.layer == 0]
-        assert len(gen) == 16 * 3  # every input unit, every cycle
-        assert all(e.time < result.total_time for e in gen)
+        gen = result.raster.time[result.raster.layer == 0]
+        assert gen.size == 16 * 3  # every input unit, every cycle
+        assert np.all(gen < result.total_time)
 
     def test_subthreshold_run_has_no_soma_spikes(self):
         net = tiny_net(seed=6)
         circuit = build_circuit(net)
         result = run(circuit, [(tiny_images(1)[0], 4)], v_threshold=1e30)
-        assert all(e.layer == 0 for e in result.raster.events)
+        assert np.all(result.raster.layer == 0)
         # the first hidden layer oscillates; deeper layers get no input since
         # nothing upstream ever crosses the (unreachable) threshold
         assert np.all(result.vm_max[:12] > 0.0)
@@ -218,16 +218,15 @@ class TestRun:
         net, circuit, images, thr, _ = calibrated
         r1 = run(circuit, [(images[0], 8)], v_threshold=thr)
         r2 = run(circuit, [(images[0], 8)], v_threshold=thr)
-        assert len(r1.raster.events) == len(r2.raster.events)
-        for a, b in zip(r1.raster.events, r2.raster.events):
-            assert (a.layer, a.neuron, a.time) == (b.layer, b.neuron, b.time)
+        for col in ("layer", "neuron", "time"):
+            np.testing.assert_array_equal(getattr(r1.raster, col), getattr(r2.raster, col))
 
     def test_deliveries_match_raster_and_csr(self):
         net = tiny_net(seed=0)
         net.biases[0][:3] = 0.5 + 0.5j  # bias synapses on the reference generator
         circuit = build_circuit(net)
         result = run(circuit, [(tiny_images(1)[0], 4)], v_threshold=0.005)
-        assert any(e.layer > 0 for e in result.raster.events), "no neuron spiked"
+        assert np.any(result.raster.layer > 0), "no neuron spiked"
         last = (len(result.trace_times) - 1) * circuit.params.dt
         assert result.deliveries == delivery_count(circuit, result.raster, last)
 
@@ -255,13 +254,13 @@ def delivery_count(circuit, raster, last_step_time):
     delivered when that is at most the last step time. The reference
     generator (biases) fires at each cycle start and is not in the raster."""
     period = circuit.params.period
-    spikes = [(e.neuron if e.layer == 0 else
-               circuit.n_gen + circuit.layer_offsets[e.layer - 1] + e.neuron, e.time)
-              for e in raster.events]
+    first = np.concatenate([[0], circuit.n_gen + np.asarray(circuit.layer_offsets)])
     n_cycles = int(round((last_step_time + circuit.params.dt) / period))
-    spikes += [(circuit.n_gen - 1, c * period) for c in range(n_cycles)]
+    sources = np.concatenate([first[raster.layer] + raster.neuron,
+                              np.full(n_cycles, circuit.n_gen - 1)])
+    times = np.concatenate([raster.time, np.arange(n_cycles) * period])
     total = 0
-    for src, t in spikes:
+    for src, t in zip(sources, times):
         out = circuit.out_syn[circuit.out_ptr[src]:circuit.out_ptr[src + 1]]
         arrivals = t + circuit.syn_delay[out]
         total += int(np.count_nonzero(arrivals <= last_step_time + GRID_EPS))
@@ -274,19 +273,17 @@ class TestKernelMatchesEulerReference:
     def _check(self, net, circuit, stimuli, v_threshold):
         result = run(circuit, stimuli, v_threshold=v_threshold)
         want, want_vm_max = euler_reference.run(circuit, stimuli, v_threshold)
-        got = [e for e in result.raster.events if e.layer > 0]
-        assert len(want) > 0, "no soma spiked; the case checks nothing"
-        assert [(e.layer, e.neuron) for e in got] == [(e.layer, e.neuron) for e in want]
-        np.testing.assert_allclose([e.time for e in got], [e.time for e in want],
-                                   rtol=0, atol=1e-9)
+        soma = result.raster.layer > 0
+        assert want.time.size > 0, "no soma spiked; the case checks nothing"
+        np.testing.assert_array_equal(result.raster.layer[soma], want.layer)
+        np.testing.assert_array_equal(result.raster.neuron[soma], want.neuron)
+        np.testing.assert_allclose(result.raster.time[soma], want.time, rtol=0, atol=1e-9)
         np.testing.assert_allclose(result.vm_max, want_vm_max, rtol=0, atol=1e-12)
-        p, depth = circuit.params, len(net.layers)
-        ref_raster = SpikeRaster(events=want, period=p.period,
-                                 n_cycles=result.raster.n_cycles)
+        depth = len(net.layers)
         got_class = decode_output(result.raster, circuit.n_outputs, depth,
                                   now=result.total_time)
         assert got_class is not None
-        assert got_class == decode_output(ref_raster, circuit.n_outputs, depth,
+        assert got_class == decode_output(want, circuit.n_outputs, depth,
                                           now=result.total_time)
 
     def test_dense_tiny_net(self, calibrated):
@@ -344,9 +341,10 @@ class TestKernelMatchesEulerReference:
 
 
 def make_raster(spikes, period=10.0, n_cycles=3):
-    events = [SpikeEvent(1, n, t) for n, t in spikes]
-    events.sort(key=lambda e: e.time)
-    return SpikeRaster(events=events, period=period, n_cycles=n_cycles)
+    """Layer-1 raster from (neuron, time) pairs, stably sorted by time."""
+    spikes = sorted(spikes, key=lambda s: s[1])
+    return SpikeRaster(np.ones(len(spikes)), [n for n, _ in spikes],
+                       [t for _, t in spikes], period=period, n_cycles=n_cycles)
 
 
 class TestDecode:
@@ -392,6 +390,62 @@ class TestDecode:
         assert phases[0] == pytest.approx(np.pi)
         assert abs(phases[1]) < 1e-9
         assert np.isnan(phases[2])
+
+
+def random_output_raster(seed, n_outputs=6, period=10.0, n_cycles=6):
+    """Output layer 2 plus a layer-1 distractor, on a coarse 1.25 ms grid so
+    that spikes of different units tie exactly. kind: 0 several units, 1 one
+    spiking unit, 2 two units (their scores can tie), 3 a silent output
+    layer, 4 no spikes at all."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 5
+    n_units = {0: int(rng.integers(3, n_outputs + 1)), 1: 1, 2: 2, 3: 0, 4: 0}[kind]
+    grid = np.arange(0.0, n_cycles * period, 1.25)
+    layer, neuron, time = [], [], []
+    for u in rng.choice(n_outputs, n_units, replace=False):
+        t = rng.choice(grid, int(rng.integers(1, 2 * n_cycles)), replace=False)
+        layer += [2] * t.size
+        neuron += [u] * t.size
+        time += t.tolist()
+    if kind != 4:
+        t = rng.choice(grid, 20)
+        layer += [1] * 20
+        neuron += rng.integers(0, 4, 20).tolist()
+        time += t.tolist()
+    return SpikeRaster.sorted(np.array(layer, dtype=np.int64), np.array(neuron, dtype=np.int64),
+                              np.array(time), period, n_cycles)
+
+
+class TestDecodeMatchesReference:
+    """The searchsorted decoder against the per-spike loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_rasters(self, seed):
+        raster = random_output_raster(seed)
+        times = np.arange(-5.0, 70.0, 0.5)  # empty windows first, then every state
+        for window in (1, 3):
+            want = decode_reference.decode_over_time(raster, 6, 2, times, window)
+            got = decode_over_time(raster, 6, 2, times, window)
+            np.testing.assert_array_equal(got, want)
+            for now in times[::5]:
+                assert (decode_output(raster, 6, 2, now, window)
+                        == decode_reference.decode_output(raster, 6, 2, now, window))
+
+    def test_cases_cover_ties_and_edges(self):
+        # the rasters above hold exact cross-unit time ties, and windows that
+        # are empty or hold a single spiking unit
+        ties = single = empty = 0
+        for seed in range(30):
+            raster = random_output_raster(seed)
+            out = raster.time[raster.layer == 2]
+            units = raster.neuron[raster.layer == 2]
+            for t in np.unique(out):
+                ties += np.unique(units[out == t]).size > 1
+            for now in np.arange(-5.0, 70.0, 0.5):
+                n = np.unique(units[(out >= now - 30.0) & (out <= now)]).size
+                empty += n == 0
+                single += n == 1
+        assert ties and single and empty
 
 
 class TestCalibration:

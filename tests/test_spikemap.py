@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import small_fc_net
-from phasornet.errors import ValidationError
+from phasornet.errors import DataFormatError, ValidationError
 from phasornet.phasor_net import (
     apply_input_phase_shift,
     encode_input,
@@ -86,21 +87,19 @@ class TestUnroll:
         net = small_fc_net(seed=1)
         rng = np.random.default_rng(3)
         raster, _ = self._raster(net, rng.uniform(size=64).astype(np.float32))
-        for e in raster.events:
-            assert e.time >= e.layer * raster.period - 1e-9
-            assert e.time < raster.n_cycles * raster.period
+        assert np.all(raster.time >= raster.layer * raster.period - 1e-9)
+        assert np.all(raster.time < raster.n_cycles * raster.period)
 
     def test_periodicity(self):
         # each active unit spikes once per cycle after its first appearance
         net = small_fc_net(seed=2)
         rng = np.random.default_rng(4)
         raster, _ = self._raster(net, rng.uniform(size=64).astype(np.float32))
-        by_unit = {}
-        for e in raster.events:
-            by_unit.setdefault((e.layer, e.neuron), []).append(e.time)
-        for (layer, _), times in by_unit.items():
-            assert len(times) == raster.n_cycles - layer
-            gaps = np.diff(sorted(times))
+        units = np.unique(np.stack([raster.layer, raster.neuron], axis=1), axis=0)
+        for layer, neuron in units:
+            times = raster.time[(raster.layer == layer) & (raster.neuron == neuron)]
+            assert times.size == raster.n_cycles - layer
+            gaps = np.diff(times)
             np.testing.assert_allclose(gaps, raster.period, rtol=1e-12)
 
     def test_phases_recoverable_per_cycle(self):
@@ -141,13 +140,12 @@ class TestRasterCsv:
         path = tmp_path / "raster.csv"
         write_raster_csv(raster, path)
         back = read_raster_csv(path)
-        assert len(back.events) == len(raster.events)
-        for a, b in zip(raster.events, back.events):
-            assert (a.layer, a.neuron) == (b.layer, b.neuron)
-            assert b.time == pytest.approx(a.time, abs=1e-9)
+        np.testing.assert_array_equal(back.layer, raster.layer)
+        np.testing.assert_array_equal(back.neuron, raster.neuron)
+        np.testing.assert_allclose(back.time, raster.time, rtol=0, atol=1e-9)
 
     def test_header(self, tmp_path):
-        raster = SpikeRaster(events=[], period=10.0, n_cycles=1)
+        raster = SpikeRaster(layer=[], neuron=[], time=[], period=10.0, n_cycles=1)
         path = tmp_path / "r.csv"
         write_raster_csv(raster, path)
         assert path.read_text().splitlines()[0] == "layer,neuron,time_ms"
@@ -157,3 +155,36 @@ class TestRasterCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValidationError):
             read_raster_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,7", "1,7,soon"], ids=["short", "non_numeric_time"])
+    def test_malformed_row_is_a_data_error(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"layer,neuron,time_ms\n0,1,0.5\n{row}\n2,3,4.5\n")
+        with pytest.raises(DataFormatError) as err:
+            read_raster_csv(path)
+        assert err.value.path == path
+        assert err.value.offset == 3  # the bad row's line, header is line 1
+
+    def test_header_only_is_an_empty_raster(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("layer,neuron,time_ms\n")
+        back = read_raster_csv(path)
+        assert back.layer.size == back.neuron.size == back.time.size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 5), st.integers(0, 10 ** 6),
+        # 1 + 1e-13 and 1 + 2e-13 both print as 1: ties once written
+        st.one_of(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + 2e-13]),
+                  st.floats(0.0, 1e4, allow_nan=False))), max_size=40))
+    def test_write_read_write_is_byte_identical(self, tmp_path_factory, rows):
+        # the rows are stored in the order given, unsorted and with time ties
+        layer, neuron, time = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+        raster = SpikeRaster(layer, neuron, time, period=10.0, n_cycles=1)
+        d = tmp_path_factory.mktemp("csv")
+        write_raster_csv(raster, d / "a.csv")
+        back = read_raster_csv(d / "a.csv")
+        write_raster_csv(back, d / "b.csv")
+        assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+        np.testing.assert_array_equal(back.layer, raster.layer)
+        np.testing.assert_array_equal(back.neuron, raster.neuron)
