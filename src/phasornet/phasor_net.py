@@ -4,8 +4,8 @@ Neuron states live on the unit circle (or at exactly zero when thresholded
 off). Inference is h^{(l)} = f(W h^{(l-1)} + b, Theta) with the thresholding
 and normalizing activation f(z) = z/|z| if |z| - Theta > 0 else 0. The loss
 is the phase-alignment objective L = 0.5 ||y - yhat||^2 = N_y - sum cos(dtheta)
-for all-active outputs, and gradients are assembled from the real 2x2
-Jacobian of z -> z/|z| applied per unit.
+for all-active outputs. Backprop pulls each cotangent through z -> z/|z| as
+its tangent projection, the real 2x2 Jacobian of the map applied per unit.
 """
 
 from dataclasses import dataclass
@@ -49,15 +49,17 @@ class TargetEncoding:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations, activations and active masks from forward(),
-    plus each conv layer's im2col input columns (None for dense layers),
-    which backward() reuses. The columns keep the batch axis even for a
-    single example."""
+    """Per-layer activations, active masks and reciprocal magnitudes from
+    forward(), plus each conv layer's im2col input columns (None for dense
+    layers). inv[l] is 1/|z| of layer l's pre-activation z, exactly 0 where
+    the unit is inactive; backward() reads it and the columns in place of z,
+    which is not kept. The columns keep the batch axis even for a single
+    example."""
 
     x: np.ndarray
-    z: list
     h: list
     masks: list
+    inv: list
     cols: list
 
     @property
@@ -284,11 +286,13 @@ def encode_target_phases(labels, n_classes):
 # -- activation and its Jacobian ---------------------------------------------
 
 
-def tpam_activation(z, theta=0.0, return_mask=False):
+def tpam_activation(z, theta=0.0, return_mask=False, return_inv=False):
     """Project onto the unit circle if |z| - theta > 0, else exactly zero.
 
-    With return_mask, also returns the boolean mask of active units. A NaN
-    pre-activation is inactive, and its output is NaN, not zero.
+    With return_mask, also returns the boolean mask of active units; with
+    return_inv, also the reciprocal magnitudes 1/|z|, exactly 0 where
+    inactive (in that order, after h). A NaN pre-activation is inactive, and
+    its output is NaN, not zero.
     """
     z = np.asarray(z)
     mag = np.abs(z)
@@ -297,7 +301,12 @@ def tpam_activation(z, theta=0.0, return_mask=False):
     # so z * (1/|z|) equals z / |z| bit for bit
     inv = np.reciprocal(mag, out=np.zeros_like(mag), where=mask)
     h = z * inv
-    return (h, mask) if return_mask else h
+    out = (h,)
+    if return_mask:
+        out += (mask,)
+    if return_inv:
+        out += (inv,)
+    return out if len(out) > 1 else h
 
 
 def activation_jacobian(z):
@@ -313,23 +322,29 @@ def activation_jacobian(z):
     return np.array([[b * b / r3, -a * b / r3], [-a * b / r3, a * a / r3]])
 
 
-def _activation_backward(g, z, mask):
+def _activation_pullback(g, h, inv):
     """Pull a real-pair cotangent g (as complex: Re->dL/du, Im->dL/dv)
-    through the normalization; exact zero through inactive units."""
-    a = np.real(z)
-    b = np.imag(z)
-    r = np.abs(z)
-    r3 = np.where(mask, r, 1.0) ** 3
-    s = (np.real(g) * b - np.imag(g) * a) / r3
-    gz = (s * b - 1j * (s * a)).astype(z.dtype)
-    return np.where(mask, gz, np.zeros((), dtype=z.dtype))
+    through h = z/|z|, given h and inv = 1/|z| (0 where inactive).
+
+    The Jacobian of z -> z/|z| projects onto the tangent i*h of the unit
+    circle and scales by 1/|z|, so the pull-back is i*h * Im(conj(h)*g) * inv;
+    inactive units (h = inv = 0) get exact zeros, and a NaN unit stays NaN.
+    Works on one complex and one real buffer.
+    """
+    gz = np.conjugate(h)
+    gz *= g
+    t = np.multiply(gz.imag, inv)
+    np.multiply(h, t, out=gz)
+    gz *= 1j
+    return gz
 
 
 # -- forward / loss / backward -----------------------------------------------
 
 
 def forward(net, x):
-    """Run inference, retaining pre-activations, activations and masks.
+    """Run inference, retaining activations, masks, reciprocal magnitudes
+    and conv columns (see ForwardTrace).
 
     x: complex array shaped like net.input_shape, or with a leading batch
     axis. All entries are expected to be unit phasors (or zero).
@@ -343,7 +358,7 @@ def forward(net, x):
             f"input shape {x.shape[1:]} does not match network input {net.input_shape}"
         )
     h = x
-    zs, hs, masks, cols = [], [], [], []
+    hs, masks, invs, cols = [], [], [], []
     for spec, w, b in zip(net.layers, net.weights, net.biases):
         c = None
         if spec.kind == "dense":
@@ -352,17 +367,18 @@ def forward(net, x):
             z = matvec(w, h, b)
         else:
             z, c = conv2d_valid(h, w, b, return_cols=True)
-        h, mask = tpam_activation(z, spec.theta, return_mask=True)
-        zs.append(z)
+        h, mask, inv = tpam_activation(z, spec.theta, return_mask=True,
+                                       return_inv=True)
         hs.append(h)
         masks.append(mask)
+        invs.append(inv)
         cols.append(c)
     if single:
         x = x[0]
-        zs = [z[0] for z in zs]
         hs = [a[0] for a in hs]
         masks = [m[0] for m in masks]
-    return ForwardTrace(x=x, z=zs, h=hs, masks=masks, cols=cols)
+        invs = [r[0] for r in invs]
+    return ForwardTrace(x=x, h=hs, masks=masks, inv=invs, cols=cols)
 
 
 def loss_cosine(output_phases, target_phases):
@@ -399,16 +415,15 @@ def backward(net, trace, target_phases):
     target_phases = np.asarray(target_phases, dtype=np.float64)
     single = trace.x.shape == net.input_shape
     hs = [trace.x] + list(trace.h)
-    zs, masks = trace.z, trace.masks
+    invs = trace.inv
     if single:
         hs = [h[None] for h in hs]
-        zs = [z[None] for z in zs]
-        masks = [m[None] for m in masks]
+        invs = [r[None] for r in invs]
         target_phases = target_phases[None]
     batch = hs[0].shape[0]
-    if target_phases.shape != zs[-1].shape:
+    if target_phases.shape != hs[-1].shape:
         raise DimensionError(
-            f"target phases {target_phases.shape} do not match output {zs[-1].shape}"
+            f"target phases {target_phases.shape} do not match output {hs[-1].shape}"
         )
 
     y = np.exp(1j * target_phases).astype(net.dtype)
@@ -420,12 +435,15 @@ def backward(net, trace, target_phases):
     # layer 0's input gradient is the network input's, which nothing uses
     for l in range(len(net.layers) - 1, -1, -1):
         spec, w = net.layers[l], net.weights[l]
-        gz = _activation_backward(g, zs[l], masks[l])
+        gz = _activation_pullback(g, hs[l + 1], invs[l])
         if spec.kind == "dense":
             g_weights[l] = gz.T @ np.conj(hs[l].reshape(batch, -1))
             g_biases[l] = gz.sum(axis=0)
             if l:
-                g = (gz @ np.conj(w)).reshape((batch,) + shape_chain[l])
+                # conj(gz) @ w conjugates the batch-sized operand, not w
+                g = np.conjugate(gz) @ w
+                np.conjugate(g, out=g)
+                g = g.reshape((batch,) + shape_chain[l])
         else:
             g_weights[l] = _kernels.conv2d_backward_kernels(trace.cols[l], gz)
             g_biases[l] = gz.sum(axis=(0, 2, 3))

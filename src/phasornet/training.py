@@ -78,7 +78,7 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
     it = BatchIterator(train_set, batch_size, seed=seed)
     history = []
     for epoch in range(epochs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         losses, errs = [], []
         for images, labels in it.epoch_batches():
             batch_loss, err = train_step(net, optimizer, images, labels)
@@ -96,7 +96,7 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
         if log is not None:
             log(f"epoch {rec['epoch']}: loss {rec['loss']:.4f} "
                 f"train_err {train_err:.4f} test_err {test_err:.4f} "
-                f"({time.time() - t0:.1f}s)")
+                f"({time.perf_counter() - t0:.1f}s)")
         if on_epoch is not None:
             on_epoch(rec, net, optimizer)
     return history, optimizer

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from adam_reference import adam_step
+from phasornet import optim
 from phasornet.errors import NumericError
 from phasornet.optim import Adam
 
@@ -67,3 +69,77 @@ def test_nonfinite_gradient_aborts_with_location():
     g[1] = np.nan
     with pytest.raises(NumericError, match="parameter 0"):
         opt.step([p], [g])
+
+
+def _mixed_params(rng):
+    """A complex64 parameter spanning several blocks and ending mid-block, a
+    float64 real one, and a size-1 complex128 one."""
+    n = (3 * optim.BLOCK) // 2 + 37  # 2n reals: three full blocks and 74 more
+    return [
+        (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64),
+        rng.normal(size=(7, 5)),
+        np.array([0.3 - 0.2j]),
+    ]
+
+
+def _grads_like(params, rng):
+    return [(rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)).astype(p.dtype)
+            if np.iscomplexobj(p) else rng.normal(size=p.shape).astype(p.dtype)
+            for p in params]
+
+
+def test_blocked_step_is_bit_identical_to_whole_array_update():
+    rng = np.random.default_rng(11)
+    params = _mixed_params(rng)
+    ref = [p.copy() for p in params]
+    opt = Adam(params, lr=0.01)
+    m_ref = [np.zeros_like(a) for a in opt.m]
+    v_ref = [np.zeros_like(a) for a in opt.v]
+    assert opt.m[0].size > optim.BLOCK and opt.m[0].size % optim.BLOCK
+    for t in range(1, 6):
+        grads = _grads_like(params, rng)
+        opt.step(params, grads)
+        adam_step(ref, grads, m_ref, v_ref, t, lr=0.01)
+        for a, b in zip(params + opt.m + opt.v, ref + m_ref + v_ref):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_nonfinite_gradient_writes_nothing():
+    rng = np.random.default_rng(12)
+    params = _mixed_params(rng)
+    opt = Adam(params)
+    for _ in range(2):
+        opt.step(params, _grads_like(params, rng))
+    before = [a.copy() for a in params + opt.m + opt.v]
+    grads = _grads_like(params, rng)
+    grads[1][3, 2] = np.inf
+    with pytest.raises(NumericError, match="parameter 1 at component 17"):
+        opt.step(params, grads)
+    assert opt.t == 2
+    for a, b in zip(params + opt.m + opt.v, before):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_load_state_rejects_mismatched_moments():
+    p = np.ones((2, 3), dtype=np.complex64)
+    b = np.ones(3, dtype=np.complex64)
+    opt = Adam([p, b])
+    good = [np.zeros((2, 6), np.float32), np.zeros(6, np.float32)]
+    opt.load_state(4, [a.copy() for a in good], [a.copy() for a in good])
+    assert opt.t == 4
+    with pytest.raises(ValueError, match=r"m\[0\]"):
+        opt.load_state(1, [np.zeros((3, 4), np.float32), good[1]], good)
+    with pytest.raises(ValueError, match=r"v\[1\]"):
+        opt.load_state(1, good, [good[0], np.zeros(6, np.float64)])
+    with pytest.raises(ValueError, match=r"m\[0\]"):
+        opt.load_state(1, [np.zeros((6, 2), np.float32).T, good[1]], good)
+    assert opt.t == 4
+
+
+def test_non_contiguous_parameter_is_rejected():
+    p = np.ones((4, 3)).T
+    opt = Adam([p])
+    with pytest.raises(ValueError, match="parameter 0 is not C-contiguous"):
+        opt.step([p], [np.ones_like(p)])
+    np.testing.assert_array_equal(p, 1.0)

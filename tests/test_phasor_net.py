@@ -5,6 +5,7 @@ from phasornet.errors import DimensionError, ValidationError
 from phasornet.phasor_net import (
     LayerSpec,
     PhasorNetwork,
+    _activation_pullback,
     activation_jacobian,
     apply_input_phase_shift,
     backward,
@@ -163,6 +164,32 @@ class TestActivationJacobian:
     def test_singular_at_zero(self):
         with pytest.raises(ValidationError):
             activation_jacobian(0j)
+
+
+class TestActivationPullback:
+    """The in-place tangent projection backward() uses, against the real 2x2
+    Jacobian applied unit by unit."""
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 4, 5, 6)])
+    def test_matches_jacobian_oracle(self, shape):
+        rng = np.random.default_rng(21)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h, mask, inv = tpam_activation(z, 0.8, return_mask=True, return_inv=True)
+        assert mask.any() and not mask.all()
+        got = _activation_pullback(g, h, inv)
+        for idx in zip(*np.nonzero(mask)):
+            want = activation_jacobian(z[idx]).T @ [g[idx].real, g[idx].imag]
+            np.testing.assert_allclose([got[idx].real, got[idx].imag], want,
+                                       rtol=1e-12, atol=1e-12)
+        assert np.all(got[~mask] == 0)
+
+    def test_complex64_stays_complex64(self):
+        rng = np.random.default_rng(22)
+        z = (rng.normal(size=30) + 1j * rng.normal(size=30)).astype(np.complex64)
+        g = (rng.normal(size=30) + 1j * rng.normal(size=30)).astype(np.complex64)
+        h, inv = tpam_activation(z, 0.5, return_inv=True)
+        assert _activation_pullback(g, h, inv).dtype == np.complex64
 
 
 class TestLoss:
