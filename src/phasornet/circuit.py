@@ -17,8 +17,9 @@ import numpy as np
 from . import _circuit_kernels as ck
 from .complex_core import phase as cphase
 from .errors import NumericError, ValidationError
-from .phasor_net import encode_input, apply_input_phase_shift, forward, predict
-from .spikemap import TWO_PI, SpikeRaster, synapse_delay, time_to_phase
+from .phasor_net import (encode_input, apply_input_phase_shift, forward, predict,
+                         predict_batch)
+from .spikemap import TWO_PI, SpikeRaster, phase_to_time, synapse_delay, time_to_phase
 
 
 @dataclass
@@ -203,9 +204,7 @@ def stimulus_phase_offsets(circuit, image):
     """Spike-time offsets within a cycle for all generators (reference last)."""
     x = encode_input(np.asarray(image).reshape(-1))
     x = apply_input_phase_shift(x, circuit.phase_shifts)
-    theta = cphase(x) % TWO_PI
-    offsets = theta * circuit.params.period / TWO_PI
-    return np.concatenate([offsets, [0.0]])
+    return np.concatenate([phase_to_time(cphase(x), circuit.params.period), [0.0]])
 
 
 def run(circuit, stimuli, v_threshold=None, record_neurons=()):
@@ -274,61 +273,39 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
 # -- decoding ----------------------------------------------------------------
 
 
+def _window_phasors(raster, n_outputs, output_layer, times, window_cycles):
+    """Per-unit sums of e^{i theta} over the output spikes in each closed
+    window [t - window_cycles * T, t]: (len(times), n_outputs), exactly 0 for
+    a unit silent in the window."""
+    out = raster.layer == output_layer
+    spikes = raster.time[out]
+    # row k + 1 holds spike k's phasor in its unit's column; row 0 is the empty prefix
+    cum = np.zeros((spikes.size + 1, n_outputs), dtype=np.complex128)
+    cum[np.arange(1, spikes.size + 1), raster.neuron[out]] = np.exp(
+        1j * time_to_phase(spikes, raster.period))
+    np.cumsum(cum, axis=0, out=cum)
+    times = np.asarray(times, dtype=np.float64)
+    lo = spikes.searchsorted(times - window_cycles * raster.period)
+    hi = spikes.searchsorted(times, side="right")
+    return cum[hi] - cum[lo]
+
+
 def decode_output(raster, n_outputs, output_layer, now, window_cycles=3):
-    """Class = output unit furthest out of phase with the rest.
-
-    For each spike of unit i within [now - window, now], average the
-    distances to the nearest later and nearest earlier spike of the other
-    output units; score unit i by the mean over its spikes; return the
-    argmax (ties to the lowest index) or None when no output spiked.
-    """
-    t = raster.time
-    lo = now - window_cycles * raster.period
-    w = slice(t.searchsorted(lo), t.searchsorted(now, side="right"))
-    out = raster.layer[w] == output_layer
-    return _decode_window(raster.neuron[w][out], t[w][out], n_outputs)
-
-
-def _decode_window(units, times, n_outputs):
-    """decode_output's rule on the output spikes of one window, in time order."""
-    spiking = np.flatnonzero(np.bincount(units, minlength=n_outputs))
-    if spiking.size <= 1:  # a sole spiking unit wins by default
-        return int(spiking[0]) if spiking.size else None
-    scores = np.full(n_outputs, -np.inf)
-    for i in spiking:
-        mine = units == i
-        # the other units' spikes, between sentinels: a missing side is inf away
-        own, others = times[mine], np.concatenate(([-np.inf], times[~mine], [np.inf]))
-        d_later = others[others.searchsorted(own, side="left")] - own
-        d_earlier = own - others[others.searchsorted(own, side="right") - 1]
-        one_sided = np.isinf(d_later) | np.isinf(d_earlier)
-        scores[i] = np.mean(np.where(one_sided, np.minimum(d_later, d_earlier),
-                                     0.5 * (d_later + d_earlier)))
-    return int(np.argmax(scores))
+    """Class = predict() over the output units' circular-mean spike phases in
+    [now - window, now]; None when no output spiked."""
+    return predict(_window_phasors(raster, n_outputs, output_layer, [now], window_cycles)[0])
 
 
 def decode_over_time(raster, n_outputs, output_layer, times, window_cycles=3):
-    """Decoded class at each sample time; -1 where nothing spiked yet."""
-    out_layer = raster.layer == output_layer
-    units, spikes = raster.neuron[out_layer], raster.time[out_layer]
-    times = np.asarray(times, dtype=np.float64)
-    los = spikes.searchsorted(times - window_cycles * raster.period)
-    his = spikes.searchsorted(times, side="right")
-    out = np.empty(times.size, dtype=np.int64)
-    for k, (a, b) in enumerate(zip(los.tolist(), his.tolist())):
-        d = _decode_window(units[a:b], spikes[a:b], n_outputs)
-        out[k] = -1 if d is None else d
-    return out
+    """decode_output at each sample time; -1 where no output spiked."""
+    return predict_batch(_window_phasors(raster, n_outputs, output_layer, times,
+                                         window_cycles))
 
 
 def output_spike_phases(raster, n_outputs, output_layer, now, window_cycles=3):
     """Mean phase (circular) per output unit over the decode window."""
-    lo = now - window_cycles * raster.period
-    t = raster.time
-    sel = (raster.layer == output_layer) & (lo <= t) & (t <= now)
-    acc = np.zeros(n_outputs, dtype=np.complex128)
-    np.add.at(acc, raster.neuron[sel], np.exp(1j * time_to_phase(t[sel], raster.period)))
-    return np.where(np.abs(acc) > 0, np.angle(acc), np.nan)
+    acc = _window_phasors(raster, n_outputs, output_layer, [now], window_cycles)[0]
+    return np.where(acc != 0, np.angle(acc), np.nan)
 
 
 # -- threshold calibration ---------------------------------------------------
@@ -361,19 +338,17 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
         n_cycles = p.n_cycles
     amp = observe_amplitude(circuit, images[0], n_cycles)
     candidates = amp * np.logspace(np.log10(0.03), np.log10(0.3), n_candidates)
+    x = encode_input(np.stack([np.asarray(im).reshape(net.input_shape) for im in images]))
+    x = apply_input_phase_shift(x, net.phase_shifts)
+    wants = predict_batch(forward(net, x).output.reshape(len(images), -1)).tolist()
     best_thr, best_agree = None, -1
     out_layer = len(net.layers)
     for thr in candidates:
         agree = 0
-        for image in images:
+        for image, want in zip(images, wants):
             result = run(circuit, [(image, n_cycles)], v_threshold=float(thr))
-            got = decode_output(result.raster, circuit.n_outputs, out_layer,
-                                now=n_cycles * p.period)
-            x = encode_input(np.asarray(image).reshape(net.input_shape))
-            x = apply_input_phase_shift(x, net.phase_shifts)
-            want = predict(forward(net, x).output.reshape(-1))
-            if got is not None and got == want:
-                agree += 1
+            agree += want == decode_output(result.raster, circuit.n_outputs, out_layer,
+                                           now=n_cycles * p.period)
         if agree > best_agree:
             best_agree, best_thr = agree, float(thr)
     net.v_threshold = best_thr

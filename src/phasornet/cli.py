@@ -66,7 +66,12 @@ def _load_config(args):
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as f:
-            file_cfg = json.load(f)
+            try:
+                file_cfg = json.load(f)
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                raise ValidationError(f"config file {args.config} is not JSON: {e}") from None
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")

@@ -114,11 +114,12 @@ def raster_phases(raster, layer, n_units, cycle):
 
 def write_raster_csv(raster, path):
     """CSV export: header layer,neuron,time_ms; >= 9 significant digits."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(raster.layer.tolist(), raster.neuron.tolist(),
-                             [f"{t:.12g}" for t in raster.time.tolist()]))
+    n = raster.time.size
+    rows = [None] * (3 * n)  # layer, neuron, time of each spike in turn
+    rows[0::3], rows[1::3], rows[2::3] = (
+        raster.layer.tolist(), raster.neuron.tolist(), raster.time.tolist())
+    with open(path, "w", newline="") as f:  # \r\n line ends, as csv.writer writes
+        f.write(",".join(CSV_HEADER) + "\r\n" + ("%d,%d,%.12g\r\n" * n) % tuple(rows))
 
 
 def read_raster_csv(path):

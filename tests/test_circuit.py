@@ -22,10 +22,11 @@ from phasornet.phasor_net import (
     forward,
     predict,
 )
-from phasornet.spikemap import SpikeRaster, synapse_delay
+from phasornet.spikemap import SpikeRaster, phase_to_time, synapse_delay, unroll
 
 import decode_reference
 import euler_reference
+from conftest import small_fc_net
 
 
 def tiny_net(seed=0):
@@ -145,6 +146,8 @@ class TestBuild:
         assert offsets.shape == (17,)
         assert offsets[-1] == 0.0  # reference generator fires at cycle start
         assert np.all(offsets >= 0.0) and np.all(offsets < 10.0)
+        x = apply_input_phase_shift(encode_input(tiny_images(1)[0]), circuit.phase_shifts)
+        np.testing.assert_array_equal(offsets[:-1], phase_to_time(np.angle(x), 10.0))
 
 
 class TestSynapseResonance:
@@ -373,10 +376,10 @@ class TestDecode:
         assert decode_output(make_raster(spikes, n_cycles=5), 2, 1, now=50.0) == 1
 
     def test_edge_spike_uses_single_side(self):
-        # unit 0 spikes before any other unit: only the later distance exists
+        # unit 0 spikes before any other unit, and again after unit 1
         spikes = [(0, 1.0), (1, 9.0), (1, 19.0), (0, 11.0)]
         got = decode_output(make_raster(spikes), 2, 1, now=20.0)
-        assert got in (0, 1)  # well-defined, no crash on one-sided spikes
+        assert got in (0, 1)  # well-defined, no crash on an unbalanced window
 
     def test_decode_over_time_starts_unknown(self):
         spikes = [(0, 12.0), (1, 15.0)]
@@ -417,19 +420,34 @@ def random_output_raster(seed, n_outputs=6, period=10.0, n_cycles=6):
 
 
 class TestDecodeMatchesReference:
-    """The searchsorted decoder against the per-spike loop it replaced."""
+    """The cumulative-sum decoder against the per-spike loop form of its rule.
+
+    Any class whose reference score is within 1e-9 of the best is accepted:
+    exact score ties on the grid are broken by rounding. Windows in which some
+    unit's phasors cancel (resultant below 1e-9 of its spike count, as for
+    spikes at multiples of pi/4) are skipped, because that unit's mean phase
+    is undefined."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_rasters(self, seed):
         raster = random_output_raster(seed)
         times = np.arange(-5.0, 70.0, 0.5)  # empty windows first, then every state
+        checked = 0
         for window in (1, 3):
-            want = decode_reference.decode_over_time(raster, 6, 2, times, window)
             got = decode_over_time(raster, 6, 2, times, window)
-            np.testing.assert_array_equal(got, want)
-            for now in times[::5]:
-                assert (decode_output(raster, 6, 2, now, window)
-                        == decode_reference.decode_output(raster, 6, 2, now, window))
+            for k, now in enumerate(times):
+                if k % 5 == 0:
+                    single = decode_output(raster, 6, 2, now, window)
+                    assert got[k] == (-1 if single is None else single)
+                scores, resultants = decode_reference.window_scores(raster, 6, 2, now, window)
+                if np.all(np.isnan(resultants)):  # no output spike in the window
+                    assert got[k] == -1
+                elif np.nanmin(resultants) < 1e-9:
+                    continue
+                else:
+                    assert scores[got[k]] >= max(scores) - 1e-9, (now, window, scores)
+                checked += 1
+        assert checked > 0
 
     def test_cases_cover_ties_and_edges(self):
         # the rasters above hold exact cross-unit time ties, and windows that
@@ -446,6 +464,30 @@ class TestDecodeMatchesReference:
                 empty += n == 0
                 single += n == 1
         assert ties and single and empty
+
+
+class TestDecodeIdealRaster:
+    """An exact ideal raster decodes to the phasor network's class."""
+
+    @staticmethod
+    def conv_net(seed):
+        specs = [LayerSpec("conv3x3", in_channels=1, out_channels=4),
+                 LayerSpec("conv3x3", in_channels=4, out_channels=4),
+                 LayerSpec("dense", fan_in=4 * 4 * 4, fan_out=10)]
+        return PhasorNetwork.create((1, 8, 8), specs, seed=seed, dtype=np.complex64)
+
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_decode_matches_predict(self, kind, seed):
+        net = small_fc_net(seed=seed) if kind == "dense" else self.conv_net(seed)
+        rng = np.random.default_rng(seed)
+        x = apply_input_phase_shift(encode_input(rng.uniform(size=net.input_shape)),
+                                    net.phase_shifts).astype(net.dtype)
+        want = predict(forward(net, x).output)
+        depth = len(net.layers)
+        for n_cycles in (depth + 1, depth + 2, depth + 5):
+            raster = unroll(net, x, 10.0, n_cycles)
+            assert decode_output(raster, net.n_outputs, depth, now=n_cycles * 10.0) == want
 
 
 class TestCalibration:
@@ -505,14 +547,17 @@ class TestEndToEnd:
         assert np.max(np.abs(residual)) < 0.3
 
     def test_pipelined_stimuli_switch(self, calibrated):
-        # two different inputs back to back: late decoding follows the second
+        # two inputs of different phasor classes back to back: late decoding
+        # follows the second
         net, circuit, images, thr, _ = calibrated
+        classes = [predict(self._phasor_prediction(net, image).output) for image in images]
+        second = next(k for k, c in enumerate(classes) if c != classes[0])
+        pair = (images[0], images[second])
         preds = []
-        for image in images[:2]:
+        for image in pair:
             r = run(circuit, [(image, 15)], v_threshold=thr)
             preds.append(decode_output(r.raster, 10, len(net.layers), now=150.0))
-        if preds[0] == preds[1]:
-            pytest.skip("both stimuli decode to the same class; switch invisible")
-        r = run(circuit, [(images[0], 15), (images[1], 15)], v_threshold=thr)
+        assert preds[0] != preds[1]
+        r = run(circuit, [(pair[0], 15), (pair[1], 15)], v_threshold=thr)
         late = decode_output(r.raster, 10, len(net.layers), now=300.0)
         assert late == preds[1]

@@ -90,6 +90,16 @@ class TestTrain:
                    "--out-dir", str(tmp_path), "--config", str(cfg)])
         assert rc == 1
 
+    @pytest.mark.parametrize("text", ['{"epochs": 2', "[[1]]"], ids=["truncated", "not_an_object"])
+    def test_malformed_config_is_usage_error(self, workdir, tmp_path, capsys, text):
+        root, _ = workdir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["train", "--data-dir", str(root / "data"),
+                   "--out-dir", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        assert str(cfg) in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_report(self, workdir, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import decode_reference
 from conftest import small_fc_net
 from phasornet.errors import DataFormatError, ValidationError
 from phasornet.phasor_net import (
@@ -9,6 +10,7 @@ from phasornet.phasor_net import (
     encode_input,
     forward,
     predict,
+    predict_batch,
 )
 from phasornet.spikemap import (
     SpikeRaster,
@@ -49,6 +51,28 @@ class TestPhaseTimeMaps:
             phase_to_time(1.0, 0.0)
         with pytest.raises(ValidationError):
             time_to_phase(1.0, -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(1e-6, 1e6))  # normal periods: a subnormal t loses digits
+    def test_phase_time_phase_is_theta_mod_two_pi(self, theta, period):
+        back = time_to_phase(phase_to_time(theta, period), period)
+        d = (back - np.float64(theta) % (2 * np.pi)) % (2 * np.pi)
+        assert min(d, 2 * np.pi - d) <= 1e-12  # circular: 2pi - eps may come back as 0
+
+
+class TestPredictProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.floats(0.01, 100.0),
+                              st.floats(-np.pi, np.pi)), min_size=1, max_size=12),
+           st.floats(-10.0, 10.0))
+    def test_common_rotation_keeps_the_class(self, units, angle):
+        outputs = np.array([on * mag * np.exp(1j * th) for on, mag, th in units])
+        scores = sorted(decode_reference.phasor_scores(outputs.tolist()))
+        if len(scores) >= 2 and scores[-1] - scores[-2] <= 1e-9:
+            return  # a near-tie may break either way after rounding
+        rotated = outputs * np.exp(1j * angle)
+        np.testing.assert_array_equal(predict_batch(rotated[None]), predict_batch(outputs[None]))
 
 
 class TestSynapseDelay:
@@ -149,6 +173,17 @@ class TestRasterCsv:
         path = tmp_path / "r.csv"
         write_raster_csv(raster, path)
         assert path.read_text().splitlines()[0] == "layer,neuron,time_ms"
+
+    def test_exact_bytes(self, tmp_path):
+        # csv.writer's \r\n line ends; times to 12 significant digits
+        raster = SpikeRaster(layer=[0, 2, 1, 3, 0], neuron=[3, 0, 12, 7, 1000000],
+                             time=[0.5, 1.0 / 3.0, 1234.5678901234, 0.0, 1e-5],
+                             period=10.0, n_cycles=1)
+        path = tmp_path / "r.csv"
+        write_raster_csv(raster, path)
+        assert path.read_bytes() == (b"layer,neuron,time_ms\r\n0,3,0.5\r\n"
+                                     b"2,0,0.333333333333\r\n1,12,1234.56789012\r\n"
+                                     b"3,7,0\r\n0,1000000,1e-05\r\n")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
