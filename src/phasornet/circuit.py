@@ -41,7 +41,6 @@ class CircuitParams:
     w_spike: float = 0.3  # synapse reset activation, pA
     tau_d: float = None  # dendrite averaging time constant; default 0.8*T
     tau_s: float = 0.0  # synapse damping time constant; 0 = undamped
-    v_threshold: float = None  # soma spike threshold, mV (calibrated if None)
     n_cycles: int = 15
 
     def __post_init__(self):
@@ -217,10 +216,8 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     """
     p = circuit.params
     if v_threshold is None:
-        v_threshold = p.v_threshold
-    if v_threshold is None:
         raise ValidationError(
-            "no spike threshold set; pass v_threshold or calibrate the circuit"
+            "no spike threshold set; pass v_threshold, e.g. from calibrate_threshold"
         )
     total_cycles = sum(nc for _, nc in stimuli)
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
@@ -332,6 +329,7 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
     maximizing agreement between circuit decoding and phasor prediction.
 
     Ties break toward the smaller threshold (smaller phase distortion).
+    Returns (threshold, agreement); net and circuit are left untouched.
     """
     p = circuit.params
     if n_cycles is None:
@@ -351,6 +349,4 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
                                            now=n_cycles * p.period)
         if agree > best_agree:
             best_agree, best_thr = agree, float(thr)
-    net.v_threshold = best_thr
-    p.v_threshold = best_thr
     return best_thr, best_agree / max(len(images), 1)

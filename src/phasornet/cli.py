@@ -53,6 +53,12 @@ DEFAULTS = {
     "n_cycles": 15,
 }
 EPOCH_DEFAULTS = {"mnist": 20, "cifar10": 30}
+# config keys whose default is None take these types (or null); the others
+# take their default's type, which is the type their flag parses to
+_NULLABLE_TYPES = {"epochs": int, "limit_train": int, "v_threshold": float}
+# what a config-file value of each type may hold; JSON true/false is no number
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+              bool: (bool, "true or false"), str: (str, "a string")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +81,14 @@ def _load_config(args):
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            want = _NULLABLE_TYPES.get(key, type(DEFAULTS[key]))
+            if value is None and key in _NULLABLE_TYPES:
+                continue
+            types, name = _JSON_TYPES[want]
+            if isinstance(value, bool) != (want is bool) or not isinstance(value, types):
+                raise ValidationError(
+                    f"config file {args.config}: {key!r} must be {name}, got {value!r}")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)
@@ -150,12 +164,6 @@ def _write_manifest(out_dir, command, cfg, extra=None):
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-def _circuit_params(cfg):
-    return CircuitParams(period=cfg["period"], dt=cfg["dt"],
-                         v_threshold=cfg["v_threshold"],
-                         n_cycles=cfg["n_cycles"])
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -181,7 +189,6 @@ def cmd_train(args):
         net, train_set, test_set, epochs=cfg["epochs"],
         batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"],
         limit_train=cfg["limit_train"], on_epoch=on_epoch, log=print)
-    save_model(net, model_path, optimizer=optimizer)
     if history:
         print(f"final test error: {history[-1]['test_err']:.4f}")
     else:
@@ -233,14 +240,15 @@ def cmd_spikes(args):
         return 0
 
     # circuit backend
-    params = _circuit_params(cfg)
-    circ = build_circuit(net, params)
+    circ = build_circuit(net, CircuitParams(period=cfg["period"], dt=cfg["dt"],
+                                            n_cycles=cfg["n_cycles"]))
     v_th = cfg["v_threshold"] if cfg["v_threshold"] is not None else net.v_threshold
     if v_th is None:
         print("calibrating spike threshold...", file=sys.stderr)
         v_th, agree = calibrate_threshold(net, circ, [image])
         print(f"calibrated threshold {v_th:.4g} mV (agreement {agree:.0%})",
               file=sys.stderr)
+        net.v_threshold = v_th
         save_model(net, os.path.join(out_dir, "model_calibrated.phzn"))
     stimuli = [(image, n_cycles)]
     if args.second_example is not None:

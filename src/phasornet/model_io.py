@@ -15,6 +15,7 @@ Parameter byte width follows the header's dtype field (complex64/complex128).
 """
 
 import json
+import operator
 import os
 
 import numpy as np
@@ -28,26 +29,15 @@ VERSION = 1
 _DTYPES = {"complex64": np.complex64, "complex128": np.complex128}
 
 
+# header fields of each layer kind, besides kind and theta
+_LAYER_FIELDS = {"dense": ("fan_in", "fan_out"),
+                 "conv3x3": ("in_channels", "out_channels")}
+
+
 def _layer_to_dict(spec):
     d = {"kind": spec.kind, "theta": float(spec.theta)}
-    if spec.kind == "dense":
-        d["fan_in"] = spec.fan_in
-        d["fan_out"] = spec.fan_out
-    else:
-        d["in_channels"] = spec.in_channels
-        d["out_channels"] = spec.out_channels
+    d.update((name, getattr(spec, name)) for name in _LAYER_FIELDS[spec.kind])
     return d
-
-
-def _layer_from_dict(d):
-    return LayerSpec(
-        kind=d["kind"],
-        fan_in=d.get("fan_in", 0),
-        fan_out=d.get("fan_out", 0),
-        in_channels=d.get("in_channels", 0),
-        out_channels=d.get("out_channels", 0),
-        theta=d["theta"],
-    )
 
 
 def save_model(net, path, optimizer=None):
@@ -112,49 +102,50 @@ def _read_model(src, path):
             f"unsupported model format version {version} (expected {VERSION})",
             path=path, offset=4)
     hlen = int(_take(src, "<u4", 1, path, "header length")[0])
-    header = json.loads(_take(src, np.uint8, hlen, path, "header").tobytes().decode())
-    dtype = _DTYPES.get(header["dtype"])
-    if dtype is None:
-        raise DataFormatError(f"unknown dtype {header['dtype']}", path=path)
-    input_shape = tuple(header["input_shape"])
-    layers = [_layer_from_dict(d) for d in header["layers"]]
-    n_in = int(np.prod(input_shape))
-    shifts = _take(src, "<f8", n_in, path, "phase shifts")
+    blob = _take(src, np.uint8, hlen, path, "header").tobytes()
+    try:
+        header = json.loads(blob.decode())
+        dtype_name = header["dtype"]
+        dtype = _DTYPES[dtype_name]
+        input_shape = tuple(operator.index(d) for d in header["input_shape"])
+        layers = [LayerSpec(**d) for d in header["layers"]]
+        if not layers:
+            raise ValueError("no layers")
+        param_shapes, shape = [], input_shape
+        for spec in layers:
+            wshape, bshape, shape = spec.shapes(shape)
+            param_shapes += [wshape, bshape]
+        phase_shift_seed = operator.index(header["phase_shift_seed"])
+        v_threshold = header["v_threshold"]
+        if not isinstance(v_threshold, (int, float, type(None))):
+            raise TypeError(f"v_threshold {v_threshold!r} is not a number")
+        has_optimizer_state = header.get("has_optimizer_state")
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataFormatError(f"malformed header: {type(e).__name__}: {e}",
+                              path=path, offset=12) from None
+    shifts = _take(src, "<f8", int(np.prod(input_shape)), path, "phase shifts")
 
-    wide = "<c16" if header["dtype"] == "complex128" else "<c8"
-    weights, biases = [], []
-    for spec in layers:
-        if spec.kind == "dense":
-            wshape, bshape = (spec.fan_out, spec.fan_in), (spec.fan_out,)
-        else:
-            wshape = (spec.out_channels, spec.in_channels, 3, 3)
-            bshape = (spec.out_channels,)
-        for shape, dest in ((wshape, weights), (bshape, biases)):
-            arr = _take(src, wide, int(np.prod(shape)), path, "parameters")
-            dest.append(arr.reshape(shape).astype(dtype, copy=False))
+    wide = "<c16" if dtype_name == "complex128" else "<c8"
+    params = [_take(src, wide, int(np.prod(shape)), path, "parameters")
+              .reshape(shape).astype(dtype, copy=False) for shape in param_shapes]
 
     opt_state = None
-    if header.get("has_optimizer_state"):
-        real = "<f8" if header["dtype"] == "complex128" else "<f4"
+    if has_optimizer_state:
+        real = "<f8" if dtype_name == "complex128" else "<f4"
         t = int(_take(src, "<i8", 1, path, "optimizer step")[0])
         m, v = [], []
-        for spec, w, b in zip(layers, weights, biases):
-            for ref in (w, b):
-                # shape of the interleaved-real view of the parameter
-                rshape = ref.shape[:-1] + (ref.shape[-1] * 2,)
-                n = ref.size * 2
-                m.append(_take(src, real, n, path, "optimizer m").reshape(rshape))
-                v.append(_take(src, real, n, path, "optimizer v").reshape(rshape))
+        for ref in params:
+            # shape of the interleaved-real view of the parameter
+            rshape = ref.shape[:-1] + (ref.shape[-1] * 2,)
+            m.append(_take(src, real, ref.size * 2, path, "optimizer m").reshape(rshape))
+            v.append(_take(src, real, ref.size * 2, path, "optimizer v").reshape(rshape))
         opt_state = {"t": t, "m": m, "v": v}
     f, size = src
     if f.tell() != size:
         raise DataFormatError(
             f"{size - f.tell()} trailing bytes after payload", path=path, offset=f.tell())
 
-    net = PhasorNetwork(
-        input_shape, layers, weights, biases,
-        phase_shifts=shifts,
-        phase_shift_seed=header["phase_shift_seed"],
-        v_threshold=header["v_threshold"],
-    )
+    net = PhasorNetwork(input_shape, layers, params[0::2], params[1::2],
+                        phase_shifts=shifts, phase_shift_seed=phase_shift_seed,
+                        v_threshold=v_threshold)
     return net, opt_state

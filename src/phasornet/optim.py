@@ -93,10 +93,6 @@ class Adam:
 
     # -- checkpointing -------------------------------------------------------
 
-    def state_arrays(self):
-        """Flat view of optimizer state for serialization."""
-        return {"t": self.t, "m": self.m, "v": self.v}
-
     def load_state(self, t, m, v):
         """Adopt saved moments. Each array is updated in place by step(), so
         it must have its parameter's real-view shape and dtype and be

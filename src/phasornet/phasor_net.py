@@ -8,6 +8,7 @@ for all-active outputs. Backprop pulls each cotangent through z -> z/|z| as
 its tangent projection, the real 2x2 Jacobian of the map applied per unit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,36 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("dense", "conv3x3"):
             raise ValidationError(f"unknown layer kind: {self.kind!r}")
+        for name in ("fan_in", "fan_out", "in_channels", "out_channels"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+                raise ValidationError(f"{name} must be an integer >= 0, got {size!r}")
         if self.theta < 0:
             raise ValidationError(f"threshold must be >= 0, got {self.theta}")
+
+    def shapes(self, in_shape):
+        """(weight, bias, output) shapes of this layer for an input of
+        in_shape, conv activations as (C, H, W). Raises DimensionError when
+        the input does not conform."""
+        in_shape = tuple(in_shape)
+        if not in_shape or min(in_shape) < 1:
+            raise DimensionError(f"layer input shape {in_shape} has no units")
+        if self.kind == "dense":
+            n = math.prod(in_shape)
+            if n != self.fan_in:
+                raise DimensionError(
+                    f"dense layer expects fan_in {self.fan_in}, got {n} (shape {in_shape})"
+                )
+            return (self.fan_out, self.fan_in), (self.fan_out,), (self.fan_out,)
+        if len(in_shape) != 3 or min(in_shape[1:]) < 3:
+            raise DimensionError(
+                f"conv3x3 layer requires (C,H,W) input with H, W >= 3, got shape {in_shape}"
+            )
+        c, h, w = in_shape
+        if c != self.in_channels:
+            raise DimensionError(f"conv3x3 expects {self.in_channels} channels, got {c}")
+        k = self.out_channels
+        return (k, c, 3, 3), (k,), (k, h - 2, w - 2)
 
 
 @dataclass
@@ -103,20 +132,15 @@ class PhasorNetwork:
         """Initialize weights with independent Gaussian re/im parts of
         standard deviation 1/sqrt(fan_in); biases zero."""
         rng = np.random.default_rng(seed)
-        cls._shape_chain(input_shape, layer_specs)  # validates consistency
         weights, biases = [], []
+        shape = tuple(input_shape)
         for spec in layer_specs:
-            if spec.kind == "dense":
-                std = 1.0 / np.sqrt(spec.fan_in)
-                w = rng.normal(0.0, std, (spec.fan_out, spec.fan_in)) \
-                    + 1j * rng.normal(0.0, std, (spec.fan_out, spec.fan_in))
-                b = np.zeros(spec.fan_out, dtype=np.complex128)
-            else:
-                fan_in = spec.in_channels * 9
-                std = 1.0 / np.sqrt(fan_in)
-                shape = (spec.out_channels, spec.in_channels, 3, 3)
-                w = rng.normal(0.0, std, shape) + 1j * rng.normal(0.0, std, shape)
-                b = np.zeros(spec.out_channels, dtype=np.complex128)
+            wshape, bshape, shape = spec.shapes(shape)
+            std = 1.0 / np.sqrt(np.prod(wshape[1:]))
+            w = rng.normal(0.0, std, wshape) + 1j * rng.normal(0.0, std, wshape)
+            # b is cast down like w: making it directly in dtype changes where
+            # glibc places it, which cost train-conv 5% (BENCH_layer_shapes.json)
+            b = np.zeros(bshape, dtype=w.dtype)
             weights.append(w.astype(dtype))
             biases.append(b.astype(dtype))
         if phase_shift_seed is None:
@@ -127,55 +151,21 @@ class PhasorNetwork:
         return cls(input_shape, layer_specs, weights, biases,
                    phase_shifts=shifts, phase_shift_seed=phase_shift_seed)
 
-    @staticmethod
-    def _shape_chain(input_shape, layer_specs):
-        """Activation shape entering each layer (conv shapes as (C, H, W))."""
-        shapes = []
-        cur = tuple(input_shape)
-        for spec in layer_specs:
-            shapes.append(cur)
-            if spec.kind == "conv3x3":
-                if len(cur) != 3:
-                    raise DimensionError(
-                        f"conv3x3 layer requires (C,H,W) input, got shape {cur}"
-                    )
-                c, h, w = cur
-                if c != spec.in_channels:
-                    raise DimensionError(
-                        f"conv3x3 expects {spec.in_channels} channels, got {c}"
-                    )
-                cur = (spec.out_channels, h - 2, w - 2)
-            else:
-                n = int(np.prod(cur))
-                if n != spec.fan_in:
-                    raise DimensionError(
-                        f"dense layer expects fan_in {spec.fan_in}, got {n} (shape {cur})"
-                    )
-                cur = (spec.fan_out,)
-        shapes.append(cur)
-        return shapes[:-1]
-
     def activation_shapes(self):
         """Shapes of h^(0) .. h^(L): input shape plus each layer's output."""
-        chain = self._shape_chain(self.input_shape, self.layers)
-        last = self.layers[-1]
-        if last.kind == "dense":
-            final = (last.fan_out,)
-        else:
-            c, h, w = chain[-1]
-            final = (last.out_channels, h - 2, w - 2)
-        return chain + [final]
+        shapes = [self.input_shape]
+        for spec in self.layers:
+            shapes.append(spec.shapes(shapes[-1])[2])
+        return shapes
 
     def _check_shapes(self):
-        chain = self._shape_chain(self.input_shape, self.layers)
+        if not self.layers:
+            raise DimensionError("a network needs at least one layer")
         if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
             raise DimensionError("weights/biases count does not match layer count")
-        for spec, w, b in zip(self.layers, self.weights, self.biases):
-            if spec.kind == "dense":
-                want_w, want_b = (spec.fan_out, spec.fan_in), (spec.fan_out,)
-            else:
-                want_w = (spec.out_channels, spec.in_channels, 3, 3)
-                want_b = (spec.out_channels,)
+        for spec, shape, w, b in zip(self.layers, self.activation_shapes(),
+                                     self.weights, self.biases):
+            want_w, want_b, _ = spec.shapes(shape)
             if w.shape != want_w or b.shape != want_b:
                 raise DimensionError(
                     f"parameter shapes {w.shape}/{b.shape} do not match spec {want_w}/{want_b}"
@@ -189,19 +179,9 @@ class PhasorNetwork:
 
     @property
     def n_outputs(self):
-        spec = self.layers[-1]
-        return spec.fan_out if spec.kind == "dense" else spec.out_channels
-
-    def astype(self, dtype):
-        return PhasorNetwork(
-            self.input_shape,
-            self.layers,
-            [w.astype(dtype) for w in self.weights],
-            [b.astype(dtype) for b in self.biases],
-            phase_shifts=self.phase_shifts.copy(),
-            phase_shift_seed=self.phase_shift_seed,
-            v_threshold=self.v_threshold,
-        )
+        """Output units: fan_out of a dense last layer, channels of a conv,
+        read off the last bias, whose shape LayerSpec.shapes fixed."""
+        return len(self.biases[-1])
 
     def parameters(self):
         """Flat list of (weight, bias) arrays, layer order."""
@@ -210,12 +190,6 @@ class PhasorNetwork:
             out.append(w)
             out.append(b)
         return out
-
-    def set_parameters(self, params):
-        for i in range(len(self.layers)):
-            self.weights[i] = params[2 * i]
-            self.biases[i] = params[2 * i + 1]
-        self._check_shapes()
 
 
 # -- encoders ----------------------------------------------------------------
@@ -431,7 +405,7 @@ def backward(net, trace, target_phases):
 
     g_weights = [None] * len(net.layers)
     g_biases = [None] * len(net.layers)
-    shape_chain = PhasorNetwork._shape_chain(net.input_shape, net.layers)
+    in_shapes = net.activation_shapes()
     # layer 0's input gradient is the network input's, which nothing uses
     for l in range(len(net.layers) - 1, -1, -1):
         spec, w = net.layers[l], net.weights[l]
@@ -443,7 +417,7 @@ def backward(net, trace, target_phases):
                 # conj(gz) @ w conjugates the batch-sized operand, not w
                 g = np.conjugate(gz) @ w
                 np.conjugate(g, out=g)
-                g = g.reshape((batch,) + shape_chain[l])
+                g = g.reshape((batch,) + in_shapes[l])
         else:
             g_weights[l] = _kernels.conv2d_backward_kernels(trace.cols[l], gz)
             g_biases[l] = gz.sum(axis=(0, 2, 3))

@@ -495,8 +495,7 @@ class TestCalibration:
         net, circuit, images, thr, agree = calibrated
         amp = observe_amplitude(circuit, images[0])
         assert 0.03 * amp * (1 - 1e-9) <= thr <= 0.3 * amp * (1 + 1e-9)
-        assert net.v_threshold == thr
-        assert circuit.params.v_threshold == thr
+        assert net.v_threshold is None  # calibration leaves the net as it was
         assert 0.0 <= agree <= 1.0
 
     def test_observe_amplitude_positive(self, calibrated):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phasornet.cli import main
+from phasornet.model_io import load_model
 
 
 def write_idx(tmp_dir, stem, images, labels):
@@ -61,13 +62,24 @@ class TestTrain:
                    "--out-dir", str(tmp_path), "--epochs", "0"])
         assert rc == 0
         assert "initial model" in capsys.readouterr().out
-        assert (tmp_path / "model.phzn").exists()
+        _, state = load_model(tmp_path / "model.phzn", with_optimizer=True)
+        assert state is None  # written once, without the untouched optimizer
 
     def test_limit_train_flag(self, workdir, tmp_path):
         root, _ = workdir
         rc = main(["train", "--data-dir", str(root / "data"),
                    "--out-dir", str(tmp_path), "--epochs", "1",
                    "--batch-size", "8", "--limit-train", "10"])
+        assert rc == 0
+
+    def test_config_values_of_flag_types(self, workdir, tmp_path):
+        root, _ = workdir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 0, "lr": 1, "theta": 0.0,
+                                   "phase_shift": True, "limit_train": None,
+                                   "v_threshold": None, "arch": "conv"}))
+        rc = main(["train", "--data-dir", str(root / "data"),
+                   "--out-dir", str(tmp_path), "--config", str(cfg)])
         assert rc == 0
 
     def test_config_file_with_flag_override(self, workdir, tmp_path):
@@ -90,7 +102,11 @@ class TestTrain:
                    "--out-dir", str(tmp_path), "--config", str(cfg)])
         assert rc == 1
 
-    @pytest.mark.parametrize("text", ['{"epochs": 2', "[[1]]"], ids=["truncated", "not_an_object"])
+    @pytest.mark.parametrize("text", [
+        '{"epochs": 2', "[[1]]", '{"epochs": "x"}', '{"lr": "a"}', '{"seed": "s"}',
+        '{"seed": true}', '{"phase_shift": 1}', '{"dataset": null}',
+    ], ids=["truncated", "not_an_object", "epochs_str", "lr_str", "seed_str",
+            "seed_bool", "phase_shift_int", "dataset_null"])
     def test_malformed_config_is_usage_error(self, workdir, tmp_path, capsys, text):
         root, _ = workdir
         cfg = tmp_path / "cfg.json"
@@ -158,6 +174,15 @@ class TestSpikes:
         volts = (tmp_path / "voltage_trace.csv").read_text().splitlines()
         assert volts[0] == "time_ms,V_m_mV"
         assert len(volts) > 100
+
+    def test_simulate_calibrates_and_saves_threshold(self, workdir, tmp_path):
+        root, out = workdir
+        rc = main(["simulate", str(out / "model.phzn"),
+                   "--data-dir", str(root / "data"), "--out-dir", str(tmp_path),
+                   "--n-cycles", "4"])
+        assert rc == 0
+        assert load_model(out / "model.phzn").v_threshold is None
+        assert load_model(tmp_path / "model_calibrated.phzn").v_threshold > 0.0
 
     def test_example_out_of_range(self, workdir, tmp_path):
         root, out = workdir

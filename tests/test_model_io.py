@@ -1,7 +1,13 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import small_fc_net
+from phasornet.cli import main
 from phasornet.errors import DataFormatError
 from phasornet.model_io import MAGIC, load_model, save_model
 from phasornet.optim import Adam
@@ -17,7 +23,56 @@ def conv_net(seed=0, dtype=np.complex64):
     return PhasorNetwork.create((1, 8, 8), specs, seed=seed, dtype=dtype)
 
 
+@st.composite
+def networks(draw):
+    """A random valid dense/conv chain, its parameters, dtype and threshold."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    else:
+        shape = (draw(st.integers(1, 12)),)
+    specs, cur = [], shape
+    for _ in range(draw(st.integers(1, 4))):
+        theta = draw(st.floats(0.0, 2.0))
+        if len(cur) == 3 and min(cur[1:]) >= 3 and draw(st.booleans()):
+            k = draw(st.integers(1, 3))
+            specs.append(LayerSpec("conv3x3", in_channels=cur[0], out_channels=k, theta=theta))
+            cur = (k, cur[1] - 2, cur[2] - 2)
+        else:
+            n = draw(st.integers(1, 8))
+            specs.append(LayerSpec("dense", fan_in=int(np.prod(cur)), fan_out=n, theta=theta))
+            cur = (n,)
+    net = PhasorNetwork.create(
+        shape, specs, seed=draw(st.integers(0, 2 ** 32 - 1)),
+        dtype=draw(st.sampled_from([np.complex64, np.complex128])),
+        use_phase_shifts=draw(st.booleans()))
+    net.v_threshold = draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
+    return net
+
+
 class TestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(net=networks(), with_optimizer=st.booleans())
+    def test_save_load_save_byte_exact(self, net, with_optimizer):
+        opt = None
+        if with_optimizer:
+            rng = np.random.default_rng(0)
+            opt = Adam(net.parameters())
+            opt.step(net.parameters(),
+                     [rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
+                      for p in net.parameters()])
+        with tempfile.TemporaryDirectory() as d:
+            p1, p2 = os.path.join(d, "a.phzn"), os.path.join(d, "b.phzn")
+            save_model(net, p1, optimizer=opt)
+            back, state = load_model(p1, with_optimizer=True)
+            assert (state is not None) == with_optimizer
+            opt2 = None
+            if state is not None:
+                opt2 = Adam(back.parameters())
+                opt2.load_state(state["t"], state["m"], state["v"])
+            save_model(back, p2, optimizer=opt2)
+            with open(p1, "rb") as f1, open(p2, "rb") as f2:
+                assert f1.read() == f2.read()
+
     def test_dense_round_trip_exact(self, tmp_path):
         net = small_fc_net(seed=11)
         path = tmp_path / "m.phzn"
@@ -135,6 +190,40 @@ class TestFormatErrors:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(DataFormatError, match="trailing"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"{not json",
+        lambda h: b"\xff\xfe\x00",
+        lambda h: b"[1, 2]",
+        lambda h: {k: v for k, v in h.items() if k != "dtype"},
+        lambda h: {**h, "input_shape": [-4]},
+        lambda h: {**h, "layers": [{**h["layers"][0], "kind": "pool"}] + h["layers"][1:]},
+        lambda h: {**h, "layers": [{**h["layers"][0], "fan_in": 63}] + h["layers"][1:]},
+        lambda h: {**h, "layers": [{**h["layers"][0], "fan_in": 64.0}] + h["layers"][1:]},
+        lambda h: {**h, "layers": []},
+        lambda h: {**h, "v_threshold": "0.01"},
+    ], ids=["not_json", "not_utf8", "not_object", "no_dtype", "negative_input",
+            "unknown_kind", "inconsistent_fan_in", "float_fan_in", "no_layers",
+            "string_threshold"])
+    def test_malformed_header(self, tmp_path, capsys, edit):
+        """A header that cannot be interpreted is a data error at its offset,
+        and exit code 2 from the CLI, before any payload is read."""
+        net = small_fc_net(seed=12)
+        path = tmp_path / "m.phzn"
+        save_model(net, path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[8:12], "<u4")[0])
+        header = edit(json.loads(raw[12:12 + hlen]))
+        if not isinstance(header, bytes):
+            header = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + np.uint32(len(header)).tobytes() + header
+                         + raw[12 + hlen:])
+        with pytest.raises(DataFormatError, match="malformed header") as e:
+            load_model(path)
+        assert e.value.offset == 12
+        assert main(["eval", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
 
     def test_magic_constant(self):
         assert MAGIC == b"PHZN"

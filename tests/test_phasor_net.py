@@ -25,6 +25,36 @@ from phasornet.phasor_net import (
 from conftest import small_fc_net
 
 
+class TestLayerSpecShapes:
+    def test_dense_and_conv_shapes(self):
+        dense = LayerSpec("dense", fan_in=12, fan_out=5)
+        assert dense.shapes((3, 2, 2)) == ((5, 12), (5,), (5,))
+        conv = LayerSpec("conv3x3", in_channels=2, out_channels=4)
+        assert conv.shapes((2, 7, 5)) == ((4, 2, 3, 3), (4,), (4, 5, 3))
+
+    @pytest.mark.parametrize("spec,in_shape,match", [
+        (LayerSpec("dense", fan_in=12, fan_out=5), (13,), "fan_in 12"),
+        (LayerSpec("conv3x3", in_channels=2, out_channels=4), (3, 7, 7), "2 channels"),
+        (LayerSpec("conv3x3", in_channels=2, out_channels=4), (98,), r"\(C,H,W\)"),
+        (LayerSpec("conv3x3", in_channels=2, out_channels=4), (2, 2, 7), r"H, W >= 3"),
+        (LayerSpec("dense", fan_in=4, fan_out=5), (-2, -2), "no units"),
+    ], ids=["dense_fan_in", "conv_channels", "conv_not_chw", "conv_too_small",
+            "negative_size"])
+    def test_nonconforming_input(self, spec, in_shape, match):
+        with pytest.raises(DimensionError, match=match):
+            spec.shapes(in_shape)
+        with pytest.raises(DimensionError, match=match):
+            PhasorNetwork.create(in_shape, [spec])
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "pool"}, {"kind": "dense", "fan_in": 4.0},
+        {"kind": "dense", "fan_out": -1}, {"kind": "conv3x3", "in_channels": True},
+    ])
+    def test_rejects_bad_fields(self, fields):
+        with pytest.raises(ValidationError):
+            LayerSpec(**fields)
+
+
 class TestEncodeInput:
     def test_endpoints(self):
         x = encode_input(np.array([1.0, 0.0]), dtype=np.complex128)
