@@ -1,24 +1,33 @@
-"""Closed-form, event-driven integration kernel for the circuit backend.
+"""Block-in-time integration kernel for the circuit backend.
 
-Synapses. Between resets a forward-Euler synapse (v, w) follows one fixed
-linear map, M = [[1, -dt/C_m], [dt/L, 1 - dt/tau_s]], and every delivery
-resets it to (0, w_spike). Its voltage n steps after its last reset is
-therefore sum_j c_j lam_j^n over the two eigenvalues of M: a complex pair,
-or two reals when over-damped. A neuron's dendrite sum, sum_s w_s v_s, is
-carried as one complex accumulator per eigenvalue (exact integration of
-linear subthreshold dynamics, Rotter & Diesmann 1999): Z *= lam each step,
-and a delivery to synapse s at step k adds w_s c (1 - lam^(k - k_s)), which
-swaps its old trajectory for a fresh one. A step costs O(neurons +
-deliveries) instead of O(synapses).
+Linear state. Between resets a forward-Euler synapse (v, w) follows one fixed
+linear map M = [[1, -dt/C_m], [dt/L, 1 - dt/tau_s]], and a delivery resets it
+to (0, w_spike). A neuron's dendrite therefore needs only the weighted sum
+(V, W) = sum_s w_s (v_s, w_s): it follows M too, and a delivery to synapse s
+adds w_s ((0, w_spike) - M^age (0, w_spike)), which swaps the synapse's old
+trajectory, reset `age` steps ago, for a fresh one. M^age (0, w_spike) comes
+in closed form from the map's eigenvalues (synapse_modes). A spike resets
+neither the soma nor the dendrite, so (V, W, V_m, Vdbar) is a linear filter
+of the deliveries, and BLOCK steps of it are one lower-triangular Toeplitz
+product plus an initial-state basis (the propagator method of Rotter &
+Diesmann 1999). The product is taken in SUB-step diagonal blocks, which pass
+their effect on later steps through the 4-dimensional state (propagators).
 
-Deliveries. A spike reaches synapse s at t + delay[s] and resets it on the
-first grid step whose time plus GRID_EPS reaches that, never earlier than
-the step after it was sent. Generator volleys are known for a whole segment
-and are bucketed by step once. Soma spikes go into a calendar queue (Brown
-1988): a ring of per-step slots, each a row of synapse ids, whose row
-capacity doubles when a slot fills. Delays are under T, so ceil(T/dt) + 2
-slots cover every pending delivery. Spike timestamps are linearly
-interpolated between grid points.
+Blocks. The circuit is feed-forward, and a delivery never lands on the step
+that sent it. Within a block the layers are integrated in order: when layer l
+starts, every delivery it gets in the block is known, from the generators,
+from earlier blocks, and from the spikes layer l-1 fired in this block. All
+of them travel one path: keys synapse * BLOCK + step-in-block, queued in
+per-(layer, block) buckets. A bucket is sorted once when its block comes, so
+repeat deliveries to a synapse take their reset age from the one before, and
+then injected in bulk. Synapses are numbered in sending order (their position
+in the outgoing CSR), so a spike's deliveries are one contiguous run.
+
+Firing. A neuron fires where V_m rises through the threshold, unless it is
+refractory; V_m < 0 ends refractoriness (fire). Spike times are linearly
+interpolated between grid points. A spike at t reaches synapse s at
+t + delay[s] and resets it on the first step whose time plus GRID_EPS reaches
+that, never earlier than the step after the spike.
 """
 
 import numpy as np
@@ -26,6 +35,10 @@ import numpy as np
 from .errors import ValidationError
 
 GRID_EPS = 1e-9
+BLOCK = 256  # steps integrated per block, a power of two
+SUB = 32  # steps per diagonal block of the block's propagator, a power of two
+SHIFT = BLOCK.bit_length() - 1
+NEAR = 1e-6  # steps: an arrival this close to a grid step is placed exactly
 
 
 def synapse_modes(params):
@@ -51,140 +64,306 @@ def csr_rows(ptr, rows):
     return starts + np.arange(starts.size), counts
 
 
-class Integrator:
-    """Circuit state carried across the stimulus segments of one run."""
+def reset_table(params, never):
+    """(0, w_spike) - M^age (0, w_spike) for ages 0 .. 2 * never - 1, as
+    V + iW: what one delivery adds to a unit-weight dendrite state. Ages of
+    `never` or more belong to a synapse never reset, whose state is 0."""
+    p = params
+    lam, c = synapse_modes(p)
+    powers = lam ** np.arange(never)[:, None]
+    table = np.full(2 * never, 1j * p.w_spike)
+    table[:never] -= (powers @ c).real + 1j * (powers @ (c * (1.0 - lam) * p.c_m / p.dt)).real
+    table[0] = 0.0  # a second arrival in the step of a reset resets nothing
+    return table
 
-    def __init__(self, circuit, v_threshold, total_steps):
+
+def euler_powers(params, k):
+    """Powers 0..k of one forward-Euler step of (V, W, V_m, Vdbar, 1), (k + 1, 5, 5)."""
+    p = params
+    a, g = p.dt / p.c_m, p.dt * p.g_c / p.c_m
+    step = np.array([
+        [1.0, -a, 0.0, 0.0, 0.0],
+        [p.dt / p.l_res, 1.0 - p.dt * p.inv_tau_s, 0.0, 0.0, 0.0],
+        [g, 0.0, 1.0 - p.dt * (p.g_l + p.g_c) / p.c_m, -g, p.dt * p.g_l * p.v_l / p.c_m],
+        [p.dt / p.tau_d, 0.0, 0.0, 1.0 - p.dt / p.tau_d, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0]])
+    powers = [np.eye(5)]
+    for _ in range(k):
+        powers.append(step @ powers[-1])
+    return np.array(powers)
+
+
+def _response(powers, lag, out_rows, in_rows):
+    """Matrix whose (a, b) entry is powers[lag[a, b]][out_rows[b], in_rows[a]]:
+    input a's effect on output b after that many steps, 0 where lag < 0."""
+    lag = np.asarray(lag)
+    out = np.broadcast_to(np.asarray(out_rows), lag.shape)
+    inp = np.broadcast_to(np.asarray(in_rows)[:, None], lag.shape)
+    live = lag >= 0
+    m = np.zeros(lag.shape)
+    m[live] = powers[lag[live], out[live], inp[live]]
+    return m
+
+
+def propagators(params):
+    """The block's linear map, as a lower-triangular Toeplitz product cut
+    into SUB-step diagonal blocks that talk through the 4-dimensional state.
+
+    local (2 SUB, SUB + 4): one sub-block's deliveries (V, W at each of its
+    steps, interleaved) to V_m after each of its steps, and to the state
+    (V, W, V_m, Vdbar) they leave at its end.
+    carry (4 BLOCK / SUB + 5, BLOCK + 3): those end states of every
+    sub-block, then the state entering the block (V, W, V_m, Vdbar, 1), to
+    V_m after every step of the later sub-blocks and to (V, W, Vdbar)
+    entering the next block."""
+    powers = euler_powers(params, BLOCK)
+    q = np.arange(SUB)
+    lag = q - q[:, None] + 1  # from a delivery at step d to V_m after step q
+    lag[lag <= 0] = -1
+    lag = np.hstack([lag, np.repeat(SUB - q[:, None], 4, axis=1)])
+    local = np.stack([_response(powers, lag, [2] * SUB + [0, 1, 2, 3], [comp] * SUB)
+                      for comp in (0, 1)], axis=1).reshape(2 * SUB, SUB + 4)
+    ends = SUB * np.arange(1, BLOCK // SUB + 1)
+    lag = np.arange(BLOCK) + 1 - ends[:, None]  # from a sub-block's end to V_m after step j
+    lag[lag <= 0] = -1
+    lag = np.repeat(np.hstack([lag, np.repeat(BLOCK - ends[:, None], 3, axis=1)]), 4, axis=0)
+    out_rows = [2] * BLOCK + [0, 1, 3]
+    carry = _response(powers, lag, out_rows, np.tile(np.arange(4), BLOCK // SUB))
+    entry = _response(powers, np.broadcast_to(np.r_[np.arange(1, BLOCK + 1), [BLOCK] * 3],
+                                              (5, BLOCK + 3)), out_rows, np.arange(5))
+    return local, np.vstack([carry, entry])
+
+
+def fire(vm, vm_prev, armed, v_th):
+    """Spikes of V_m trajectories vm (N, m) under the threshold rule.
+
+    vm_prev (N,) is V_m before the first step, and armed (N,) tells whether
+    each neuron may fire (it is updated in place to its value after the last
+    step). A neuron fires where V_m rises through v_th > 0 while armed;
+    firing disarms it, and a step with V_m < 0 arms it. So an upcrossing
+    fires if V_m < 0 since the row's previous upcrossing, or, for its first
+    upcrossing, if the neuron was armed on entry or V_m < 0 since. Returns
+    (row, step) of each spike in row-major order."""
+    n, m = vm.shape
+    above = vm >= v_th
+    up = np.empty_like(above)  # rose through v_th
+    np.less(vm_prev, v_th, out=up[:, 0])
+    up[:, 0] &= above[:, 0]
+    np.greater(above[:, 1:], above[:, :-1], out=up[:, 1:])
+    ups = np.flatnonzero(up)
+    row, step = np.divmod(ups, m)
+    # whether V_m < 0 on each stretch of a row that starts at the row's
+    # first step or at an upcrossing and runs to the next of either
+    starts = np.arange(n) * m
+    cuts = np.union1d(starts, ups)
+    dips = np.minimum.reduceat(np.ascontiguousarray(vm).reshape(-1), cuts) < 0.0
+    last = np.searchsorted(cuts, starts + m) - 1  # each row's last stretch
+    entered = armed.copy()
+    quiet = np.ones(n, dtype=bool)  # rows without an upcrossing
+    quiet[row] = False
+    np.logical_or(dips[last], entered & quiet, out=armed)
+    first = np.diff(row, prepend=-1) != 0  # the row's first upcrossing
+    dipped = (step > 0) & dips[np.searchsorted(cuts, ups) - 1]  # on the stretch before it
+    fired = dipped | (first & entered[row])
+    return row[fired], step[fired]
+
+
+class Integrator:
+    """Circuit state and pending deliveries of one run over a stimulus sequence."""
+
+    def __init__(self, circuit, v_threshold, segments):
+        """segments: (generator offsets, n_cycles) per stimulus, in order."""
         p = circuit.params
-        self.circuit = circuit
-        self.v_th = v_threshold
-        n, s = circuit.n_neurons, circuit.n_synapses
-        self.lam, c = synapse_modes(p)
-        self.wc = circuit.syn_w[:, None] * c
-        # 1 - lam^age for every age a run can reach. A synapse never reset
-        # starts at age `never` or more, where the table holds 1.
-        self.never = total_steps + 1
-        self.decay = np.ones((2 * self.never, 2), dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.decay[:self.never] -= self.lam ** np.arange(self.never)[:, None]
-        self.last = np.full(s, -self.never, dtype=np.int64)
-        self.stamp = np.zeros(s, dtype=np.int64)
-        self.z = np.zeros((n, 2), dtype=np.complex128)
-        self.vm = np.zeros(n)
-        self.vdbar = np.zeros(n)
+        self.circuit, self.v_th = circuit, v_threshold
+        # the segment of every step: its start time and first step
+        starts, bases, lengths, t0, base = [], [], [], 0.0, 0
+        for _, n_cycles in segments:
+            n = int(round(n_cycles * p.period / p.dt))
+            starts.append(t0)
+            bases.append(base)
+            lengths.append(n)
+            t0 += n_cycles * p.period
+            base += n
+        self.total, self.end_time = base, t0
+        self.segments = [(t0, base, offsets, n_cycles) for t0, base, (offsets, n_cycles)
+                         in zip(starts, bases, segments)]
+        self.seg_t0 = np.repeat(starts, lengths)
+        self.seg_base = np.repeat(np.asarray(bases, dtype=np.int64), lengths)
+        self.now = self.seg_t0 + (np.arange(self.total) - self.seg_base) * p.dt
+
+        never = self.total + 1  # an age no reset reaches: the synapse was never reset
+        self.table = reset_table(p, never)
+        self.local, carry = propagators(p)
+        self.carry_vm, self.carry_end = carry[:, :BLOCK].copy(), carry[:, BLOCK:].copy()
+        n, first = circuit.n_neurons, np.asarray(circuit.layer_offsets)
+        # Synapses are indexed in sending order, by their position in the
+        # outgoing CSR: a spike's deliveries are then one contiguous run.
+        out = circuit.out_syn
+        owner = circuit.syn_owner[out]
+        layer = circuit.neuron_layer[owner] - 1
+        self.weight = circuit.syn_w[out]
+        self.col = (owner - first[layer]) * BLOCK  # row of the owner in its layer
+        self.out_delay = circuit.syn_delay[out]
+        self.out_steps = self.out_delay / p.dt
+        self.last = np.full(out.size, -never, dtype=np.int64)
+        self.state = np.zeros((n, 5))  # V, W, V_m, Vdbar, 1
+        self.state[:, 4] = 1.0
         self.armed = np.ones(n, dtype=bool)  # not refractory
-        self.above = self.vm >= v_threshold
         self.vm_max = np.zeros(n)
-        self.n_slots = int(np.ceil(p.period / p.dt)) + 2
-        self.ring = np.zeros((self.n_slots, 16), dtype=np.int64)
-        self.fill = np.zeros(self.n_slots, dtype=np.int64)
-        pos, counts = csr_rows(circuit.out_ptr, np.arange(circuit.n_gen))
-        self.gen_syn = circuit.out_syn[pos]
-        self.gen_src = np.repeat(np.arange(circuit.n_gen), counts)
-        self.carry_step = np.zeros(0, dtype=np.int64)
-        self.carry_syn = np.zeros(0, dtype=np.int64)
+        # generator synapses, grouped by the layer they feed
+        n_gen_syn = circuit.out_ptr[circuit.n_gen]
+        self.gen_syn = np.argsort(layer[:n_gen_syn], kind="stable")
+        src = np.repeat(np.arange(circuit.n_gen), np.diff(circuit.out_ptr[:circuit.n_gen + 1]))
+        self.gen_src = src[self.gen_syn]
+        self.gen_bounds = np.searchsorted(layer[self.gen_syn],
+                                          np.arange(len(circuit.layer_sizes) + 1))
+        self.pending = {}  # (layer, block) -> arrays of synapse * BLOCK + step in block
         self.spike_t, self.spike_n = [], []
         self.deliveries = 0
 
-    def _schedule_generators(self, t0, grid, step_base, n_steps, offsets, n_cycles):
-        """Every generator delivery of the segment, plus those carried over
-        from the last one, as synapse ids sorted by step and per-step bounds."""
-        steps, syns = [self.carry_step], [self.carry_syn]
-        t = (t0 + offsets[self.gen_src]) + self.circuit.syn_delay[self.gen_syn]
+    def _arrival(self, t, t0, base, earliest):
+        """Step on which a delivery due at time t lands: the first step of a
+        segment starting at time t0 and step base whose time plus GRID_EPS
+        reaches t, and not before step `earliest`."""
+        dt = self.circuit.params.dt
+        j = np.ceil((t - t0 - GRID_EPS) / dt).astype(np.int64)
+        j += (t0 + j * dt) + GRID_EPS < t  # the division can land one step short
+        j -= (t0 + (j - 1) * dt) + GRID_EPS >= t  # or one step long
+        return np.maximum(base + j, earliest)
+
+    def _send(self, layer, steps, syn):
+        """Queue deliveries to `layer`'s synapses on the given steps."""
+        blocks = steps >> SHIFT
+        lo = int(blocks.min())
+        rel = (blocks - lo).astype(np.min_scalar_type(int(blocks.max()) - lo))
+        order = np.argsort(rel, kind="stable")  # a radix sort for these small ints
+        keys = ((syn << SHIFT) | (steps & (BLOCK - 1)))[order]
+        bounds = np.cumsum(np.bincount(rel)).tolist()
+        for b, (i, j) in enumerate(zip([0] + bounds[:-1], bounds)):
+            if j > i:
+                self.pending.setdefault((layer, lo + b), []).append(keys[i:j])
+
+    def _send_generators(self, t0, base, offsets, n_cycles):
+        """Queue every generator volley of one segment. Each cycle's times add
+        the period to the last cycle's, as a heap that re-queues a volley would."""
+        c = self.circuit
+        t = (t0 + offsets[self.gen_src]) + self.out_delay[self.gen_syn]
         for _ in range(n_cycles):
-            steps.append(step_base + grid.searchsorted(t))
-            syns.append(self.gen_syn)
-            t = t + self.circuit.params.period
-        steps, syns = np.concatenate(steps), np.concatenate(syns)
-        order = np.argsort(steps, kind="stable")
-        steps, syns = steps[order], syns[order]
-        bounds = np.searchsorted(steps, step_base + np.arange(n_steps + 1))
-        self.carry_step, self.carry_syn = steps[bounds[-1]:], syns[bounds[-1]:]
-        return syns, bounds.tolist()
+            steps = self._arrival(t, t0, base, base)
+            for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
+                if hi > lo:
+                    self._send(l, steps[lo:hi], self.gen_syn[lo:hi])
+            t = t + c.params.period
 
-    def _deliver(self, ids, step, dedupe):
-        self.deliveries += ids.size
-        if dedupe:  # a synapse delivered twice in one step resets once
-            pos = np.arange(ids.size)
-            self.stamp[ids] = pos
-            ids = ids[self.stamp[ids] == pos]
-        np.add.at(self.z, self.circuit.syn_owner[ids],
-                  self.wc[ids] * self.decay[step - self.last[ids]])
-        self.last[ids] = step
+    def _deliveries(self, layer, block, m):
+        """Deliveries to `layer` in the block's first m steps: the (V, W) they
+        add at each neuron and step, as N * BLOCK pairs; None when there are
+        none."""
+        parts = self.pending.pop((layer, block), None)
+        if not parts:
+            return None
+        keys = np.sort(np.concatenate(parts))
+        syn, i = keys >> SHIFT, keys & (BLOCK - 1)
+        if m < BLOCK:  # the run ends inside this block
+            syn, i = syn[i < m], i[i < m]
+            if not syn.size:
+                return None
+        self.deliveries += syn.size
+        step = i + block * BLOCK
+        prev = self.last[syn]
+        repeat = syn[1:] == syn[:-1]
+        if repeat.any():  # a synapse's later deliveries age from its earlier ones
+            at = np.flatnonzero(repeat) + 1
+            prev[at] = step[at - 1]
+            end = np.append(~repeat, True)
+            self.last[syn[end]] = step[end]
+        else:
+            self.last[syn] = step
+        amount = self.table.take(step - prev)
+        amount *= self.weight[syn]
+        x = np.zeros(self.circuit.layer_sizes[layer] * BLOCK, dtype=np.complex128)
+        np.add.at(x, self.col[syn] + i, amount)
+        return x.view(np.float64)
 
-    def _push(self, syn, steps):
-        slot = steps % self.n_slots
-        order = slot.argsort()
-        slot, syn = slot[order], syn[order]
-        pos = self.fill[slot] + np.arange(slot.size) - slot.searchsorted(slot)
-        need = int(pos.max()) + 1
-        if need > self.ring.shape[1]:
-            cap = self.ring.shape[1]
-            while cap < need:
-                cap *= 2
-            ring = np.zeros((self.n_slots, cap), dtype=np.int64)
-            ring[:, :self.ring.shape[1]] = self.ring
-            self.ring = ring
-        self.ring[slot, pos] = syn
-        np.add.at(self.fill, slot, 1)
+    def run(self, rec_ids, rec_vm):
+        """Integrate every segment; returns (failing neuron or -1, step)."""
+        n_layers = len(self.circuit.layer_sizes)
+        seg = 0
+        for block in range((self.total + BLOCK - 1) // BLOCK):
+            m = min(BLOCK, self.total - block * BLOCK)
+            while seg < len(self.segments) and self.segments[seg][1] < block * BLOCK + m:
+                self._send_generators(*self.segments[seg])
+                seg += 1
+            bad = [self._layer_block(l, block, m, rec_ids, rec_vm) for l in range(n_layers)]
+            bad = [b for b in bad if b is not None]
+            if bad:
+                return min(bad, key=lambda b: (b[1], b[0]))
+        return -1, self.total
 
-    def run_segment(self, t0, step_base, n_steps, offsets, n_cycles, rec_ids, rec_vm):
-        """Integrate one stimulus segment; returns (failing neuron or -1, step)."""
-        circ, p = self.circuit, self.circuit.params
-        dt, v_th, lam = p.dt, self.v_th, self.lam
-        g_l, g_c, v_l, c_m, tau_d = p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d
-        vm, vdbar, armed, above, z = self.vm, self.vdbar, self.armed, self.above, self.z
-        z_re = z.view(np.float64)  # columns: re, im of each mode
-        z_re0, z_re1 = z_re[:, 0], z_re[:, 2]
-        # only volleys carried over a stimulus switch can hit a synapse twice
-        dedupe_until = int(self.carry_step[-1]) - step_base + 1 if self.carry_step.size else 0
-        # now + GRID_EPS of every step a delivery sent in this segment can reach:
-        # a spike time's arrival step is the first whose entry is >= it
-        grid = t0 + np.arange(n_steps + 2 * self.n_slots) * dt + GRID_EPS
-        gen_syn, bounds = self._schedule_generators(t0, grid, step_base, n_steps,
-                                                    offsets, n_cycles)
-        for k in range(n_steps):
-            now = t0 + k * dt
-            step = step_base + k
-            slot = step % self.n_slots
-            lo, hi, queued = bounds[k], bounds[k + 1], self.fill[slot]
-            if queued:
-                self.fill[slot] = 0
-                self._deliver(np.concatenate((gen_syn[lo:hi], self.ring[slot, :queued])),
-                              step, k < dedupe_until)
-            elif lo < hi:
-                self._deliver(gen_syn[lo:hi], step, k < dedupe_until)
-            vd = z_re0 + z_re1
-            z *= lam
-            vm_old = vm
-            vm = vm_old + dt * (g_l * (v_l - vm_old) + g_c * (vd - vm_old - vdbar)) / c_m
-            vdbar += dt * (vd - vdbar) / tau_d
-            if not np.isfinite(vm).all():
-                self.vm = vm
-                return int(np.flatnonzero(~np.isfinite(vm))[0]), k
-            was_above, above = above, vm >= v_th
-            fired = ((above > was_above) & armed).nonzero()[0]  # rose through v_th
-            armed |= vm < 0.0
-            if fired.size:
-                armed[fired] = False
-                frac = (v_th - vm_old[fired]) / (vm[fired] - vm_old[fired])
-                tstar = now + dt * frac
-                self.spike_t.append(tstar)
-                self.spike_n.append(fired)
-                pos, counts = csr_rows(circ.out_ptr, circ.n_gen + fired)
-                if pos.size:
-                    syn = circ.out_syn[pos]
-                    t = np.repeat(tstar, counts) + circ.syn_delay[syn]
-                    arrive = np.maximum(grid.searchsorted(t), k + 1)
-                    self._push(syn, step_base + arrive)
-            np.maximum(self.vm_max, vm, out=self.vm_max)
-            if rec_ids.shape[0]:
-                rec_vm[k, :] = vm[rec_ids]
-        self.vm, self.above = vm, above
-        return -1, n_steps
+    def _layer_block(self, l, block, m, rec_ids, rec_vm):
+        """Integrate layer l over the block's first m steps, fire its spikes
+        and queue their deliveries; returns (neuron, step) on a blow-up."""
+        c = self.circuit
+        v_th, b0 = self.v_th, block * BLOCK
+        first, size = c.layer_offsets[l], c.layer_sizes[l]
+        state = self.state[first:first + size]
+        vm_prev = state[:, 2].copy()
+        x = self._deliveries(l, block, m)
+        if x is None:  # only the rows of the entering state apply
+            carry_in = state
+        else:
+            local = x.reshape(-1, 2 * SUB) @ self.local  # (N * BLOCK / SUB, SUB + 4)
+            carry_in = np.concatenate((local[:, SUB:].reshape(size, -1), state), axis=1)
+        vm = carry_in @ self.carry_vm[-carry_in.shape[1]:]
+        if x is not None:
+            by_sub = vm.reshape(-1, SUB)
+            np.add(by_sub, local[:, :SUB], out=by_sub)
+        state[:, (0, 1, 3)] = carry_in @ self.carry_end[-carry_in.shape[1]:]
+        state[:, 2] = vm[:, BLOCK - 1]
+        vm = vm[:, :m]
+        top = vm.max(axis=1)
+        if not (np.isfinite(top).all() and np.isfinite(vm[:, -1]).all()):
+            k = int(np.flatnonzero(~np.isfinite(vm).all(axis=0))[0])
+            return first + int(np.flatnonzero(~np.isfinite(vm[:, k]))[0]), b0 + k
+        vm_max = self.vm_max[first:first + size]
+        np.maximum(vm_max, top, out=vm_max)
+        cols = np.flatnonzero((rec_ids >= first) & (rec_ids < first + size))
+        if cols.size:
+            rec_vm[b0:b0 + m, cols] = vm[rec_ids[cols] - first].T
+        n, k = fire(vm, vm_prev, self.armed[first:first + size], v_th)
+        if not n.size:
+            return None
+        v_new = vm[n, k]
+        v_old = np.where(k > 0, vm[n, k - 1], vm_prev[n])
+        tstar = self.now[b0 + k] + c.params.dt * ((v_th - v_old) / (v_new - v_old))
+        neurons = first + n
+        self.spike_t.append(tstar)
+        self.spike_n.append(neurons)
+        pos, counts = csr_rows(c.out_ptr, c.n_gen + neurons)
+        if pos.size:
+            self._send(l + 1, self._soma_arrivals(tstar, b0 + k, pos, counts), pos)
+        return None
+
+    def _soma_arrivals(self, tstar, sent, pos, counts):
+        """Arrival steps of the deliveries of spikes at times tstar, fired on
+        steps `sent`, through the out-CSR positions pos (counts per spike).
+        They come by arithmetic; the few within NEAR of a grid step take the
+        exact rule of _arrival."""
+        due = self.seg_base[sent] + (tstar - self.seg_t0[sent] - GRID_EPS) / self.circuit.params.dt
+        due = np.repeat(due, counts) + self.out_steps[pos]
+        steps = np.ceil(due)
+        due -= steps
+        near = np.flatnonzero((due > -NEAR) | (due < NEAR - 1.0))
+        steps = steps.astype(np.int64)
+        if near.size:
+            spike = np.searchsorted(np.cumsum(counts), near, side="right")
+            sent = sent[spike]
+            steps[near] = self._arrival(tstar[spike] + self.out_delay[pos[near]],
+                                        self.seg_t0[sent], self.seg_base[sent], sent + 1)
+        return steps
 
     def spikes(self):
-        """Soma spikes in firing order: (times, global neuron ids)."""
+        """Soma spikes: (times, global neuron ids)."""
         if not self.spike_t:
             return np.zeros(0), np.zeros(0, dtype=np.int64)
         return np.concatenate(self.spike_t), np.concatenate(self.spike_n)

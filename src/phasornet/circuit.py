@@ -219,37 +219,27 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
         raise ValidationError(
             "no spike threshold set; pass v_threshold, e.g. from calibrate_threshold"
         )
+    if not v_threshold > 0:
+        raise ValidationError(f"spike threshold must be positive, got {v_threshold}")
     total_cycles = sum(nc for _, nc in stimuli)
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
-    total_steps = int(round(total_cycles * p.period / p.dt))
-    rec_vm = np.zeros((total_steps, rec_ids.shape[0]))
-    kernel = ck.Integrator(circuit, float(v_threshold), total_steps)
+    segments = [(stimulus_phase_offsets(circuit, image), n_cycles)
+                for image, n_cycles in stimuli]
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
+        kernel = ck.Integrator(circuit, float(v_threshold), segments)
+        rec_vm = np.zeros((kernel.total, rec_ids.shape[0]))
+        err, step = kernel.run(rec_ids, rec_vm)
+    if err >= 0:
+        raise NumericError(
+            f"integration blew up at neuron {err}, t = {kernel.now[step]:.3f} ms")
 
     columns = []  # (layer, neuron, time) of the generator volleys, then the soma spikes
-    seg_start = 0.0
-    step_base = 0
-    segment_starts = []
-    for image, n_cycles in stimuli:
-        segment_starts.append(seg_start)
-        offsets = stimulus_phase_offsets(circuit, image)
-        n_steps = int(round(n_cycles * p.period / p.dt))
+    for t0, _, offsets, n_cycles in kernel.segments:
         n_in = offsets.shape[0] - 1  # input generators are layer 0; the reference is not
         columns.append((np.zeros(n_in * n_cycles, dtype=np.int64),
                         np.repeat(np.arange(n_in), n_cycles),
-                        ((seg_start + np.arange(n_cycles) * p.period)
+                        ((t0 + np.arange(n_cycles) * p.period)
                          + offsets[:-1, None]).reshape(-1)))
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-            err, done = kernel.run_segment(seg_start, step_base, n_steps, offsets,
-                                           n_cycles, rec_ids,
-                                           rec_vm[step_base:step_base + n_steps])
-        if err >= 0:
-            t_err = seg_start + done * p.dt
-            raise NumericError(
-                f"integration blew up at neuron {err}, t = {t_err:.3f} ms"
-            )
-        seg_start += n_cycles * p.period
-        step_base += n_steps
-
     times, neurons = kernel.spikes()
     layers = circuit.neuron_layer[neurons]
     local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
@@ -259,10 +249,10 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     return CircuitResult(
         raster=raster,
         vm_max=kernel.vm_max,
-        trace_times=np.arange(1, total_steps + 1) * p.dt,
+        trace_times=np.arange(1, kernel.total + 1) * p.dt,
         trace_vm=rec_vm,
-        segment_starts=segment_starts,
-        total_time=seg_start,
+        segment_starts=[t0 for t0, _, _, _ in kernel.segments],
+        total_time=kernel.end_time,
         deliveries=kernel.deliveries,
     )
 

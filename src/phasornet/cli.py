@@ -53,6 +53,9 @@ DEFAULTS = {
     "n_cycles": 15,
 }
 EPOCH_DEFAULTS = {"mnist": 20, "cifar10": 30}
+# threshold calibration scores the example and the images after it in the
+# split: with one image, agreement could only read 0% or 100%
+CALIBRATION_IMAGES = 4
 # config keys whose default is None take these types (or null); the others
 # take their default's type, which is the type their flag parses to
 _NULLABLE_TYPES = {"epochs": int, "limit_train": int, "v_threshold": float}
@@ -245,9 +248,13 @@ def cmd_spikes(args):
     v_th = cfg["v_threshold"] if cfg["v_threshold"] is not None else net.v_threshold
     if v_th is None:
         print("calibrating spike threshold...", file=sys.stderr)
-        v_th, agree = calibrate_threshold(net, circ, [image])
-        print(f"calibrated threshold {v_th:.4g} mV (agreement {agree:.0%})",
-              file=sys.stderr)
+        picks = [(args.example + i) % len(ds) for i in range(min(CALIBRATION_IMAGES, len(ds)))]
+        v_th, agree = calibrate_threshold(net, circ, [ds.images[i] for i in picks])
+        print(f"calibrated threshold {v_th:.4g} mV (agreement {agree:.0%} on "
+              f"{len(picks)} images)", file=sys.stderr)
+        if agree == 0:
+            print("warning: no threshold candidate decoded the phasor network's class "
+                  "on any calibration image; using the smallest candidate", file=sys.stderr)
         net.v_threshold = v_th
         save_model(net, os.path.join(out_dir, "model_calibrated.phzn"))
     stimuli = [(image, n_cycles)]

@@ -4,10 +4,11 @@ This is the circuit's original integration loop: every synapse oscillator is
 stepped explicitly each grid step and deliveries go through a binary heap of
 (time, synapse, repeats-left) entries. Generator volleys keep one entry per
 synapse in flight and re-push it with time + T while repeats remain. The
-closed-form kernel in phasornet._circuit_kernels is checked against it.
+block kernel in phasornet._circuit_kernels is checked against it.
 """
 
 import heapq
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,17 +27,32 @@ def program_generators(seg_start, gen_offsets, n_cycles, out_ptr, out_syn,
             heapq.heappush(heap, (t_first + syn_delay[s], s, n_cycles - 1))
 
 
+Reference = namedtuple("Reference", "raster vm_max trace_vm deliveries")
+
+
+def fire_step(vm_old, vm, refr, v_th):
+    """One step of the threshold rule: neurons that rise through v_th while
+    not refractory fire and turn refractory; V_m < 0 clears refractoriness.
+    Returns the firing neurons; refr (uint8) is updated in place."""
+    crossing = (refr == 0) & (vm_old < v_th) & (vm >= v_th)
+    refr[crossing] = 1
+    refr[(refr == 1) & (vm < 0.0) & ~crossing] = 0
+    return np.flatnonzero(crossing)
+
+
 def run_segment(t0, n_steps, dt, period,
                 g_l, g_c, v_l, c_m, tau_d, l_res, w_spike, inv_tau_s, v_th,
                 syn_w, syn_delay, out_ptr, out_syn, n_gen,
                 vm, vdbar, refr, vs, ws, vm_max,
-                heap, syn_owner, events):
-    """Integrate n_steps grid steps; returns (failing neuron or -1, step)."""
+                heap, syn_owner, events, rec_ids, rec_vm, pops):
+    """Integrate n_steps grid steps, recording V_m of rec_ids in rec_vm and
+    counting heap pops in pops[0]; returns (failing neuron or -1, step)."""
     n = vm.shape[0]
     for k in range(n_steps):
         now = t0 + k * dt
         while heap and heap[0][0] <= now + GRID_EPS:
             t, s, r = heapq.heappop(heap)
+            pops[0] += 1
             vs[s] = 0.0
             ws[s] = w_spike
             if r > 0:
@@ -50,35 +66,36 @@ def run_segment(t0, n_steps, dt, period,
         vdbar += dt * (vd - vdbar) / tau_d
         if not np.all(np.isfinite(vm)):
             return int(np.flatnonzero(~np.isfinite(vm))[0]), k
-        crossing = (refr == 0) & (vm_old < v_th) & (vm >= v_th)
-        for ni in np.flatnonzero(crossing):
+        for ni in fire_step(vm_old, vm, refr, v_th):
             frac = (v_th - vm_old[ni]) / (vm[ni] - vm_old[ni])
             tstar = now + dt * frac
             events.append((float(tstar), int(ni)))
-            refr[ni] = 1
             src = n_gen + ni
             for oi in range(out_ptr[src], out_ptr[src + 1]):
                 s2 = int(out_syn[oi])
                 heapq.heappush(heap, (tstar + syn_delay[s2], s2, 0))
-        clearing = (refr == 1) & (vm < 0.0) & ~crossing
-        refr[clearing] = 0
         np.maximum(vm_max, vm, out=vm_max)
+        rec_vm[k] = vm[rec_ids]
     return -1, n_steps
 
 
-def run(circuit, stimuli, v_threshold):
-    """Raster of the soma spikes (layers >= 1) and per-neuron vm_max."""
+def run(circuit, stimuli, v_threshold, record_neurons=()):
+    """Soma-spike raster (layers >= 1), per-neuron vm_max, the V_m trace of
+    each recorded neuron (steps, recorded) and the number of deliveries."""
     p = circuit.params
     n, s = circuit.n_neurons, circuit.n_synapses
     vm, vdbar, vm_max = np.zeros(n), np.zeros(n), np.zeros(n)
     refr = np.zeros(n, dtype=np.uint8)
     vs, ws = np.zeros(s), np.zeros(s)
-    heap, events = [], []
+    heap, events, pops = [], [], [0]
+    rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
+    traces = []
     seg_start = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for image, n_cycles in stimuli:
             offsets = stimulus_phase_offsets(circuit, image)
             n_steps = int(round(n_cycles * p.period / p.dt))
+            traces.append(np.zeros((n_steps, rec_ids.size)))
             program_generators(seg_start, offsets, n_cycles, circuit.out_ptr,
                                circuit.out_syn, circuit.syn_delay, heap)
             err, done = run_segment(
@@ -87,7 +104,8 @@ def run(circuit, stimuli, v_threshold):
                 p.inv_tau_s, float(v_threshold),
                 circuit.syn_w, circuit.syn_delay, circuit.out_ptr,
                 circuit.out_syn, circuit.n_gen,
-                vm, vdbar, refr, vs, ws, vm_max, heap, circuit.syn_owner, events)
+                vm, vdbar, refr, vs, ws, vm_max, heap, circuit.syn_owner, events,
+                rec_ids, traces[-1], pops)
             if err >= 0:
                 raise NumericError(f"integration blew up at neuron {err}")
             seg_start += n_cycles * p.period
@@ -96,4 +114,5 @@ def run(circuit, stimuli, v_threshold):
     layers = circuit.neuron_layer[neurons]
     local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
     n_cycles = sum(nc for _, nc in stimuli)
-    return SpikeRaster.sorted(layers, local, times, p.period, n_cycles), vm_max
+    raster = SpikeRaster.sorted(layers, local, times, p.period, n_cycles)
+    return Reference(raster, vm_max, np.concatenate(traces), pops[0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasornet.circuit import (
     CircuitParams,
@@ -12,7 +13,8 @@ from phasornet.circuit import (
     run,
     stimulus_phase_offsets,
 )
-from phasornet._circuit_kernels import GRID_EPS, synapse_modes
+from phasornet import _circuit_kernels as ck
+from phasornet._circuit_kernels import BLOCK, GRID_EPS, fire, synapse_modes
 from phasornet.errors import NumericError, ValidationError
 from phasornet.phasor_net import (
     LayerSpec,
@@ -199,6 +201,13 @@ class TestRun:
         with pytest.raises(ValidationError, match="threshold"):
             run(circuit, [(tiny_images(1)[0], 3)])
 
+    @pytest.mark.parametrize("v_threshold", [0.0, -0.01, float("nan")])
+    def test_threshold_must_be_positive(self, v_threshold):
+        # the block firing rule relies on an upcrossing never being below 0
+        circuit = build_circuit(tiny_net(seed=6))
+        with pytest.raises(ValidationError, match="positive"):
+            run(circuit, [(tiny_images(1)[0], 3)], v_threshold=v_threshold)
+
     def test_generator_volley_in_raster(self):
         net = tiny_net(seed=6)
         circuit = build_circuit(net)
@@ -271,23 +280,27 @@ def delivery_count(circuit, raster, last_step_time):
 
 
 class TestKernelMatchesEulerReference:
-    """The closed-form kernel against the explicit Euler + heap loop."""
+    """The block kernel against the explicit Euler + heap loop."""
 
-    def _check(self, net, circuit, stimuli, v_threshold):
-        result = run(circuit, stimuli, v_threshold=v_threshold)
-        want, want_vm_max = euler_reference.run(circuit, stimuli, v_threshold)
+    def _check(self, net, circuit, stimuli, v_threshold, record=()):
+        result = run(circuit, stimuli, v_threshold=v_threshold, record_neurons=record)
+        want = euler_reference.run(circuit, stimuli, v_threshold, record_neurons=record)
         soma = result.raster.layer > 0
-        assert want.time.size > 0, "no soma spiked; the case checks nothing"
-        np.testing.assert_array_equal(result.raster.layer[soma], want.layer)
-        np.testing.assert_array_equal(result.raster.neuron[soma], want.neuron)
-        np.testing.assert_allclose(result.raster.time[soma], want.time, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(result.vm_max, want_vm_max, rtol=0, atol=1e-12)
+        assert want.raster.time.size > 0, "no soma spiked; the case checks nothing"
+        np.testing.assert_array_equal(result.raster.layer[soma], want.raster.layer)
+        np.testing.assert_array_equal(result.raster.neuron[soma], want.raster.neuron)
+        np.testing.assert_allclose(result.raster.time[soma], want.raster.time,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.vm_max, want.vm_max, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.trace_vm, want.trace_vm, rtol=0, atol=1e-12)
+        assert result.deliveries == want.deliveries
         depth = len(net.layers)
         got_class = decode_output(result.raster, circuit.n_outputs, depth,
                                   now=result.total_time)
         assert got_class is not None
-        assert got_class == decode_output(want, circuit.n_outputs, depth,
+        assert got_class == decode_output(want.raster, circuit.n_outputs, depth,
                                           now=result.total_time)
+        return result
 
     def test_dense_tiny_net(self, calibrated):
         net, circuit, images, thr, _ = calibrated
@@ -336,11 +349,151 @@ class TestKernelMatchesEulerReference:
         thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
         self._check(net, circuit, [(image, 6)], thr)
 
+    def test_step_count_off_the_block_grid(self, calibrated):
+        # 4 cycles of 10 ms at dt = 0.03: 1333 steps, a fractional number per
+        # cycle, and a last block that is cut short
+        net, _, images, _, _ = calibrated
+        circuit = build_circuit(net, CircuitParams(dt=0.03))
+        steps = int(round(4 * 10.0 / 0.03))
+        assert steps % BLOCK != 0
+        thr = 0.1 * observe_amplitude(circuit, images[0], n_cycles=4)
+        self._check(net, circuit, [(images[0], 4)], thr)
+
+    def test_recorded_traces(self, calibrated):
+        net, circuit, images, thr, _ = calibrated
+        record = [0, circuit.layer_offsets[-1], circuit.n_neurons - 1, 0]  # one twice
+        result = self._check(net, circuit, [(images[0], 5)], thr, record)
+        assert result.trace_vm.shape == (2000, 4)
+
+    def test_two_hidden_layers_in_one_block(self):
+        # zero-delay synapses between hidden layers: a block's layer-1 spikes
+        # make layer-2 spikes within the same block
+        specs = [LayerSpec("dense", fan_in=16, fan_out=12),
+                 LayerSpec("dense", fan_in=12, fan_out=12),
+                 LayerSpec("dense", fan_in=12, fan_out=10)]
+        net = PhasorNetwork.create((16,), specs, seed=4, dtype=np.complex64)
+        net.weights[1] = np.abs(net.weights[1])
+        net.biases[0][:4] = 0.3 + 0.3j
+        circuit = build_circuit(net)
+        image = tiny_images(1, seed=4)[0]
+        thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
+        result = self._check(net, circuit, [(image, 6)], thr)
+        steps = np.ceil(result.raster.time / circuit.params.dt).astype(np.int64) - 1
+        layer = result.raster.layer
+        blocks = [set(steps[layer == l] // BLOCK) for l in (1, 2, 3)]
+        assert blocks[0] & blocks[1] & blocks[2], "no block holds spikes of all three layers"
+
+    def test_zero_delay_delivery_across_a_block_edge(self):
+        # Shift every input phase so that a layer-1 spike lands on the last
+        # step of a block; its zero-delay synapses deliver on the first step
+        # of the next block.
+        net = tiny_net(seed=5)
+        net.weights[1] = np.abs(net.weights[1])
+        circuit = build_circuit(net)
+        dt, period = circuit.params.dt, circuit.params.period
+        image = tiny_images(1, seed=5)[0]
+        thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
+        first = run(circuit, [(image, 6)], v_threshold=thr).raster
+        t1 = first.time[first.layer == 1][0]
+        target = (int(t1 / dt) // BLOCK + 1) * BLOCK - 0.5  # mid-step of a block's last step
+        circuit.phase_shifts = np.full(16, 2 * np.pi * (target * dt - t1) / period)
+        result = self._check(net, circuit, [(image, 6)], thr)
+        spikes = result.raster.time[result.raster.layer == 1]
+        on_edge = (np.ceil(spikes / dt).astype(np.int64) - 1) % BLOCK == BLOCK - 1
+        assert on_edge.any(), "no layer-1 spike on a block's last step"
+
     def test_critically_damped_synapse_is_rejected(self):
         # dt/tau_s = 2 dt / sqrt(L C_m), exact in binary: one repeated eigenvalue
         p = CircuitParams(dt=2.0 ** -6, c_m=8.0, l_res=0.5, tau_s=1.0)
         with pytest.raises(ValidationError, match="critically damped"):
             synapse_modes(p)
+
+
+V_TH = 0.5
+LEVELS = [-1.0, -1e-12, 0.0, 0.2, np.nextafter(V_TH, 0.0), V_TH, 0.7, 1.5]
+
+
+@st.composite
+def vm_runs(draw, n_rows):
+    """(vm (rows, steps) over two or more blocks, vm before the first step,
+    armed on entry). Each row is a sequence of constant runs, so it holds
+    long stretches above v_th, repeated upcrossings with no dip below 0, and
+    samples exactly on v_th."""
+    rows = []
+    for _ in range(n_rows):
+        runs = draw(st.lists(st.tuples(st.sampled_from(LEVELS), st.integers(1, 40)),
+                             min_size=1, max_size=40))
+        row = np.repeat([v for v, _ in runs], [n for _, n in runs])
+        length = draw(st.integers(BLOCK + 1, 3 * BLOCK))
+        rows.append(np.resize(row, length) if row.size else np.zeros(length))
+    length = min(r.size for r in rows)
+    vm = np.stack([r[:length] for r in rows])
+    vm_prev = np.array(draw(st.lists(st.sampled_from(LEVELS), min_size=n_rows,
+                                     max_size=n_rows)))
+    armed = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    return vm, vm_prev, armed
+
+
+class TestFiringRule:
+    """The kernel's block-wise threshold rule against the reference's per-step rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(vm_runs))
+    def test_fires_where_the_step_rule_fires(self, case):
+        vm, vm_prev, armed = case
+        refr = (~armed).astype(np.uint8)
+        want, old = [], vm_prev.copy()
+        for k in range(vm.shape[1]):
+            want += [(k, n) for n in euler_reference.fire_step(old, vm[:, k], refr, V_TH)]
+            old = vm[:, k]
+        got, state, prev = [], armed.copy(), vm_prev.copy()
+        for b0 in range(0, vm.shape[1], BLOCK):  # refractory state carried between blocks
+            block = vm[:, b0:b0 + BLOCK]
+            rows, steps = fire(block, prev, state, V_TH)
+            got += [(b0 + k, n) for n, k in zip(rows.tolist(), steps.tolist())]
+            prev = block[:, -1]
+        assert sorted(got) == want
+        np.testing.assert_array_equal(state, refr == 0)
+
+
+class TestArrivalSteps:
+    """Soma-spike arrival steps by arithmetic against the grid rule: the
+    first step whose time plus GRID_EPS reaches spike time + delay, and
+    never the sending step or earlier."""
+
+    @staticmethod
+    def integrator():
+        net = tiny_net(seed=2)
+        net.weights[1][:, :6] = np.abs(net.weights[1][:, :6])  # zero-delay synapses
+        circuit = build_circuit(net)
+        return circuit, ck.Integrator(circuit, 1.0, [(np.zeros(17), 4)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 11), st.integers(0, 1500), st.integers(0, 40),
+           st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, -1e-10, GRID_EPS, -GRID_EPS, 0.3e-3]))
+    def test_matches_the_grid_rule(self, neuron, target, which, offset):
+        # a spike timed so that one of its deliveries lands on (or just off)
+        # a grid step; zero-delay synapses put it right after its own step
+        circuit, kernel = self.integrator()
+        dt = circuit.params.dt
+        pos, counts = ck.csr_rows(circuit.out_ptr, np.array([circuit.n_gen + neuron]))
+        delay = circuit.syn_delay[circuit.out_syn[pos]]
+        tstar = np.array([(target * dt + GRID_EPS) + offset - delay[which % delay.size]])
+        tstar = np.maximum(tstar, 1e-12)
+        sent = np.ceil(tstar / dt).astype(np.int64) - 1  # tstar in (now, now + dt]
+        got = kernel._soma_arrivals(tstar, sent, pos, counts)
+        grid = np.arange(kernel.total + 1000) * dt + GRID_EPS
+        want = np.maximum(grid.searchsorted(tstar[0] + delay), sent[0] + 1)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("t0", [0.0, 40.0, 150.0])
+    def test_exact_rule_on_grid_times(self, t0):
+        # times on a grid step and one ulp either side of it, where the
+        # division alone lands a step off thousands of times
+        _, kernel = self.integrator()
+        grid = (t0 + np.arange(6000) * 0.025) + GRID_EPS
+        for t in (grid[:-2], np.nextafter(grid[:-2], np.inf), np.nextafter(grid[:-2], -np.inf)):
+            np.testing.assert_array_equal(kernel._arrival(t, t0, 7, 0), 7 + grid.searchsorted(t))
 
 
 def make_raster(spikes, period=10.0, n_cycles=3):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from phasornet import cli
 from phasornet.cli import main
 from phasornet.model_io import load_model
 
@@ -183,6 +184,54 @@ class TestSpikes:
         assert rc == 0
         assert load_model(out / "model.phzn").v_threshold is None
         assert load_model(tmp_path / "model_calibrated.phzn").v_threshold > 0.0
+
+    @staticmethod
+    def calibration_spy(monkeypatch, agreement=None):
+        """Record the images each calibration scores; optionally force its agreement."""
+        seen = []
+
+        def spy(net, circuit, images, **kw):
+            seen.append(np.stack(images))
+            thr, agree = real(net, circuit, images, n_candidates=2, n_cycles=3)
+            return thr, agree if agreement is None else agreement
+
+        real = cli.calibrate_threshold
+        monkeypatch.setattr(cli, "calibrate_threshold", spy)
+        return seen
+
+    def test_calibrates_on_the_example_and_the_next_three(self, workdir, tmp_path,
+                                                          monkeypatch):
+        root, out = workdir
+        seen = self.calibration_spy(monkeypatch)
+        rc = main(["simulate", str(out / "model.phzn"), "--data-dir", str(root / "data"),
+                   "--out-dir", str(tmp_path), "--n-cycles", "3", "--example", "14"])
+        assert rc == 0
+        split = cli._load_split(dict(cli.DEFAULTS, data_dir=str(root / "data")), "test")
+        np.testing.assert_array_equal(seen[0], split.images[[14, 15, 0, 1]])
+
+    def test_calibration_is_capped_at_the_split_size(self, workdir, tmp_path, monkeypatch):
+        root, out = workdir
+        small = tmp_path / "data" / "mnist"
+        small.mkdir(parents=True)
+        for name in os.listdir(root / "data" / "mnist"):
+            os.symlink(root / "data" / "mnist" / name, small / name)
+        os.remove(small / "t10k-images-idx3-ubyte")
+        os.remove(small / "t10k-labels-idx1-ubyte")
+        rng = np.random.default_rng(5)
+        write_idx(small, ("t10k", "t10k"), rng.integers(0, 256, (2, 8, 8)), np.array([0, 1]))
+        seen = self.calibration_spy(monkeypatch)
+        rc = main(["simulate", str(out / "model.phzn"), "--data-dir", str(tmp_path / "data"),
+                   "--out-dir", str(tmp_path / "run"), "--n-cycles", "3", "--example", "1"])
+        assert rc == 0
+        assert len(seen[0]) == 2
+
+    def test_zero_agreement_warns(self, workdir, tmp_path, monkeypatch, capsys):
+        root, out = workdir
+        self.calibration_spy(monkeypatch, agreement=0.0)
+        rc = main(["simulate", str(out / "model.phzn"), "--data-dir", str(root / "data"),
+                   "--out-dir", str(tmp_path), "--n-cycles", "3"])
+        assert rc == 0
+        assert "warning: no threshold candidate" in capsys.readouterr().err
 
     def test_example_out_of_range(self, workdir, tmp_path):
         root, out = workdir
