@@ -20,8 +20,9 @@ from earlier blocks, and from the spikes layer l-1 fired in this block. All
 of them travel one path: keys synapse * BLOCK + step-in-block, queued in
 per-(layer, block) buckets. A bucket is sorted once when its block comes, so
 repeat deliveries to a synapse take their reset age from the one before, and
-then injected in bulk. Synapses are numbered in sending order (their position
-in the outgoing CSR), so a spike's deliveries are one contiguous run.
+then injected in bulk. Synapses are numbered as the circuit stores them, in
+sending order (by source, then by owner), so a spike's deliveries are one
+contiguous run.
 
 Firing. A neuron fires where V_m rises through the threshold, unless it is
 refractory; V_m < 0 ends refractoriness (fire). Spike times are linearly
@@ -196,26 +197,23 @@ class Integrator:
         self.local, carry = propagators(p)
         self.carry_vm, self.carry_end = carry[:, :BLOCK].copy(), carry[:, BLOCK:].copy()
         n, first = circuit.n_neurons, np.asarray(circuit.layer_offsets)
-        # Synapses are indexed in sending order, by their position in the
-        # outgoing CSR: a spike's deliveries are then one contiguous run.
-        out = circuit.out_syn
-        owner = circuit.syn_owner[out]
+        owner = circuit.syn_owner
         layer = circuit.neuron_layer[owner] - 1
-        self.weight = circuit.syn_w[out]
+        self.weight = circuit.syn_w
         self.col = (owner - first[layer]) * BLOCK  # row of the owner in its layer
-        self.out_delay = circuit.syn_delay[out]
+        self.out_delay = circuit.syn_delay
         self.out_steps = self.out_delay / p.dt
-        self.last = np.full(out.size, -never, dtype=np.int64)
+        self.last = np.full(owner.size, -never, dtype=np.int64)
         self.state = np.zeros((n, 5))  # V, W, V_m, Vdbar, 1
         self.state[:, 4] = 1.0
         self.armed = np.ones(n, dtype=bool)  # not refractory
         self.vm_max = np.zeros(n)
-        # generator synapses, grouped by the layer they feed
-        n_gen_syn = circuit.out_ptr[circuit.n_gen]
-        self.gen_syn = np.argsort(layer[:n_gen_syn], kind="stable")
-        src = np.repeat(np.arange(circuit.n_gen), np.diff(circuit.out_ptr[:circuit.n_gen + 1]))
-        self.gen_src = src[self.gen_syn]
-        self.gen_bounds = np.searchsorted(layer[self.gen_syn],
+        # The generator synapses come first, grouped by the layer they feed:
+        # the input generators feed layer 0 only, and the reference generator
+        # comes last with its bias synapses in owner order.
+        self.gen_src = np.repeat(np.arange(circuit.n_gen),
+                                 np.diff(circuit.out_ptr[:circuit.n_gen + 1]))
+        self.gen_bounds = np.searchsorted(layer[:self.gen_src.size],
                                           np.arange(len(circuit.layer_sizes) + 1))
         self.pending = {}  # (layer, block) -> arrays of synapse * BLOCK + step in block
         self.spike_t, self.spike_n = [], []
@@ -247,12 +245,12 @@ class Integrator:
         """Queue every generator volley of one segment. Each cycle's times add
         the period to the last cycle's, as a heap that re-queues a volley would."""
         c = self.circuit
-        t = (t0 + offsets[self.gen_src]) + self.out_delay[self.gen_syn]
+        t = (t0 + offsets[self.gen_src]) + self.out_delay[:self.gen_src.size]
         for _ in range(n_cycles):
             steps = self._arrival(t, t0, base, base)
             for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
                 if hi > lo:
-                    self._send(l, steps[lo:hi], self.gen_syn[lo:hi])
+                    self._send(l, steps[lo:hi], np.arange(lo, hi))
             t = t + c.params.period
 
     def _deliveries(self, layer, block, m):
@@ -346,7 +344,7 @@ class Integrator:
 
     def _soma_arrivals(self, tstar, sent, pos, counts):
         """Arrival steps of the deliveries of spikes at times tstar, fired on
-        steps `sent`, through the out-CSR positions pos (counts per spike).
+        steps `sent`, through synapses pos (counts per spike).
         They come by arithmetic; the few within NEAR of a grid step take the
         exact rule of _arrival."""
         due = self.seg_base[sent] + (tstar - self.seg_t0[sent] - GRID_EPS) / self.circuit.params.dt

@@ -10,7 +10,7 @@ synapse oscillator resonates at exactly the cycle frequency, 1/sqrt(L*C_m) =
 soma's threshold crossing re-encodes the phase as a spike time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,21 +73,20 @@ class CircuitParams:
 
 @dataclass
 class CircuitModel:
-    """Flattened synapse/neuron topology ready for the integration kernel."""
+    """Flattened synapse/neuron topology ready for the integration kernel;
+    the syn_* arrays are in sending order (see build_circuit)."""
 
     params: CircuitParams
-    input_shape: tuple
     n_gen: int  # input generators + 1 reference generator
     n_neurons: int
     neuron_layer: np.ndarray  # (N,) raster layer index, 1-based
     layer_offsets: list  # first global neuron id per network layer
     layer_sizes: list
-    syn_ptr: np.ndarray
     syn_w: np.ndarray
     syn_delay: np.ndarray
     syn_owner: np.ndarray
     out_ptr: np.ndarray
-    out_syn: np.ndarray
+    out_syn: np.ndarray  # arange(n_synapses): the synapse at each out_ptr position
     phase_shifts: np.ndarray
 
     @property
@@ -106,15 +105,20 @@ class CircuitModel:
 class CircuitResult:
     raster: SpikeRaster
     vm_max: np.ndarray  # per-neuron maximum membrane potential seen
-    trace_times: np.ndarray = None
+    trace_times: np.ndarray = None  # time after each step, ms
     trace_vm: np.ndarray = None  # (n_steps, n_recorded)
-    segment_starts: list = field(default_factory=list)
     total_time: float = 0.0
     deliveries: int = 0  # one per arrival; two arrivals in one step reset a synapse once
 
 
 def build_circuit(net, params=None):
-    """One soma per hidden/output unit, one synapse per nonzero weight/bias."""
+    """One soma per hidden/output unit, one synapse per nonzero weight/bias.
+
+    Synapses are stored once, in sending order, the one order the kernel
+    reads: by source (input generators, the reference generator, then
+    neurons), then by owning neuron. Source s sends through synapses
+    out_ptr[s]:out_ptr[s + 1].
+    """
     if params is None:
         params = CircuitParams()
     shapes = net.activation_shapes()
@@ -164,37 +168,22 @@ def build_circuit(net, params=None):
         srcs.append(np.full(owner_local.size, ref_gen, dtype=np.int64))
         coeffs.append(b[bidx])
     owner, src = np.concatenate(owners), np.concatenate(srcs)
-    mag, delay = synapse_delay(np.concatenate(coeffs), params.period)
-
-    # incoming CSR: synapses sorted by owning neuron, stable within a neuron
-    order = np.argsort(owner, kind="stable")
-    owner, src, mag, delay = owner[order], src[order], mag[order], delay[order]
-    syn_ptr = np.zeros(n_neurons + 1, dtype=np.int64)
-    np.add.at(syn_ptr, owner + 1, 1)
-    syn_ptr = np.cumsum(syn_ptr)
-
-    # outgoing CSR by source (generators first, then neurons)
-    n_src = n_gen + n_neurons
-    out_order = np.argsort(src, kind="stable")
-    out_syn = out_order.astype(np.int64)
-    out_ptr = np.zeros(n_src + 1, dtype=np.int64)
-    np.add.at(out_ptr, src + 1, 1)
-    out_ptr = np.cumsum(out_ptr)
+    order = np.lexsort((owner, src))  # sending order: by source, then by owner
+    mag, delay = synapse_delay(np.concatenate(coeffs)[order], params.period)
+    out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_gen + n_neurons))])
 
     return CircuitModel(
         params=params,
-        input_shape=net.input_shape,
         n_gen=n_gen,
         n_neurons=n_neurons,
         neuron_layer=neuron_layer,
         layer_offsets=layer_offsets,
         layer_sizes=layer_sizes,
-        syn_ptr=syn_ptr,
         syn_w=mag,
         syn_delay=delay,
-        syn_owner=owner,
+        syn_owner=owner[order],
         out_ptr=out_ptr,
-        out_syn=out_syn,
+        out_syn=np.arange(order.size),
         phase_shifts=net.phase_shifts.copy(),
     )
 
@@ -249,9 +238,8 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     return CircuitResult(
         raster=raster,
         vm_max=kernel.vm_max,
-        trace_times=np.arange(1, kernel.total + 1) * p.dt,
+        trace_times=kernel.now + p.dt,
         trace_vm=rec_vm,
-        segment_starts=[t0 for t0, _, _, _ in kernel.segments],
         total_time=kernel.end_time,
         deliveries=kernel.deliveries,
     )
@@ -259,10 +247,12 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
 
 # -- decoding ----------------------------------------------------------------
 
+WINDOW_CYCLES = 3  # cycles of output spikes that each decode reads
 
-def _window_phasors(raster, n_outputs, output_layer, times, window_cycles):
+
+def _window_phasors(raster, n_outputs, output_layer, times):
     """Per-unit sums of e^{i theta} over the output spikes in each closed
-    window [t - window_cycles * T, t]: (len(times), n_outputs), exactly 0 for
+    window [t - WINDOW_CYCLES * T, t]: (len(times), n_outputs), exactly 0 for
     a unit silent in the window."""
     out = raster.layer == output_layer
     spikes = raster.time[out]
@@ -272,26 +262,25 @@ def _window_phasors(raster, n_outputs, output_layer, times, window_cycles):
         1j * time_to_phase(spikes, raster.period))
     np.cumsum(cum, axis=0, out=cum)
     times = np.asarray(times, dtype=np.float64)
-    lo = spikes.searchsorted(times - window_cycles * raster.period)
+    lo = spikes.searchsorted(times - WINDOW_CYCLES * raster.period)
     hi = spikes.searchsorted(times, side="right")
     return cum[hi] - cum[lo]
 
 
-def decode_output(raster, n_outputs, output_layer, now, window_cycles=3):
+def decode_output(raster, n_outputs, output_layer, now):
     """Class = predict() over the output units' circular-mean spike phases in
     [now - window, now]; None when no output spiked."""
-    return predict(_window_phasors(raster, n_outputs, output_layer, [now], window_cycles)[0])
+    return predict(_window_phasors(raster, n_outputs, output_layer, [now])[0])
 
 
-def decode_over_time(raster, n_outputs, output_layer, times, window_cycles=3):
+def decode_over_time(raster, n_outputs, output_layer, times):
     """decode_output at each sample time; -1 where no output spiked."""
-    return predict_batch(_window_phasors(raster, n_outputs, output_layer, times,
-                                         window_cycles))
+    return predict_batch(_window_phasors(raster, n_outputs, output_layer, times))
 
 
-def output_spike_phases(raster, n_outputs, output_layer, now, window_cycles=3):
+def output_spike_phases(raster, n_outputs, output_layer, now):
     """Mean phase (circular) per output unit over the decode window."""
-    acc = _window_phasors(raster, n_outputs, output_layer, [now], window_cycles)[0]
+    acc = _window_phasors(raster, n_outputs, output_layer, [now])[0]
     return np.where(acc != 0, np.angle(acc), np.nan)
 
 

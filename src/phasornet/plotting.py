@@ -1,10 +1,12 @@
-"""Deterministic SVG emission for metrics curves and spike rasters.
+"""Deterministic SVG emission for CSV columns and spike rasters.
 
 SVG is written by hand (no plotting library) so identical input produces
 byte-identical output.
 """
 
 import csv
+import os
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -73,35 +75,34 @@ def _read_csv(path):
     return header, body
 
 
-def plot_metrics_svg(csv_path, out_path):
-    """epoch,train_err,test_err,loss -> error-rate-vs-epoch line plot;
+def plot_columns_svg(csv_path, out_path):
+    """Every column after the first as a line against the first, with the
+    axes labelled from the header and NaN or infinite points dropped;
     returns the number of rows."""
     header, body = _read_csv(csv_path)
-    parts = _axes("epoch", "error rate", "classification error")
-    if body:
-        try:
-            epochs = [float(r[header.index("epoch")]) for r in body]
-            series = []
-            for name in ("train_err", "test_err"):
-                if name in header:
-                    series.append((name, [float(r[header.index(name)]) for r in body]))
-        except (ValueError, IndexError) as e:
-            raise DataFormatError(f"malformed metrics row: {e}", path=csv_path)
-        to_x, _, _ = _scale(epochs, MARGIN_L, WIDTH - MARGIN_R)
-        all_y = [v for _, ys in series for v in ys if v == v]  # drop NaN
-        if all_y:
-            to_y, _, _ = _scale(all_y, HEIGHT - MARGIN_B, MARGIN_T)
-            for si, (name, ys) in enumerate(series):
-                pts = " ".join(
-                    f"{_fmt(to_x(e))},{_fmt(to_y(y))}"
-                    for e, y in zip(epochs, ys) if y == y)
-                if pts:
-                    parts.append(
-                        f'<polyline points="{pts}" fill="none" '
-                        f'stroke="{_PALETTE[si]}" stroke-width="1.5"/>')
-                    parts.append(
-                        f'<text x="{WIDTH - MARGIN_R - 90}" y="{MARGIN_T + 16 * (si + 1)}" '
-                        f'font-size="12" fill="{_PALETTE[si]}">{name}</text>')
+    if len(header) < 2:
+        raise DataFormatError("a plot needs an x column and a y column", path=csv_path)
+    try:
+        cols = np.array(body, dtype=np.float64).reshape(len(body), len(header)).T
+    except ValueError as e:
+        raise DataFormatError(f"malformed row: {e}", path=csv_path)
+    parts = _axes(escape(header[0]), escape(", ".join(header[1:])),
+                  escape(os.path.basename(csv_path)))
+    x, ys = cols[0], cols[1:]
+    keep = np.isfinite(x) & np.isfinite(ys)  # (series, rows)
+    if keep.any():
+        to_x, _, _ = _scale(x[keep.any(axis=0)].tolist(), MARGIN_L, WIDTH - MARGIN_R)
+        to_y, _, _ = _scale(ys[keep].tolist(), HEIGHT - MARGIN_B, MARGIN_T)
+        for si, (name, y, k) in enumerate(zip(header[1:], ys, keep)):
+            if not k.any():
+                continue
+            color = _PALETTE[si % len(_PALETTE)]
+            pts = " ".join(f"{_fmt(to_x(a))},{_fmt(to_y(b))}"
+                           for a, b in zip(x[k].tolist(), y[k].tolist()))
+            parts.append(f'<polyline points="{pts}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
+            parts.append(f'<text x="{WIDTH - MARGIN_R - 90}" y="{MARGIN_T + 16 * (si + 1)}" '
+                         f'font-size="12" fill="{color}">{escape(name)}</text>')
     with open(out_path, "w") as f:
         f.write(_svg(parts))
     return len(body)
@@ -135,4 +136,4 @@ def plot_csv(csv_path, out_path):
         header = next(csv.reader(f), None)
     if header is not None and header[:3] == CSV_HEADER:
         return plot_raster_svg(csv_path, out_path)
-    return plot_metrics_svg(csv_path, out_path)
+    return plot_columns_svg(csv_path, out_path)

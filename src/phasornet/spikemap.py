@@ -69,9 +69,7 @@ def time_to_phase(t, period):
 
 def synapse_delay(weights, period):
     """Complex weights -> (magnitudes, delays): |W| and phase(W) scaled into [0, T)."""
-    mags = np.abs(weights).astype(np.float64)
-    delays = (cphase(weights).astype(np.float64) % TWO_PI) * period / TWO_PI
-    return mags, delays
+    return np.abs(weights).astype(np.float64), phase_to_time(cphase(weights), period)
 
 
 def unroll(net, x, period, n_cycles):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phasornet.circuit import (
     CircuitParams,
@@ -14,6 +14,7 @@ from phasornet.circuit import (
     stimulus_phase_offsets,
 )
 from phasornet import _circuit_kernels as ck
+from phasornet import circuit as circuit_mod
 from phasornet._circuit_kernels import BLOCK, GRID_EPS, fire, synapse_modes
 from phasornet.errors import NumericError, ValidationError
 from phasornet.phasor_net import (
@@ -131,15 +132,29 @@ class TestBuild:
         assert got == want
 
     def test_csr_consistency(self):
+        # synapses in sending order: each one's weight is the coefficient from
+        # its out_ptr source to its owner, and owners ascend within a source
         net = tiny_net(seed=4)
+        net.biases[1][::3] = 0.2 - 0.1j
         circuit = build_circuit(net)
-        assert circuit.syn_ptr[0] == 0
-        assert circuit.syn_ptr[-1] == circuit.n_synapses
-        assert np.all(np.diff(circuit.syn_ptr) >= 0)
-        for ni in range(circuit.n_neurons):
-            lo, hi = circuit.syn_ptr[ni], circuit.syn_ptr[ni + 1]
-            assert np.all(circuit.syn_owner[lo:hi] == ni)
+        assert circuit.out_ptr[0] == 0
         assert circuit.out_ptr[-1] == circuit.n_synapses
+        src = np.repeat(np.arange(circuit.out_ptr.size - 1), np.diff(circuit.out_ptr))
+        owner = circuit.syn_owner
+        layer = circuit.neuron_layer[owner] - 1
+        local = owner - np.asarray(circuit.layer_offsets)[layer]
+        ref = circuit.n_gen - 1  # the reference generator drives the biases
+        coeff = []
+        for s, l, i in zip(src, layer, local):
+            if s == ref:
+                coeff.append(net.biases[l][i])
+            else:
+                assert (l == 0) == (s < ref)
+                coeff.append(net.weights[l][i, s if l == 0 else s - circuit.n_gen])
+        want_w, want_delay = synapse_delay(np.array(coeff), circuit.params.period)
+        np.testing.assert_array_equal(circuit.syn_w, want_w)
+        np.testing.assert_array_equal(circuit.syn_delay, want_delay)
+        assert np.all(np.diff(owner)[np.diff(src) == 0] > 0)
 
     def test_stimulus_offsets(self):
         net = tiny_net(seed=5)
@@ -250,6 +265,19 @@ class TestRun:
         assert result.trace_vm.shape == (int(round(5 * 10.0 / 0.025)), 1)
         assert np.all(np.isfinite(result.trace_vm))
         assert result.trace_times[0] == pytest.approx(0.025)
+
+    def test_trace_times_follow_the_kernel_steps(self):
+        # dt = 0.03 gives each 4-cycle segment 1333 steps, 39.99 ms, so the
+        # second segment's steps count from its start time, 40 ms
+        circuit = build_circuit(tiny_net(seed=0), CircuitParams(dt=0.03))
+        images = tiny_images(2)
+        result = run(circuit, [(images[0], 4), (images[1], 4)], v_threshold=1e30,
+                     record_neurons=[0])
+        assert result.trace_times.shape == (2666,) == result.trace_vm.shape[:1]
+        assert result.trace_times[1332] == pytest.approx(39.99, abs=1e-9)
+        assert result.trace_times[1333] == pytest.approx(40.03, abs=1e-9)
+        assert result.trace_times[-1] == pytest.approx(79.99, abs=1e-9)
+        assert np.all(np.diff(result.trace_times) > 0)
 
     def test_blowup_raises_numeric_error(self):
         # an absurdly fast resonator makes forward Euler diverge
@@ -548,6 +576,46 @@ class TestDecode:
         assert np.isnan(phases[2])
 
 
+@st.composite
+def phase_locked_spikes(draw, period=10.0):
+    """(n_outputs, (unit, time) spikes, shift, decode time). Each unit spikes
+    within 1 ms of its own phase in one to four of cycles 2..5, and the decode
+    time falls in cycle 5."""
+    n = draw(st.integers(2, 6))
+    spikes = []
+    for u in range(n):
+        phase = draw(st.floats(0.0, period))
+        spikes += [(u, c * period + phase + j) for c, j in draw(st.lists(
+            st.tuples(st.integers(2, 5), st.floats(-1.0, 1.0)), min_size=1, max_size=4))]
+    return n, spikes, draw(st.floats(-100.0, 100.0)), draw(st.floats(5 * period, 6 * period))
+
+
+class TestDecodeTimeShift:
+    """Shifting every spike time and the decode time by one constant rotates
+    every window phasor by the same angle, and predict()'s class depends only
+    on phase differences. Cases near a tie (top score margin <= 1e-9), with a
+    spike within 1e-9 ms of a window edge, or with a unit whose phasors nearly
+    cancel (mean resultant <= 1e-3, no defined mean phase) are skipped."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(phase_locked_spikes())
+    def test_common_shift_keeps_the_class(self, case):
+        n_outputs, spikes, shift, now = case
+        raster = make_raster(spikes)
+        edges = np.array([now - circuit_mod.WINDOW_CYCLES * raster.period, now])
+        assume(np.all(np.abs(raster.time[:, None] - edges) > 1e-9))
+        scores, resultants = decode_reference.window_scores(raster, n_outputs, 1, now)
+        active = ~np.isnan(resultants)
+        assume(np.all(np.asarray(resultants)[active] > 1e-3))
+        top = np.sort(np.asarray(scores)[active])
+        assume(top.size < 2 or top[-1] - top[-2] > 1e-9)
+        moved = make_raster([(n, t + shift) for n, t in spikes])
+        want = decode_output(raster, n_outputs, 1, now)
+        assert decode_output(moved, n_outputs, 1, now + shift) == want
+        got = decode_over_time(moved, n_outputs, 1, [now + shift])
+        assert got[0] == (-1 if want is None else want)
+
+
 def random_output_raster(seed, n_outputs=6, period=10.0, n_cycles=6):
     """Output layer 2 plus a layer-1 distractor, on a coarse 1.25 ms grid so
     that spikes of different units tie exactly. kind: 0 several units, 1 one
@@ -582,15 +650,16 @@ class TestDecodeMatchesReference:
     is undefined."""
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_random_rasters(self, seed):
+    def test_random_rasters(self, seed, monkeypatch):
         raster = random_output_raster(seed)
         times = np.arange(-5.0, 70.0, 0.5)  # empty windows first, then every state
         checked = 0
         for window in (1, 3):
-            got = decode_over_time(raster, 6, 2, times, window)
+            monkeypatch.setattr(circuit_mod, "WINDOW_CYCLES", window)
+            got = decode_over_time(raster, 6, 2, times)
             for k, now in enumerate(times):
                 if k % 5 == 0:
-                    single = decode_output(raster, 6, 2, now, window)
+                    single = decode_output(raster, 6, 2, now)
                     assert got[k] == (-1 if single is None else single)
                 scores, resultants = decode_reference.window_scores(raster, 6, 2, now, window)
                 if np.all(np.isnan(resultants)):  # no output spike in the window

@@ -272,6 +272,36 @@ class TestPlot:
         assert rc == 0
         assert "<svg" in svg.read_text()
 
+    def test_every_simulate_csv_plots(self, workdir, tmp_path):
+        root, out = workdir
+        rc = main(["simulate", str(out / "model.phzn"),
+                   "--data-dir", str(root / "data"), "--out-dir", str(tmp_path),
+                   "--v-threshold", "0.02", "--n-cycles", "6",
+                   "--record-output-unit", "0"])
+        assert rc == 0
+        for name, mark in [("raster_circuit", "<circle"),
+                           ("decoded_class", ">predicted_class</text>"),
+                           ("voltage_trace", ">V_m_mV</text>")]:
+            svg = tmp_path / f"{name}.svg"
+            assert main(["plot", str(tmp_path / f"{name}.csv"), "-o", str(svg)]) == 0
+            assert mark in svg.read_text()
+        assert ">time_ms</text>" in (tmp_path / "voltage_trace.svg").read_text()
+
+    def test_nan_points_are_dropped(self, tmp_path):
+        csv = tmp_path / "cols.csv"
+        csv.write_text("x,a,b\n0,1,nan\n1,2,3\n2,nan,4\n")
+        assert main(["plot", str(csv)]) == 0
+        svg = (tmp_path / "cols.svg").read_text()
+        lines = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
+        assert [ln.split('"')[1].count(",") for ln in lines] == [2, 2]
+        assert "nan" not in svg
+
+    @pytest.mark.parametrize("text", ["x\n1\n", "x,y\n1,abc\n"], ids=["one_column", "non_numeric"])
+    def test_unplottable_csv_is_a_data_error(self, tmp_path, text):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        assert main(["plot", str(csv)]) == 2
+
     def test_empty_csv_warns(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"
         csv.write_text("epoch,train_err,test_err,loss\n")
