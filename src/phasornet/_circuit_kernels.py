@@ -24,11 +24,17 @@ then injected in bulk. Synapses are numbered as the circuit stores them, in
 sending order (by source, then by owner), so a spike's deliveries are one
 contiguous run.
 
+Clock. A run over a stimulus sequence has one clock: step j starts at j*dt
+and ends at (j + 1)*dt, and the run is round(total cycles * period / dt)
+steps. A stimulus switch restarts nothing: the stimulus's generator volleys
+start at its exact start time, the sum of n_cycles * period over the stimuli
+before it, and land on the grid like every other delivery.
+
 Firing. A neuron fires where V_m rises through the threshold, unless it is
 refractory; V_m < 0 ends refractoriness (fire). Spike times are linearly
 interpolated between grid points. A spike at t reaches synapse s at
 t + delay[s] and resets it on the first step whose time plus GRID_EPS reaches
-that, never earlier than the step after the spike.
+that, never earlier than the step after the spike (_arrival).
 """
 
 import numpy as np
@@ -39,7 +45,6 @@ GRID_EPS = 1e-9
 BLOCK = 256  # steps integrated per block, a power of two
 SUB = 32  # steps per diagonal block of the block's propagator, a power of two
 SHIFT = BLOCK.bit_length() - 1
-NEAR = 1e-6  # steps: an arrival this close to a grid step is placed exactly
 
 
 def synapse_modes(params):
@@ -172,26 +177,10 @@ def fire(vm, vm_prev, armed, v_th):
 class Integrator:
     """Circuit state and pending deliveries of one run over a stimulus sequence."""
 
-    def __init__(self, circuit, v_threshold, segments):
-        """segments: (generator offsets, n_cycles) per stimulus, in order."""
+    def __init__(self, circuit, v_threshold, n_steps, stimuli):
+        """stimuli: (start time, generator offsets, n_cycles) per stimulus."""
         p = circuit.params
-        self.circuit, self.v_th = circuit, v_threshold
-        # the segment of every step: its start time and first step
-        starts, bases, lengths, t0, base = [], [], [], 0.0, 0
-        for _, n_cycles in segments:
-            n = int(round(n_cycles * p.period / p.dt))
-            starts.append(t0)
-            bases.append(base)
-            lengths.append(n)
-            t0 += n_cycles * p.period
-            base += n
-        self.total, self.end_time = base, t0
-        self.segments = [(t0, base, offsets, n_cycles) for t0, base, (offsets, n_cycles)
-                         in zip(starts, bases, segments)]
-        self.seg_t0 = np.repeat(starts, lengths)
-        self.seg_base = np.repeat(np.asarray(bases, dtype=np.int64), lengths)
-        self.now = self.seg_t0 + (np.arange(self.total) - self.seg_base) * p.dt
-
+        self.circuit, self.v_th, self.total = circuit, v_threshold, n_steps
         never = self.total + 1  # an age no reset reaches: the synapse was never reset
         self.table = reset_table(p, never)
         self.local, carry = propagators(p)
@@ -202,7 +191,6 @@ class Integrator:
         self.weight = circuit.syn_w
         self.col = (owner - first[layer]) * BLOCK  # row of the owner in its layer
         self.out_delay = circuit.syn_delay
-        self.out_steps = self.out_delay / p.dt
         self.last = np.full(owner.size, -never, dtype=np.int64)
         self.state = np.zeros((n, 5))  # V, W, V_m, Vdbar, 1
         self.state[:, 4] = 1.0
@@ -218,16 +206,17 @@ class Integrator:
         self.pending = {}  # (layer, block) -> arrays of synapse * BLOCK + step in block
         self.spike_t, self.spike_n = [], []
         self.deliveries = 0
+        for t0, offsets, n_cycles in stimuli:
+            self._send_generators(t0, offsets, n_cycles)
 
-    def _arrival(self, t, t0, base, earliest):
-        """Step on which a delivery due at time t lands: the first step of a
-        segment starting at time t0 and step base whose time plus GRID_EPS
-        reaches t, and not before step `earliest`."""
+    def _arrival(self, t, earliest):
+        """Step on which a delivery due at time t lands: the first step whose
+        time plus GRID_EPS reaches t, and not before step `earliest`."""
         dt = self.circuit.params.dt
-        j = np.ceil((t - t0 - GRID_EPS) / dt).astype(np.int64)
-        j += (t0 + j * dt) + GRID_EPS < t  # the division can land one step short
-        j -= (t0 + (j - 1) * dt) + GRID_EPS >= t  # or one step long
-        return np.maximum(base + j, earliest)
+        j = np.ceil((t - GRID_EPS) / dt).astype(np.int64)
+        j += j * dt + GRID_EPS < t  # the division can land one step short
+        j -= (j - 1) * dt + GRID_EPS >= t  # or one step long
+        return np.maximum(j, earliest)
 
     def _send(self, layer, steps, syn):
         """Queue deliveries to `layer`'s synapses on the given steps."""
@@ -241,13 +230,14 @@ class Integrator:
             if j > i:
                 self.pending.setdefault((layer, lo + b), []).append(keys[i:j])
 
-    def _send_generators(self, t0, base, offsets, n_cycles):
-        """Queue every generator volley of one segment. Each cycle's times add
-        the period to the last cycle's, as a heap that re-queues a volley would."""
+    def _send_generators(self, t0, offsets, n_cycles):
+        """Queue every generator volley of a stimulus starting at time t0.
+        Each cycle's times add the period to the last cycle's, as a heap that
+        re-queues a volley would."""
         c = self.circuit
         t = (t0 + offsets[self.gen_src]) + self.out_delay[:self.gen_src.size]
         for _ in range(n_cycles):
-            steps = self._arrival(t, t0, base, base)
+            steps = self._arrival(t, 0)
             for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
                 if hi > lo:
                     self._send(l, steps[lo:hi], np.arange(lo, hi))
@@ -284,14 +274,10 @@ class Integrator:
         return x.view(np.float64)
 
     def run(self, rec_ids, rec_vm):
-        """Integrate every segment; returns (failing neuron or -1, step)."""
+        """Integrate every step; returns (failing neuron or -1, step)."""
         n_layers = len(self.circuit.layer_sizes)
-        seg = 0
         for block in range((self.total + BLOCK - 1) // BLOCK):
             m = min(BLOCK, self.total - block * BLOCK)
-            while seg < len(self.segments) and self.segments[seg][1] < block * BLOCK + m:
-                self._send_generators(*self.segments[seg])
-                seg += 1
             bad = [self._layer_block(l, block, m, rec_ids, rec_vm) for l in range(n_layers)]
             bad = [b for b in bad if b is not None]
             if bad:
@@ -333,32 +319,16 @@ class Integrator:
             return None
         v_new = vm[n, k]
         v_old = np.where(k > 0, vm[n, k - 1], vm_prev[n])
-        tstar = self.now[b0 + k] + c.params.dt * ((v_th - v_old) / (v_new - v_old))
+        sent = b0 + k
+        tstar = sent * c.params.dt + c.params.dt * ((v_th - v_old) / (v_new - v_old))
         neurons = first + n
         self.spike_t.append(tstar)
         self.spike_n.append(neurons)
         pos, counts = csr_rows(c.out_ptr, c.n_gen + neurons)
         if pos.size:
-            self._send(l + 1, self._soma_arrivals(tstar, b0 + k, pos, counts), pos)
+            self._send(l + 1, self._arrival(np.repeat(tstar, counts) + self.out_delay[pos],
+                                            np.repeat(sent + 1, counts)), pos)
         return None
-
-    def _soma_arrivals(self, tstar, sent, pos, counts):
-        """Arrival steps of the deliveries of spikes at times tstar, fired on
-        steps `sent`, through synapses pos (counts per spike).
-        They come by arithmetic; the few within NEAR of a grid step take the
-        exact rule of _arrival."""
-        due = self.seg_base[sent] + (tstar - self.seg_t0[sent] - GRID_EPS) / self.circuit.params.dt
-        due = np.repeat(due, counts) + self.out_steps[pos]
-        steps = np.ceil(due)
-        due -= steps
-        near = np.flatnonzero((due > -NEAR) | (due < NEAR - 1.0))
-        steps = steps.astype(np.int64)
-        if near.size:
-            spike = np.searchsorted(np.cumsum(counts), near, side="right")
-            sent = sent[spike]
-            steps[near] = self._arrival(tstar[spike] + self.out_delay[pos[near]],
-                                        self.seg_t0[sent], self.seg_base[sent], sent + 1)
-        return steps
 
     def spikes(self):
         """Soma spikes: (times, global neuron ids)."""

@@ -44,6 +44,10 @@ class CircuitParams:
     n_cycles: int = 15
 
     def __post_init__(self):
+        for name in ("period", "dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):  # NaN fails too
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
         if self.g_l is None:
             self.g_l = np.pi * self.c_m / self.period
         if self.g_c is None:
@@ -52,8 +56,6 @@ class CircuitParams:
             self.l_res = 1.0 / ((TWO_PI / self.period) ** 2 * self.c_m)
         if self.tau_d is None:
             self.tau_d = 0.8 * self.period
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.period / self.dt < 100:
             raise ValidationError(
                 f"period/dt ratio {self.period / self.dt:.1f} < 100; decrease dt"
@@ -210,20 +212,26 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
         )
     if not v_threshold > 0:
         raise ValidationError(f"spike threshold must be positive, got {v_threshold}")
-    total_cycles = sum(nc for _, nc in stimuli)
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
-    segments = [(stimulus_phase_offsets(circuit, image), n_cycles)
-                for image, n_cycles in stimuli]
+    volleys, t0 = [], 0.0  # each stimulus starts where the one before it ends
+    for image, n_cycles in stimuli:
+        if isinstance(n_cycles, bool) or not isinstance(n_cycles, (int, np.integer)) \
+                or n_cycles < 1:
+            raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles!r}")
+        volleys.append((t0, stimulus_phase_offsets(circuit, image), n_cycles))
+        t0 += n_cycles * p.period
+    total_cycles = sum(nc for _, nc in stimuli)
+    n_steps = int(round(total_cycles * p.period / p.dt))
     with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-        kernel = ck.Integrator(circuit, float(v_threshold), segments)
-        rec_vm = np.zeros((kernel.total, rec_ids.shape[0]))
+        kernel = ck.Integrator(circuit, float(v_threshold), n_steps, volleys)
+        rec_vm = np.zeros((n_steps, rec_ids.shape[0]))
         err, step = kernel.run(rec_ids, rec_vm)
     if err >= 0:
         raise NumericError(
-            f"integration blew up at neuron {err}, t = {kernel.now[step]:.3f} ms")
+            f"integration blew up at neuron {err}, t = {step * p.dt:.3f} ms")
 
     columns = []  # (layer, neuron, time) of the generator volleys, then the soma spikes
-    for t0, _, offsets, n_cycles in kernel.segments:
+    for t0, offsets, n_cycles in volleys:
         n_in = offsets.shape[0] - 1  # input generators are layer 0; the reference is not
         columns.append((np.zeros(n_in * n_cycles, dtype=np.int64),
                         np.repeat(np.arange(n_in), n_cycles),
@@ -238,9 +246,9 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     return CircuitResult(
         raster=raster,
         vm_max=kernel.vm_max,
-        trace_times=kernel.now + p.dt,
+        trace_times=np.arange(1, n_steps + 1) * p.dt,
         trace_vm=rec_vm,
-        total_time=kernel.end_time,
+        total_time=total_cycles * p.period,
         deliveries=kernel.deliveries,
     )
 

@@ -216,6 +216,11 @@ def cmd_eval(args):
 
 def cmd_spikes(args):
     cfg = _load_config(args)
+    if args.backend == "ideal":
+        for flag, value in (("--second-example", args.second_example),
+                            ("--record-output-unit", args.record_output_unit)):
+            if value is not None:
+                raise ValidationError(f"{flag} needs --backend circuit")
     net = load_model(args.model)
     ds = _load_split(cfg, args.split)
     for flag, value, bound in (("example", args.example, len(ds)),
@@ -408,7 +413,7 @@ def main(argv=None):
     except (ValidationError, PhasorNetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:  # missing file, a directory, no permission: the OS names the path
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

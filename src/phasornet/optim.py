@@ -13,7 +13,7 @@ results do not depend on the block size.
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 
 # Real components per update block: the block's six float32 arrays (gradient,
 # m, v, parameter and two scratch buffers) take 1.5 MB, inside a 4 MB L2.
@@ -23,6 +23,8 @@ BLOCK = 65536
 class Adam:
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = float(lr)
+        if not (np.isfinite(self.lr) and self.lr > 0):  # NaN fails too
+            raise ValidationError(f"learning rate must be finite and positive, got {lr}")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)

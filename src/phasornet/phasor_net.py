@@ -39,8 +39,8 @@ class LayerSpec:
             size = getattr(self, name)
             if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
                 raise ValidationError(f"{name} must be an integer >= 0, got {size!r}")
-        if self.theta < 0:
-            raise ValidationError(f"threshold must be >= 0, got {self.theta}")
+        if not (np.isfinite(self.theta) and self.theta >= 0):  # NaN fails too
+            raise ValidationError(f"threshold must be finite and >= 0, got {self.theta}")
 
     def shapes(self, in_shape):
         """(weight, bias, output) shapes of this layer for an input of

@@ -132,8 +132,11 @@ def plot_raster_svg(csv_path, out_path):
 
 def plot_csv(csv_path, out_path):
     """Dispatch on the CSV header; returns the number of data rows plotted."""
-    with open(csv_path, newline="") as f:
-        header = next(csv.reader(f), None)
-    if header is not None and header[:3] == CSV_HEADER:
-        return plot_raster_svg(csv_path, out_path)
-    return plot_columns_svg(csv_path, out_path)
+    try:
+        with open(csv_path, newline="") as f:
+            header = next(csv.reader(f), None)
+        if header is not None and header[:3] == CSV_HEADER:
+            return plot_raster_svg(csv_path, out_path)
+        return plot_columns_svg(csv_path, out_path)
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"not UTF-8 text: {e}", path=csv_path) from None

@@ -54,7 +54,7 @@ class SpikeRaster:
 
 def phase_to_time(theta, period):
     """t = theta * T / 2pi, theta normalized into [0, 2pi)."""
-    if period <= 0:
+    if not period > 0:
         raise ValidationError(f"cycle period must be positive, got {period}")
     theta = np.asarray(theta, dtype=np.float64) % TWO_PI
     return theta * period / TWO_PI
@@ -62,7 +62,7 @@ def phase_to_time(theta, period):
 
 def time_to_phase(t, period):
     """theta = 2pi * (t mod T) / T."""
-    if period <= 0:
+    if not period > 0:
         raise ValidationError(f"cycle period must be positive, got {period}")
     return TWO_PI * (np.asarray(t, dtype=np.float64) % period) / period
 

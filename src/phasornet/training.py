@@ -5,6 +5,7 @@ import time
 import numpy as np
 
 from .data import BatchIterator
+from .errors import ValidationError
 from .optim import Adam
 from .phasor_net import (
     apply_input_phase_shift,
@@ -69,6 +70,8 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
     Returns a list of per-epoch metric dicts (epoch, train_err, test_err,
     loss). train_err is the running mean of batch errors within the epoch.
     """
+    if limit_train is not None and limit_train < 1:
+        raise ValidationError(f"limit_train must be >= 1, got {limit_train}")
     optimizer = Adam(net.parameters(), lr=lr)
     if limit_train is not None and limit_train < len(train_set):
         from .data import Dataset

@@ -3,8 +3,11 @@
 This is the circuit's original integration loop: every synapse oscillator is
 stepped explicitly each grid step and deliveries go through a binary heap of
 (time, synapse, repeats-left) entries. Generator volleys keep one entry per
-synapse in flight and re-push it with time + T while repeats remain. The
-block kernel in phasornet._circuit_kernels is checked against it.
+synapse in flight and re-push it with time + T while repeats remain. A run
+has one clock: every stimulus's generators are queued up front at that
+stimulus's start time, and step k runs from k*dt to (k + 1)*dt over the
+whole sequence. The block kernel in phasornet._circuit_kernels is checked
+against it.
 """
 
 import heapq
@@ -40,7 +43,7 @@ def fire_step(vm_old, vm, refr, v_th):
     return np.flatnonzero(crossing)
 
 
-def run_segment(t0, n_steps, dt, period,
+def run_segment(n_steps, dt, period,
                 g_l, g_c, v_l, c_m, tau_d, l_res, w_spike, inv_tau_s, v_th,
                 syn_w, syn_delay, out_ptr, out_syn, n_gen,
                 vm, vdbar, refr, vs, ws, vm_max,
@@ -49,7 +52,7 @@ def run_segment(t0, n_steps, dt, period,
     counting heap pops in pops[0]; returns (failing neuron or -1, step)."""
     n = vm.shape[0]
     for k in range(n_steps):
-        now = t0 + k * dt
+        now = k * dt
         while heap and heap[0][0] <= now + GRID_EPS:
             t, s, r = heapq.heappop(heap)
             pops[0] += 1
@@ -89,30 +92,28 @@ def run(circuit, stimuli, v_threshold, record_neurons=()):
     vs, ws = np.zeros(s), np.zeros(s)
     heap, events, pops = [], [], [0]
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
-    traces = []
     seg_start = 0.0
+    for image, n_cycles in stimuli:
+        program_generators(seg_start, stimulus_phase_offsets(circuit, image), n_cycles,
+                           circuit.out_ptr, circuit.out_syn, circuit.syn_delay, heap)
+        seg_start += n_cycles * p.period
+    n_cycles = sum(nc for _, nc in stimuli)
+    n_steps = int(round(n_cycles * p.period / p.dt))
+    trace = np.zeros((n_steps, rec_ids.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for image, n_cycles in stimuli:
-            offsets = stimulus_phase_offsets(circuit, image)
-            n_steps = int(round(n_cycles * p.period / p.dt))
-            traces.append(np.zeros((n_steps, rec_ids.size)))
-            program_generators(seg_start, offsets, n_cycles, circuit.out_ptr,
-                               circuit.out_syn, circuit.syn_delay, heap)
-            err, done = run_segment(
-                seg_start, n_steps, p.dt, p.period,
-                p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d, p.l_res, p.w_spike,
-                p.inv_tau_s, float(v_threshold),
-                circuit.syn_w, circuit.syn_delay, circuit.out_ptr,
-                circuit.out_syn, circuit.n_gen,
-                vm, vdbar, refr, vs, ws, vm_max, heap, circuit.syn_owner, events,
-                rec_ids, traces[-1], pops)
-            if err >= 0:
-                raise NumericError(f"integration blew up at neuron {err}")
-            seg_start += n_cycles * p.period
+        err, _ = run_segment(
+            n_steps, p.dt, p.period,
+            p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d, p.l_res, p.w_spike,
+            p.inv_tau_s, float(v_threshold),
+            circuit.syn_w, circuit.syn_delay, circuit.out_ptr,
+            circuit.out_syn, circuit.n_gen,
+            vm, vdbar, refr, vs, ws, vm_max, heap, circuit.syn_owner, events,
+            rec_ids, trace, pops)
+    if err >= 0:
+        raise NumericError(f"integration blew up at neuron {err}")
     times = np.array([t for t, _ in events])
     neurons = np.array([ni for _, ni in events], dtype=np.int64)
     layers = circuit.neuron_layer[neurons]
     local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
-    n_cycles = sum(nc for _, nc in stimuli)
     raster = SpikeRaster.sorted(layers, local, times, p.period, n_cycles)
-    return Reference(raster, vm_max, np.concatenate(traces), pops[0])
+    return Reference(raster, vm_max, trace, pops[0])

@@ -267,17 +267,16 @@ class TestRun:
         assert result.trace_times[0] == pytest.approx(0.025)
 
     def test_trace_times_follow_the_kernel_steps(self):
-        # dt = 0.03 gives each 4-cycle segment 1333 steps, 39.99 ms, so the
-        # second segment's steps count from its start time, 40 ms
+        # dt = 0.03 does not divide a 4-cycle stimulus (1333.33 steps); the run
+        # keeps one clock across the switch, 2667 steps of 0.03 ms
         circuit = build_circuit(tiny_net(seed=0), CircuitParams(dt=0.03))
         images = tiny_images(2)
         result = run(circuit, [(images[0], 4), (images[1], 4)], v_threshold=1e30,
                      record_neurons=[0])
-        assert result.trace_times.shape == (2666,) == result.trace_vm.shape[:1]
-        assert result.trace_times[1332] == pytest.approx(39.99, abs=1e-9)
-        assert result.trace_times[1333] == pytest.approx(40.03, abs=1e-9)
-        assert result.trace_times[-1] == pytest.approx(79.99, abs=1e-9)
-        assert np.all(np.diff(result.trace_times) > 0)
+        assert result.trace_times.shape == (2667,) == result.trace_vm.shape[:1]
+        np.testing.assert_allclose(result.trace_times, np.arange(1, 2668) * 0.03,
+                                   rtol=0, atol=1e-9)
+        assert result.total_time == 80.0
 
     def test_blowup_raises_numeric_error(self):
         # an absurdly fast resonator makes forward Euler diverge
@@ -337,6 +336,13 @@ class TestKernelMatchesEulerReference:
     def test_two_segment_stimulus(self, calibrated):
         net, circuit, images, thr, _ = calibrated
         self._check(net, circuit, [(images[0], 4), (images[1], 4)], thr)
+
+    def test_stimuli_off_the_step_grid(self, calibrated):
+        # at dt = 0.03 neither switch (40 ms, 90 ms) falls on a grid step
+        net, _, images, _, _ = calibrated
+        circuit = build_circuit(net, CircuitParams(dt=0.03))
+        thr = 0.1 * observe_amplitude(circuit, images[0], n_cycles=4)
+        self._check(net, circuit, [(images[0], 4), (images[1], 5), (images[2], 3)], thr)
 
     def test_conv_net_with_biases(self):
         specs = [
@@ -485,16 +491,16 @@ class TestFiringRule:
 
 
 class TestArrivalSteps:
-    """Soma-spike arrival steps by arithmetic against the grid rule: the
-    first step whose time plus GRID_EPS reaches spike time + delay, and
-    never the sending step or earlier."""
+    """Soma-spike arrival steps against the grid rule: the first step whose
+    time plus GRID_EPS reaches spike time + delay, and never the sending step
+    or earlier."""
 
     @staticmethod
     def integrator():
         net = tiny_net(seed=2)
         net.weights[1][:, :6] = np.abs(net.weights[1][:, :6])  # zero-delay synapses
         circuit = build_circuit(net)
-        return circuit, ck.Integrator(circuit, 1.0, [(np.zeros(17), 4)])
+        return circuit, ck.Integrator(circuit, 1.0, 1600, [(0.0, np.zeros(17), 4)])
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 11), st.integers(0, 1500), st.integers(0, 40),
@@ -506,22 +512,24 @@ class TestArrivalSteps:
         dt = circuit.params.dt
         pos, counts = ck.csr_rows(circuit.out_ptr, np.array([circuit.n_gen + neuron]))
         delay = circuit.syn_delay[circuit.out_syn[pos]]
-        tstar = np.array([(target * dt + GRID_EPS) + offset - delay[which % delay.size]])
-        tstar = np.maximum(tstar, 1e-12)
-        sent = np.ceil(tstar / dt).astype(np.int64) - 1  # tstar in (now, now + dt]
-        got = kernel._soma_arrivals(tstar, sent, pos, counts)
+        tstar = (target * dt + GRID_EPS) + offset - delay[which % delay.size]
+        tstar = max(tstar, 1e-12)
+        sent = int(np.ceil(tstar / dt)) - 1  # tstar in (now, now + dt]
+        got = kernel._arrival(tstar + delay, sent + 1)
         grid = np.arange(kernel.total + 1000) * dt + GRID_EPS
-        want = np.maximum(grid.searchsorted(tstar[0] + delay), sent[0] + 1)
+        want = np.maximum(grid.searchsorted(tstar + delay), sent + 1)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("t0", [0.0, 40.0, 150.0])
     def test_exact_rule_on_grid_times(self, t0):
-        # times on a grid step and one ulp either side of it, where the
-        # division alone lands a step off thousands of times
+        # times on a grid step and one ulp either side of it, in a window of
+        # the grid starting at t0 (step 0, 1600 or 6000), where the division
+        # alone lands a step off hundreds of times
         _, kernel = self.integrator()
-        grid = (t0 + np.arange(6000) * 0.025) + GRID_EPS
+        first = int(round(t0 / 0.025))
+        grid = np.arange(first, first + 6000) * 0.025 + GRID_EPS
         for t in (grid[:-2], np.nextafter(grid[:-2], np.inf), np.nextafter(grid[:-2], -np.inf)):
-            np.testing.assert_array_equal(kernel._arrival(t, t0, 7, 0), 7 + grid.searchsorted(t))
+            np.testing.assert_array_equal(kernel._arrival(t, 0), first + grid.searchsorted(t))
 
 
 def make_raster(spikes, period=10.0, n_cycles=3):

@@ -340,3 +340,82 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             main(["train", "--threads", "2", "--out-dir", str(tmp_path)])
         assert e.value.code == 1
+
+
+def _model_cmd(cmd, *extra):
+    return [cmd, "{model}", "--data-dir", "{data}", "--out-dir", "{out}", *extra]
+
+
+def _train(*extra):
+    return ["train", "--data-dir", "{data}", "--out-dir", "{out}", "--epochs", "1",
+            "--batch-size", "8", *extra]
+
+
+REJECTED = [
+    pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--dt", "nan"), 1,
+                 "dt must be finite and positive", id="simulate_dt_nan"),
+    pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--dt", "inf"), 1,
+                 "dt must be finite and positive", id="simulate_dt_inf"),
+    pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--period", "nan"), 1,
+                 "period must be finite and positive", id="simulate_period_nan"),
+    pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--period", "0"), 1,
+                 "period must be finite and positive", id="simulate_period_zero"),
+    pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--period", "-10"), 1,
+                 "period must be finite and positive", id="simulate_period_negative"),
+    pytest.param(_model_cmd("simulate", "--n-cycles", "-2"), 1,
+                 "n_cycles must be an integer >= 1", id="simulate_n_cycles_negative"),
+    pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--n-cycles", "0"), 1,
+                 "n_cycles must be an integer >= 1", id="simulate_n_cycles_zero"),
+    pytest.param(_model_cmd("spikes", "--period", "nan"), 1,
+                 "period must be positive", id="spikes_period_nan"),
+    pytest.param(_model_cmd("spikes", "--second-example", "1"), 1,
+                 "--second-example needs --backend circuit", id="ideal_second_example"),
+    pytest.param(_model_cmd("spikes", "--record-output-unit", "0"), 1,
+                 "--record-output-unit needs --backend circuit", id="ideal_record_unit"),
+    pytest.param(_train("--lr", "nan"), 1, "learning rate", id="train_lr_nan"),
+    pytest.param(_train("--lr", "0"), 1, "learning rate", id="train_lr_zero"),
+    pytest.param(_train("--lr", "-0.001"), 1, "learning rate", id="train_lr_negative"),
+    pytest.param(_train("--config", "{nan_lr_config}"), 1, "learning rate",
+                 id="train_config_lr_nan"),
+    pytest.param(_train("--theta", "nan"), 1, "threshold must be finite",
+                 id="train_theta_nan"),
+    pytest.param(_train("--limit-train", "0"), 1, "limit_train must be >= 1",
+                 id="train_limit_zero"),
+    pytest.param(_train("--limit-train", "-3"), 1, "limit_train must be >= 1",
+                 id="train_limit_negative"),
+    pytest.param(["eval", "{nan_theta_model}", "--data-dir", "{data}", "--out-dir", "{out}"],
+                 2, "malformed header", id="model_theta_nan"),
+    pytest.param(["plot", "{not_utf8}"], 2, "{not_utf8}", id="plot_not_utf8"),
+    pytest.param(["plot", "{a_dir}"], 2, "{a_dir}", id="plot_directory"),
+]
+
+
+class TestRejectedInputs:
+    """Non-finite, zero or negative inputs exit with the documented code and
+    a message, never with a traceback."""
+
+    @staticmethod
+    def paths(workdir, tmp_path):
+        root, out = workdir
+        model = (out / "model.phzn").read_bytes()
+        assert b'"theta":0.0' in model
+        nan_theta = tmp_path / "nan_theta.phzn"  # same header length: 0.0 -> NaN
+        nan_theta.write_bytes(model.replace(b'"theta":0.0', b'"theta":NaN', 1))
+        config = tmp_path / "nan_lr.json"
+        config.write_text(json.dumps({"lr": float("nan")}))
+        not_utf8 = tmp_path / "latin1.csv"
+        not_utf8.write_bytes(b"x,y\n1,\xe9\n")
+        a_dir = tmp_path / "a_dir.csv"
+        a_dir.mkdir()
+        return {"model": out / "model.phzn", "data": root / "data", "out": tmp_path / "run",
+                "nan_theta_model": nan_theta, "nan_lr_config": config,
+                "not_utf8": not_utf8, "a_dir": a_dir}
+
+    @pytest.mark.parametrize("argv,code,says", REJECTED)
+    def test_exit_code_without_traceback(self, workdir, tmp_path, capsys, argv, code, says):
+        paths = self.paths(workdir, tmp_path)
+        rc = main([a.format(**paths) for a in argv])  # an escaping exception is a traceback
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert says.format(**paths) in err
+        assert "Traceback" not in err
