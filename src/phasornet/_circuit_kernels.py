@@ -1,4 +1,4 @@
-"""Block-in-time integration kernel for the circuit backend.
+"""Layer-chunk integration kernel for the circuit backend.
 
 Linear state. Between resets a forward-Euler synapse (v, w) follows one fixed
 linear map M = [[1, -dt/C_m], [dt/L, 1 - dt/tau_s]], and a delivery resets it
@@ -12,17 +12,35 @@ of the deliveries, and BLOCK steps of it are one lower-triangular Toeplitz
 product plus an initial-state basis (the propagator method of Rotter &
 Diesmann 1999). The product is taken in SUB-step diagonal blocks, which pass
 their effect on later steps through the 4-dimensional state (propagators).
+The propagators and the reset table depend only on the parameter values and
+the step count, and are built once for each (constants).
 
-Blocks. The circuit is feed-forward, and a delivery never lands on the step
-that sent it. Within a block the layers are integrated in order: when layer l
-starts, every delivery it gets in the block is known, from the generators,
-from earlier blocks, and from the spikes layer l-1 fired in this block. All
-of them travel one path: keys synapse * BLOCK + step-in-block, queued in
-per-(layer, block) buckets. A bucket is sorted once when its block comes, so
-repeat deliveries to a synapse take their reset age from the one before, and
-then injected in bulk. Synapses are numbered as the circuit stores them, in
-sending order (by source, then by owner), so a spike's deliveries are one
-contiguous run.
+Chunks. The circuit is feed-forward, and a delivery never lands on the step
+that sent it. A run is cut into chunks of whole blocks, as many as the
+largest layer fits in BUDGET (neuron, step) entries, and within a chunk the
+layers are integrated in order: when layer l starts, every delivery it gets
+in the chunk is known, from the generators, from earlier chunks, and from
+the spikes layer l-1 fired in this chunk. A layer too large for one block
+within the budget is integrated in row slices. One pass over a slice injects
+its deliveries, takes the sub-block products of every block at once, carries
+the 5-wide entering state from block to block, takes V_m of the whole chunk
+in one product, fires, and sends the spikes' deliveries.
+
+Deliveries. Each is queued, in a bucket per (layer, chunk), as its owner's
+row * chunk + step in the chunk, its synapse and its reset age, all int32.
+The age is fixed when the delivery is sent. Synapses are numbered as the
+circuit stores them, in sending order (by source, then by owner), so a
+spike's deliveries are one contiguous run, and a synapse has one source.
+fire returns spikes in (neuron, step) order, so the delivery before a
+spike's to a synapse is the one at the same position of the run of the
+previous spike, when that came from the same neuron, or else the last one
+sent to it (last). Generator volleys are queued when the chunk they start in
+comes up, as a (cycle, synapse) grid whose rows age from the row before.
+
+Summation order. The chunk's products add the same terms as one block at a
+time would, in another order, so spike times can move in the last digits:
+by at most 7.1e-13 ms over the 183k spikes of the untrained conv preset at
+15 cycles, with the same spike sequence and deliveries.
 
 Clock. A run over a stimulus sequence has one clock: step j starts at j*dt
 and ends at (j + 1)*dt, and the run is round(total cycles * period / dt)
@@ -37,14 +55,17 @@ t + delay[s] and resets it on the first step whose time plus GRID_EPS reaches
 that, never earlier than the step after the spike (_arrival).
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 
 from .errors import ValidationError
 
 GRID_EPS = 1e-9
-BLOCK = 256  # steps integrated per block, a power of two
+BLOCK = 256  # steps per block of the block propagator, a power of two
 SUB = 32  # steps per diagonal block of the block's propagator, a power of two
-SHIFT = BLOCK.bit_length() - 1
+BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
 
 
 def synapse_modes(params):
@@ -118,9 +139,9 @@ def propagators(params):
     local (2 SUB, SUB + 4): one sub-block's deliveries (V, W at each of its
     steps, interleaved) to V_m after each of its steps, and to the state
     (V, W, V_m, Vdbar) they leave at its end.
-    carry (4 BLOCK / SUB + 5, BLOCK + 3): those end states of every
+    carry (4 BLOCK / SUB + 5, BLOCK + 4): those end states of every
     sub-block, then the state entering the block (V, W, V_m, Vdbar, 1), to
-    V_m after every step of the later sub-blocks and to (V, W, Vdbar)
+    V_m after every step of the later sub-blocks and to (V, W, V_m, Vdbar)
     entering the next block."""
     powers = euler_powers(params, BLOCK)
     q = np.arange(SUB)
@@ -132,12 +153,30 @@ def propagators(params):
     ends = SUB * np.arange(1, BLOCK // SUB + 1)
     lag = np.arange(BLOCK) + 1 - ends[:, None]  # from a sub-block's end to V_m after step j
     lag[lag <= 0] = -1
-    lag = np.repeat(np.hstack([lag, np.repeat(BLOCK - ends[:, None], 3, axis=1)]), 4, axis=0)
-    out_rows = [2] * BLOCK + [0, 1, 3]
+    lag = np.repeat(np.hstack([lag, np.repeat(BLOCK - ends[:, None], 4, axis=1)]), 4, axis=0)
+    out_rows = [2] * BLOCK + [0, 1, 2, 3]
     carry = _response(powers, lag, out_rows, np.tile(np.arange(4), BLOCK // SUB))
-    entry = _response(powers, np.broadcast_to(np.r_[np.arange(1, BLOCK + 1), [BLOCK] * 3],
-                                              (5, BLOCK + 3)), out_rows, np.arange(5))
+    entry = _response(powers, np.broadcast_to(np.r_[np.arange(1, BLOCK + 1), [BLOCK] * 4],
+                                              (5, BLOCK + 4)), out_rows, np.arange(5))
     return local, np.vstack([carry, entry])
+
+
+def constants(params, n_steps):
+    """(reset table, local, carry's V_m part, carry's end part) for a run of
+    n_steps. They are built once per parameter values and step count, and
+    are read-only, as every run with those values shares them."""
+    return _constants(type(params), dataclasses.astuple(params), n_steps)
+
+
+@functools.lru_cache(maxsize=8)
+def _constants(kind, values, n_steps):
+    params = kind(*values)
+    local, carry = propagators(params)
+    parts = (reset_table(params, n_steps + 1), local,
+             np.ascontiguousarray(carry[:, :BLOCK]), np.ascontiguousarray(carry[:, BLOCK:]))
+    for a in parts:
+        a.flags.writeable = False
+    return parts
 
 
 def fire(vm, vm_prev, armed, v_th):
@@ -161,7 +200,8 @@ def fire(vm, vm_prev, armed, v_th):
     # whether V_m < 0 on each stretch of a row that starts at the row's
     # first step or at an upcrossing and runs to the next of either
     starts = np.arange(n) * m
-    cuts = np.union1d(starts, ups)
+    cuts = np.concatenate((starts, ups[step > 0]))  # an upcrossing at step 0 starts its row
+    cuts.sort(kind="stable")  # a merge of two sorted runs
     dips = np.minimum.reduceat(np.ascontiguousarray(vm).reshape(-1), cuts) < 0.0
     last = np.searchsorted(cuts, starts + m) - 1  # each row's last stretch
     entered = armed.copy()
@@ -181,33 +221,43 @@ class Integrator:
         """stimuli: (start time, generator offsets, n_cycles) per stimulus."""
         p = circuit.params
         self.circuit, self.v_th, self.total = circuit, v_threshold, n_steps
-        never = self.total + 1  # an age no reset reaches: the synapse was never reset
-        self.table = reset_table(p, never)
-        self.local, carry = propagators(p)
-        self.carry_vm, self.carry_end = carry[:, :BLOCK].copy(), carry[:, BLOCK:].copy()
+        self.table, self.local, self.carry_vm, self.carry_end = constants(p, n_steps)
         n, first = circuit.n_neurons, np.asarray(circuit.layer_offsets)
+        sizes = circuit.layer_sizes
+        nb = max(1, min(BUDGET // (BLOCK * max(sizes)), -(-n_steps // BLOCK)))
+        self.chunk = nb * BLOCK  # steps per chunk
+        self.rows = max(1, BUDGET // self.chunk)  # rows per slice of a layer
         owner = circuit.syn_owner
         layer = circuit.neuron_layer[owner] - 1
         self.weight = circuit.syn_w
-        self.col = (owner - first[layer]) * BLOCK  # row of the owner in its layer
+        # Delivery keys, steps and ages are int32: a layer holds fewer than
+        # 2**31 (neuron, step) entries of a chunk, and a run fewer steps.
+        self.key = ((owner - first[layer]) * self.chunk).astype(np.int32)  # owner's row
         self.out_delay = circuit.syn_delay
-        self.last = np.full(owner.size, -never, dtype=np.int64)
+        self.last = np.full(owner.size, -(n_steps + 1), dtype=np.int32)  # never reset
         self.state = np.zeros((n, 5))  # V, W, V_m, Vdbar, 1
         self.state[:, 4] = 1.0
         self.armed = np.ones(n, dtype=bool)  # not refractory
         self.vm_max = np.zeros(n)
+        # one slice's work arrays, reused by every pass; x holds V_m once the
+        # sub-block products have read it
+        rows = min(self.rows, max(sizes))
+        self.x = np.zeros(rows * self.chunk, dtype=np.complex128)
+        self.sub = np.empty((rows * self.chunk // SUB, SUB + 4))
+        self.cin = np.empty((rows, nb, 4 * BLOCK // SUB + 5))
         # The generator synapses come first, grouped by the layer they feed:
         # the input generators feed layer 0 only, and the reference generator
         # comes last with its bias synapses in owner order.
         self.gen_src = np.repeat(np.arange(circuit.n_gen),
                                  np.diff(circuit.out_ptr[:circuit.n_gen + 1]))
         self.gen_bounds = np.searchsorted(layer[:self.gen_src.size],
-                                          np.arange(len(circuit.layer_sizes) + 1))
-        self.pending = {}  # (layer, block) -> arrays of synapse * BLOCK + step in block
+                                          np.arange(len(sizes) + 1))
+        self.cycles = [(t0, offsets, cyc) for t0, offsets, n_cycles in stimuli
+                       for cyc in range(n_cycles)][::-1]  # generator cycles, the next last
+        self.volley = None  # arrival times of the last cycle queued
+        self.pending = {}  # (layer, chunk) -> (key, synapse, age) arrays
         self.spike_t, self.spike_n = [], []
         self.deliveries = 0
-        for t0, offsets, n_cycles in stimuli:
-            self._send_generators(t0, offsets, n_cycles)
 
     def _arrival(self, t, earliest):
         """Step on which a delivery due at time t lands: the first step whose
@@ -218,117 +268,167 @@ class Integrator:
         j -= (j - 1) * dt + GRID_EPS >= t  # or one step long
         return np.maximum(j, earliest)
 
-    def _send(self, layer, steps, syn):
-        """Queue deliveries to `layer`'s synapses on the given steps."""
-        blocks = steps >> SHIFT
-        lo = int(blocks.min())
-        rel = (blocks - lo).astype(np.min_scalar_type(int(blocks.max()) - lo))
-        order = np.argsort(rel, kind="stable")  # a radix sort for these small ints
-        keys = ((syn << SHIFT) | (steps & (BLOCK - 1)))[order]
-        bounds = np.cumsum(np.bincount(rel)).tolist()
-        for b, (i, j) in enumerate(zip([0] + bounds[:-1], bounds)):
-            if j > i:
-                self.pending.setdefault((layer, lo + b), []).append(keys[i:j])
+    def _queue(self, layer, steps, syn, age):
+        """Queue deliveries to `layer`'s synapses on the given steps, with the
+        reset age of each; those past the run's end are dropped."""
+        if steps.size and steps.max() >= self.total:
+            keep = np.flatnonzero(steps < self.total)
+            steps, syn, age = steps.take(keep), syn.take(keep), age.take(keep)
+        if not steps.size:
+            return
+        self.deliveries += steps.size
+        lo, hi = int(steps.min()) // self.chunk, int(steps.max()) // self.chunk
+        chunk = steps // self.chunk if hi > lo else None
+        for k in range(lo, hi + 1):
+            s, st, a = syn, steps, age
+            if chunk is not None:
+                at = np.flatnonzero(chunk == k)
+                s, st, a = syn.take(at), steps.take(at), age.take(at)
+            key = self.key.take(s)
+            key += st
+            key -= k * self.chunk
+            self.pending.setdefault((layer, k), []).append(
+                (key, s.astype(np.int32, copy=False), a.astype(np.int32, copy=False)))
 
-    def _send_generators(self, t0, offsets, n_cycles):
-        """Queue every generator volley of a stimulus starting at time t0.
-        Each cycle's times add the period to the last cycle's, as a heap that
-        re-queues a volley would."""
-        c = self.circuit
-        t = (t0 + offsets[self.gen_src]) + self.out_delay[:self.gen_src.size]
-        for _ in range(n_cycles):
-            steps = self._arrival(t, 0)
-            for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
-                if hi > lo:
-                    self._send(l, steps[lo:hi], np.arange(lo, hi))
-            t = t + c.params.period
+    def _send_generators(self, until):
+        """Queue every generator volley whose cycle starts before time
+        `until`. Each cycle's times add the period to the last cycle's, as a
+        heap that re-queues a volley would, so the volleys form a (cycle,
+        synapse) grid, and each delivery's age counts from the row before."""
+        p, n = self.circuit.params, self.gen_src.size
+        rows = []
+        while self.cycles and self.cycles[-1][0] + self.cycles[-1][2] * p.period < until:
+            t0, offsets, cyc = self.cycles.pop()
+            if cyc == 0:
+                self.volley = (t0 + offsets[self.gen_src]) + self.out_delay[:n]
+            else:
+                self.volley = self.volley + p.period
+            rows.append(self.volley)
+        if not rows:
+            return
+        steps = self._arrival(np.stack(rows), 0).astype(np.int32)
+        age = np.diff(steps, axis=0, prepend=self.last[None, :n])
+        self.last[:n] = steps[-1]
+        for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
+            if hi > lo:
+                self._queue(l, steps[:, lo:hi].ravel(),
+                            np.tile(np.arange(lo, hi, dtype=np.int32), len(rows)),
+                            age[:, lo:hi].ravel())
 
-    def _deliveries(self, layer, block, m):
-        """Deliveries to `layer` in the block's first m steps: the (V, W) they
-        add at each neuron and step, as N * BLOCK pairs; None when there are
-        none."""
-        parts = self.pending.pop((layer, block), None)
-        if not parts:
-            return None
-        keys = np.sort(np.concatenate(parts))
-        syn, i = keys >> SHIFT, keys & (BLOCK - 1)
-        if m < BLOCK:  # the run ends inside this block
-            syn, i = syn[i < m], i[i < m]
-            if not syn.size:
-                return None
-        self.deliveries += syn.size
-        step = i + block * BLOCK
-        prev = self.last[syn]
-        repeat = syn[1:] == syn[:-1]
-        if repeat.any():  # a synapse's later deliveries age from its earlier ones
-            at = np.flatnonzero(repeat) + 1
-            prev[at] = step[at - 1]
-            end = np.append(~repeat, True)
-            self.last[syn[end]] = step[end]
-        else:
-            self.last[syn] = step
-        amount = self.table.take(step - prev)
-        amount *= self.weight[syn]
-        x = np.zeros(self.circuit.layer_sizes[layer] * BLOCK, dtype=np.complex128)
-        np.add.at(x, self.col[syn] + i, amount)
-        return x.view(np.float64)
+    def _deliveries(self, layer, chunk):
+        """The (key, synapse, age) deliveries to each row slice of `layer` in
+        the chunk, keys counted from the slice's first row; None for a slice
+        that gets none."""
+        n_slices = -(-self.circuit.layer_sizes[layer] // self.rows)
+        parts = self.pending.pop((layer, chunk), None)
+        if parts is None:
+            return [None] * n_slices
+        got = [np.concatenate(a) for a in zip(*parts)] if len(parts) > 1 else parts[0]
+        if n_slices == 1:
+            return [got]
+        span = self.rows * self.chunk
+        piece = (got[0] // span).astype(np.min_scalar_type(n_slices))
+        order = np.argsort(piece, kind="stable")  # a radix sort for these small ints
+        key, syn, age = (a.take(order) for a in got)
+        bounds = np.r_[0, np.cumsum(np.bincount(piece, minlength=n_slices))]
+        return [(key[i:j] - s * span, syn[i:j], age[i:j]) if j > i else None
+                for s, (i, j) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
     def run(self, rec_ids, rec_vm):
         """Integrate every step; returns (failing neuron or -1, step)."""
-        n_layers = len(self.circuit.layer_sizes)
-        for block in range((self.total + BLOCK - 1) // BLOCK):
-            m = min(BLOCK, self.total - block * BLOCK)
-            bad = [self._layer_block(l, block, m, rec_ids, rec_vm) for l in range(n_layers)]
-            bad = [b for b in bad if b is not None]
+        c, p = self.circuit, self.circuit.params
+        for chunk in range(-(-self.total // self.chunk)):
+            self._send_generators(((chunk + 1) * self.chunk + 1) * p.dt)
+            bad = []
+            for l, size in enumerate(c.layer_sizes):
+                for r0, got in zip(range(0, size, self.rows), self._deliveries(l, chunk)):
+                    b = self._pass(l, chunk, r0, min(r0 + self.rows, size), got,
+                                   rec_ids, rec_vm)
+                    if b is not None:
+                        bad.append(b)
             if bad:
                 return min(bad, key=lambda b: (b[1], b[0]))
         return -1, self.total
 
-    def _layer_block(self, l, block, m, rec_ids, rec_vm):
-        """Integrate layer l over the block's first m steps, fire its spikes
-        and queue their deliveries; returns (neuron, step) on a blow-up."""
+    def _pass(self, l, chunk, r0, r1, got, rec_ids, rec_vm):
+        """Integrate rows r0:r1 of layer l over the chunk, given their
+        deliveries `got` (or None), fire their spikes and queue their
+        deliveries; returns (neuron, step) on a blow-up."""
         c = self.circuit
-        v_th, b0 = self.v_th, block * BLOCK
-        first, size = c.layer_offsets[l], c.layer_sizes[l]
-        state = self.state[first:first + size]
+        v_th, width, c0 = self.v_th, self.chunk, chunk * self.chunk
+        m, nb, rows = min(width, self.total - c0), width // BLOCK, r1 - r0
+        first = c.layer_offsets[l] + r0
+        state = self.state[first:first + rows]
         vm_prev = state[:, 2].copy()
-        x = self._deliveries(l, block, m)
-        if x is None:  # only the rows of the entering state apply
-            carry_in = state
+        x, cin = self.x[:rows * width], self.cin[:rows]
+        if got is not None:
+            key, syn, age = got
+            x.fill(0.0)
+            np.add.at(x, key, self.table.take(age) * self.weight.take(syn))
+            sub = np.matmul(x.view(np.float64).reshape(-1, 2 * SUB), self.local,
+                            out=self.sub[:rows * width // SUB])
+            cin[:, :, :-5] = sub[:, SUB:].reshape(rows, nb, -1)
         else:
-            local = x.reshape(-1, 2 * SUB) @ self.local  # (N * BLOCK / SUB, SUB + 4)
-            carry_in = np.concatenate((local[:, SUB:].reshape(size, -1), state), axis=1)
-        vm = carry_in @ self.carry_vm[-carry_in.shape[1]:]
-        if x is not None:
+            cin = cin[:, :, -5:]  # only the rows of the entering state apply
+        k_in = cin.shape[2]
+        carry_end = self.carry_end[-k_in:]
+        for b in range(nb):  # the state entering each block
+            cin[:, b, -5:] = state
+            np.matmul(cin[:, b], carry_end, out=state[:, :4])
+        vm = np.matmul(cin.reshape(rows * nb, k_in), self.carry_vm[-k_in:],
+                       out=x.view(np.float64)[:rows * width].reshape(rows * nb, BLOCK))
+        if got is not None:
             by_sub = vm.reshape(-1, SUB)
-            np.add(by_sub, local[:, :SUB], out=by_sub)
-        state[:, (0, 1, 3)] = carry_in @ self.carry_end[-carry_in.shape[1]:]
-        state[:, 2] = vm[:, BLOCK - 1]
-        vm = vm[:, :m]
+            np.add(by_sub, sub[:, :SUB], out=by_sub)
+        vm = vm.reshape(rows, width)[:, :m]
         top = vm.max(axis=1)
         if not (np.isfinite(top).all() and np.isfinite(vm[:, -1]).all()):
             k = int(np.flatnonzero(~np.isfinite(vm).all(axis=0))[0])
-            return first + int(np.flatnonzero(~np.isfinite(vm[:, k]))[0]), b0 + k
-        vm_max = self.vm_max[first:first + size]
+            return first + int(np.flatnonzero(~np.isfinite(vm[:, k]))[0]), c0 + k
+        vm_max = self.vm_max[first:first + rows]
         np.maximum(vm_max, top, out=vm_max)
-        cols = np.flatnonzero((rec_ids >= first) & (rec_ids < first + size))
+        cols = np.flatnonzero((rec_ids >= first) & (rec_ids < first + rows))
         if cols.size:
-            rec_vm[b0:b0 + m, cols] = vm[rec_ids[cols] - first].T
-        n, k = fire(vm, vm_prev, self.armed[first:first + size], v_th)
+            rec_vm[c0:c0 + m, cols] = vm[rec_ids[cols] - first].T
+        n, k = fire(vm, vm_prev, self.armed[first:first + rows], v_th)
         if not n.size:
             return None
         v_new = vm[n, k]
         v_old = np.where(k > 0, vm[n, k - 1], vm_prev[n])
-        sent = b0 + k
-        tstar = sent * c.params.dt + c.params.dt * ((v_th - v_old) / (v_new - v_old))
+        frac = (v_th - v_old) / (v_new - v_old)
+        sent = c0 + k
+        tstar = sent * c.params.dt + c.params.dt * frac
         neurons = first + n
         self.spike_t.append(tstar)
         self.spike_n.append(neurons)
-        pos, counts = csr_rows(c.out_ptr, c.n_gen + neurons)
-        if pos.size:
-            self._send(l + 1, self._arrival(np.repeat(tstar, counts) + self.out_delay[pos],
-                                            np.repeat(sent + 1, counts)), pos)
+        if l + 1 < len(c.layer_sizes):
+            self._send(l + 1, neurons, sent, tstar)
         return None
+
+    def _send(self, layer, neurons, sent, tstar):
+        """Queue to `layer` the deliveries of spikes in (neuron, time) order,
+        sent on the given steps at times tstar."""
+        c = self.circuit
+        pos, counts = csr_rows(c.out_ptr, c.n_gen + neurons)
+        if not pos.size:
+            return
+        steps = self._arrival(np.repeat(tstar, counts) + self.out_delay.take(pos),
+                              np.repeat(sent + 1, counts)).astype(np.int32)
+        # A neuron's spikes send through the same run of synapses: the
+        # delivery before one of a later spike's is at the same position of
+        # the run before it; that of a neuron's first spike here is `last`.
+        age = steps - self.last.take(pos)
+        same = np.zeros(neurons.size, dtype=bool)
+        np.equal(neurons[1:], neurons[:-1], out=same[1:])
+        if same.any():
+            later = np.flatnonzero(np.repeat(same, counts))
+            back = later - np.repeat(counts[same], counts[same])
+            age[later] = steps.take(later) - steps.take(back)
+            final = np.flatnonzero(np.repeat(np.append(~same[1:], True), counts))
+            self.last[pos.take(final)] = steps.take(final)
+        else:
+            self.last[pos] = steps
+        self._queue(layer, steps, pos, age)
 
     def spikes(self):
         """Soma spikes: (times, global neuron ids)."""

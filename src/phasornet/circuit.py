@@ -315,8 +315,11 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
     """Coarse scan over a decade around the observed subthreshold amplitude,
     maximizing agreement between circuit decoding and phasor prediction.
 
-    Ties break toward the smaller threshold (smaller phase distortion).
-    Returns (threshold, agreement); net and circuit are left untouched.
+    Ties break toward the smaller threshold (smaller phase distortion). The
+    candidates ascend and only a strictly better score replaces the best, so
+    the scan stops once a candidate agrees on every image, and a candidate's
+    images stop once it can no longer beat the best; the result is the full
+    scan's. Returns (threshold, agreement); net and circuit are left untouched.
     """
     p = circuit.params
     if n_cycles is None:
@@ -327,13 +330,17 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
     x = apply_input_phase_shift(x, net.phase_shifts)
     wants = predict_batch(forward(net, x).output.reshape(len(images), -1)).tolist()
     best_thr, best_agree = None, -1
-    out_layer = len(net.layers)
+    out_layer, n = len(net.layers), len(images)
     for thr in candidates:
         agree = 0
-        for image, want in zip(images, wants):
+        for i, (image, want) in enumerate(zip(images, wants)):
+            if agree + n - i <= best_agree:  # cannot beat the best any more
+                break
             result = run(circuit, [(image, n_cycles)], v_threshold=float(thr))
             agree += want == decode_output(result.raster, circuit.n_outputs, out_layer,
                                            now=n_cycles * p.period)
         if agree > best_agree:
             best_agree, best_thr = agree, float(thr)
-    return best_thr, best_agree / max(len(images), 1)
+        if best_agree == n:  # no later candidate can beat it
+            break
+    return best_thr, best_agree / max(n, 1)

@@ -236,6 +236,8 @@ def cmd_spikes(args):
     n_cycles = cfg["n_cycles"]
     image = ds.images[args.example]
     if args.backend == "ideal":
+        if n_cycles < 1:
+            raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles}")
         if n_cycles < len(net.layers) + 1:
             print(f"warning: {n_cycles} cycles < depth+1 = {len(net.layers) + 1}; "
                   f"the output layer never fires", file=sys.stderr)

@@ -122,7 +122,8 @@ def write_raster_csv(raster, path):
 
 def read_raster_csv(path):
     """A raster CSV back as columns, in the file's order. The file holds no
-    period or cycle count, so both read as 0."""
+    period or cycle count, so both read as 0; decode the raster after
+    dataclasses.replace(raster, period=T, n_cycles=n)."""
     with open(path, newline="") as f:
         header = next(csv.reader([f.readline()]), [])
         if header != CSV_HEADER:

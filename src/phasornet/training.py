@@ -70,6 +70,8 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
     Returns a list of per-epoch metric dicts (epoch, train_err, test_err,
     loss). train_err is the running mean of batch errors within the epoch.
     """
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
     if limit_train is not None and limit_train < 1:
         raise ValidationError(f"limit_train must be >= 1, got {limit_train}")
     optimizer = Adam(net.parameters(), lr=lr)

@@ -27,6 +27,7 @@ from phasornet.phasor_net import (
 )
 from phasornet.spikemap import SpikeRaster, phase_to_time, synapse_delay, unroll
 
+import calibration_reference
 import decode_reference
 import euler_reference
 from conftest import small_fc_net
@@ -436,6 +437,55 @@ class TestKernelMatchesEulerReference:
         on_edge = (np.ceil(spikes / dt).astype(np.int64) - 1) % BLOCK == BLOCK - 1
         assert on_edge.any(), "no layer-1 spike on a block's last step"
 
+    @staticmethod
+    def passes(monkeypatch):
+        """Record (chunk steps, run steps, layer, chunk, first row, end row)
+        of every pass the kernel makes."""
+        seen = []
+        original = ck.Integrator._pass
+
+        def spy(self, l, chunk, r0, r1, *rest):
+            seen.append((self.chunk, self.total, l, chunk, r0, r1))
+            return original(self, l, chunk, r0, r1, *rest)
+
+        monkeypatch.setattr(ck.Integrator, "_pass", spy)
+        return seen
+
+    def test_layers_in_row_slices(self, calibrated, monkeypatch):
+        # a budget of four rows of one block: the 12- and 10-neuron layers
+        # are integrated in three slices each, over a stimulus switch
+        net, circuit, images, thr, _ = calibrated
+        monkeypatch.setattr(ck, "BUDGET", 4 * BLOCK)
+        seen = self.passes(monkeypatch)
+        self._check(net, circuit, [(images[0], 4), (images[1], 3)], thr)
+        slices = {(l, r0, r1) for _, _, l, _, r0, r1 in seen}
+        assert slices == {(0, 0, 4), (0, 4, 8), (0, 8, 12), (1, 0, 4), (1, 4, 8), (1, 8, 10)}
+        assert {width for width, *_ in seen} == {BLOCK}
+
+    def test_spike_ages_chain_within_a_chunk(self, calibrated, monkeypatch):
+        # chunks of four blocks: a neuron that fires twice in one chunk sends
+        # its second spike's deliveries with ages counted from its first's
+        net, circuit, images, thr, _ = calibrated
+        monkeypatch.setattr(ck, "BUDGET", 4 * BLOCK * max(circuit.layer_sizes))
+        seen = self.passes(monkeypatch)
+        result = self._check(net, circuit, [(images[0], 6)], thr)
+        assert {width for width, *_ in seen} == {4 * BLOCK}
+        soma = result.raster.layer == 1
+        steps = np.ceil(result.raster.time[soma] / circuit.params.dt).astype(np.int64) - 1
+        _, per_chunk = np.unique(np.c_[result.raster.neuron[soma], steps // (4 * BLOCK)],
+                                 axis=0, return_counts=True)
+        assert per_chunk.max() >= 2, "no layer-1 neuron fired twice in one chunk"
+
+    def test_run_shorter_than_one_chunk(self, calibrated, monkeypatch):
+        # 1600 steps, 6.25 blocks: one chunk of seven blocks, which the run
+        # ends inside
+        net, circuit, images, thr, _ = calibrated
+        seen = self.passes(monkeypatch)
+        self._check(net, circuit, [(images[0], 4)], thr)
+        assert {(width, total, chunk) for width, total, _, chunk, _, _ in seen} == \
+            {(7 * BLOCK, 1600, 0)}
+        assert ck.BUDGET >= 7 * BLOCK * max(circuit.layer_sizes)  # so the run sets the chunk
+
     def test_critically_damped_synapse_is_rejected(self):
         # dt/tau_s = 2 dt / sqrt(L C_m), exact in binary: one repeated eigenvalue
         p = CircuitParams(dt=2.0 ** -6, c_m=8.0, l_res=0.5, tau_s=1.0)
@@ -732,6 +782,45 @@ class TestCalibration:
         net, circuit, images, _, _ = calibrated
         amp = observe_amplitude(circuit, images[0])
         assert amp > 0.0
+
+    def test_scan_stops_once_no_candidate_can_win(self, monkeypatch):
+        # candidate x image agreement: candidate 1 cannot beat candidate 0
+        # after two misses, candidate 2 agrees on every image, candidate 3
+        # is never run
+        table = [[1, 0, 0], [0, 0, 1], [1, 1, 1], [1, 1, 1]]
+        candidates = np.logspace(np.log10(0.03), np.log10(0.3), len(table))
+        runs = []
+
+        def fake_run(circuit, stimuli, v_threshold):
+            cand = int(np.argmin(np.abs(candidates - v_threshold)))
+            runs.append(cand)
+            return circuit_mod.CircuitResult(raster=(cand, None), vm_max=None)
+
+        def fake_decode(raster, n_outputs, output_layer, now):
+            cand = raster[0]
+            image = runs.count(cand) - 1  # the candidate's images run in order
+            return image if table[cand][image] else None
+
+        monkeypatch.setattr(circuit_mod, "observe_amplitude", lambda *a: 1.0)
+        monkeypatch.setattr(circuit_mod, "predict_batch", lambda out: np.arange(len(out)))
+        monkeypatch.setattr(circuit_mod, "run", fake_run)
+        monkeypatch.setattr(circuit_mod, "decode_output", fake_decode)
+        net = tiny_net()
+        thr, agree = calibrate_threshold(net, build_circuit(net), tiny_images(3),
+                                         n_candidates=len(table), n_cycles=3)
+        assert thr == candidates[2] and agree == 1.0
+        assert runs == [0, 0, 0, 1, 1, 2, 2, 2]  # the full scan makes 12 runs
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_result_equals_the_full_scan(self, seed):
+        net = tiny_net(seed=seed)
+        net.biases[0][:] = 0.2 + 0.1j
+        circuit = build_circuit(net)
+        images = tiny_images(3, seed=seed)
+        want_thr, want_agree, _ = calibration_reference.full_scan(
+            net, circuit, images, n_candidates=4, n_cycles=5)
+        assert calibrate_threshold(net, circuit, images, n_candidates=4,
+                                   n_cycles=5) == (want_thr, want_agree)
 
 
 class TestEndToEnd:

@@ -366,6 +366,10 @@ REJECTED = [
                  "n_cycles must be an integer >= 1", id="simulate_n_cycles_negative"),
     pytest.param(_model_cmd("simulate", "--v-threshold", "0.02", "--n-cycles", "0"), 1,
                  "n_cycles must be an integer >= 1", id="simulate_n_cycles_zero"),
+    pytest.param(_model_cmd("spikes", "--n-cycles", "-2"), 1,
+                 "n_cycles must be an integer >= 1", id="ideal_n_cycles_negative"),
+    pytest.param(_model_cmd("spikes", "--n-cycles", "0"), 1,
+                 "n_cycles must be an integer >= 1", id="ideal_n_cycles_zero"),
     pytest.param(_model_cmd("spikes", "--period", "nan"), 1,
                  "period must be positive", id="spikes_period_nan"),
     pytest.param(_model_cmd("spikes", "--second-example", "1"), 1,
@@ -379,6 +383,7 @@ REJECTED = [
                  id="train_config_lr_nan"),
     pytest.param(_train("--theta", "nan"), 1, "threshold must be finite",
                  id="train_theta_nan"),
+    pytest.param(_train("--epochs", "-1"), 1, "epochs must be >= 0", id="train_epochs_negative"),
     pytest.param(_train("--limit-train", "0"), 1, "limit_train must be >= 1",
                  id="train_limit_zero"),
     pytest.param(_train("--limit-train", "-3"), 1, "limit_train must be >= 1",

@@ -168,6 +168,27 @@ class TestRasterCsv:
         np.testing.assert_array_equal(back.neuron, raster.neuron)
         np.testing.assert_allclose(back.time, raster.time, rtol=0, atol=1e-9)
 
+    def test_read_with_period_decodes_as_written(self, tmp_path):
+        import dataclasses
+
+        from phasornet.circuit import decode_output, decode_over_time
+
+        net = small_fc_net(seed=5)
+        p = np.random.default_rng(8).uniform(size=64).astype(np.float32)
+        x = apply_input_phase_shift(encode_input(p), net.phase_shifts).astype(net.dtype)
+        raster = unroll(net, x, 10.0, 6)
+        path = tmp_path / "raster.csv"
+        write_raster_csv(raster, path)
+        back = dataclasses.replace(read_raster_csv(path), period=10.0, n_cycles=6)
+        depth, now = len(net.layers), 60.0
+        want = decode_output(raster, net.n_outputs, depth, now)
+        assert want is not None
+        assert decode_output(back, net.n_outputs, depth, now) == want
+        times = np.arange(1.0, 61.0)
+        np.testing.assert_array_equal(decode_over_time(back, net.n_outputs, depth, times),
+                                      decode_over_time(raster, net.n_outputs, depth, times))
+        assert read_raster_csv(path).period == 0.0  # the file alone holds no period
+
     def test_header(self, tmp_path):
         raster = SpikeRaster(layer=[], neuron=[], time=[], period=10.0, n_cycles=1)
         path = tmp_path / "r.csv"
