@@ -317,12 +317,9 @@ class Integrator:
 
     def _deliveries(self, layer, chunk):
         """The (key, synapse, age) deliveries to each row slice of `layer` in
-        the chunk, keys counted from the slice's first row; None for a slice
-        that gets none."""
+        the chunk, keys counted from the slice's first row."""
         n_slices = -(-self.circuit.layer_sizes[layer] // self.rows)
-        parts = self.pending.pop((layer, chunk), None)
-        if parts is None:
-            return [None] * n_slices
+        parts = self.pending.pop((layer, chunk), [(np.zeros(0, dtype=np.int32),) * 3])
         got = [np.concatenate(a) for a in zip(*parts)] if len(parts) > 1 else parts[0]
         if n_slices == 1:
             return [got]
@@ -331,7 +328,7 @@ class Integrator:
         order = np.argsort(piece, kind="stable")  # a radix sort for these small ints
         key, syn, age = (a.take(order) for a in got)
         bounds = np.r_[0, np.cumsum(np.bincount(piece, minlength=n_slices))]
-        return [(key[i:j] - s * span, syn[i:j], age[i:j]) if j > i else None
+        return [(key[i:j] - s * span, syn[i:j], age[i:j])
                 for s, (i, j) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
     def run(self, rec_ids, rec_vm):
@@ -352,8 +349,8 @@ class Integrator:
 
     def _pass(self, l, chunk, r0, r1, got, rec_ids, rec_vm):
         """Integrate rows r0:r1 of layer l over the chunk, given their
-        deliveries `got` (or None), fire their spikes and queue their
-        deliveries; returns (neuron, step) on a blow-up."""
+        deliveries `got`, fire their spikes and queue their deliveries;
+        returns (neuron, step) on a blow-up."""
         c = self.circuit
         v_th, width, c0 = self.v_th, self.chunk, chunk * self.chunk
         m, nb, rows = min(width, self.total - c0), width // BLOCK, r1 - r0
@@ -361,25 +358,19 @@ class Integrator:
         state = self.state[first:first + rows]
         vm_prev = state[:, 2].copy()
         x, cin = self.x[:rows * width], self.cin[:rows]
-        if got is not None:
-            key, syn, age = got
-            x.fill(0.0)
-            np.add.at(x, key, self.table.take(age) * self.weight.take(syn))
-            sub = np.matmul(x.view(np.float64).reshape(-1, 2 * SUB), self.local,
-                            out=self.sub[:rows * width // SUB])
-            cin[:, :, :-5] = sub[:, SUB:].reshape(rows, nb, -1)
-        else:
-            cin = cin[:, :, -5:]  # only the rows of the entering state apply
-        k_in = cin.shape[2]
-        carry_end = self.carry_end[-k_in:]
+        key, syn, age = got
+        x.fill(0.0)
+        np.add.at(x, key, self.table.take(age) * self.weight.take(syn))
+        sub = np.matmul(x.view(np.float64).reshape(-1, 2 * SUB), self.local,
+                        out=self.sub[:rows * width // SUB])
+        cin[:, :, :-5] = sub[:, SUB:].reshape(rows, nb, -1)
         for b in range(nb):  # the state entering each block
             cin[:, b, -5:] = state
-            np.matmul(cin[:, b], carry_end, out=state[:, :4])
-        vm = np.matmul(cin.reshape(rows * nb, k_in), self.carry_vm[-k_in:],
+            np.matmul(cin[:, b], self.carry_end, out=state[:, :4])
+        vm = np.matmul(cin.reshape(rows * nb, -1), self.carry_vm,
                        out=x.view(np.float64)[:rows * width].reshape(rows * nb, BLOCK))
-        if got is not None:
-            by_sub = vm.reshape(-1, SUB)
-            np.add(by_sub, sub[:, :SUB], out=by_sub)
+        by_sub = vm.reshape(-1, SUB)
+        np.add(by_sub, sub[:, :SUB], out=by_sub)
         vm = vm.reshape(rows, width)[:, :m]
         top = vm.max(axis=1)
         if not (np.isfinite(top).all() and np.isfinite(vm[:, -1]).all()):

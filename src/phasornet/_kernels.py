@@ -1,11 +1,12 @@
 """Convolution kernels: valid-padding 3x3 cross-correlation by im2col + BLAS.
 
 Shapes: x (B, C, H, W), kernels (F, C, 3, 3), bias (F,) -> (B, F, OH, OW)
-with OH, OW = H-2, W-2. The forward pass lays the input out once as im2col
-columns (B, C*9, OH*OW); row c*9 + 3p + q of column (i, j) holds
-x[b, c, i+p, j+q]. The backward pass reuses those columns for the kernel
-gradient, and scatters column cotangents back onto the input (col2im) for
-the input gradient.
+with OH, OW = H-2, W-2. im2col lays the input out once as columns
+(B, C*9, OH*OW); row c*9 + 3p + q of column i*OW + j holds x[b, c, i+p, j+q].
+The forward pass multiplies the kernels into them, and the circuit reads its
+conv synapses off the im2col map of an index image. The backward pass reuses
+those columns for the kernel gradient, and scatters column cotangents back
+onto the input (col2im) for the input gradient.
 """
 
 import numpy as np
@@ -15,13 +16,19 @@ import numpy as np
 NUMBA_AVAILABLE = False
 
 
+def im2col(x):
+    """The (B, C*9, OH*OW) columns of x (B, C, H, W), a copy."""
+    b, c, h, w = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (h - 2, w - 2), axis=(2, 3))
+    # win: (B, C, 3, 3, OH, OW); the reshape copies it into columns
+    return win.reshape(b, c * 9, (h - 2) * (w - 2))
+
+
 def conv2d_forward(x, kernels, bias):
     """Returns (out, cols): the correlation and the im2col columns of x."""
     b, c, h, w = x.shape
     f = kernels.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x, (h - 2, w - 2), axis=(2, 3))
-    # win: (B, C, 3, 3, OH, OW); the reshape copies it into columns
-    cols = win.reshape(b, c * 9, (h - 2) * (w - 2))
+    cols = im2col(x)
     out = np.matmul(kernels.reshape(f, c * 9), cols)
     out += bias[:, None]
     return out.reshape(b, f, h - 2, w - 2), cols

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _circuit_kernels as ck
+from ._kernels import im2col
 from .complex_core import phase as cphase
 from .errors import NumericError, ValidationError
 from .phasor_net import (encode_input, apply_input_phase_shift, forward, predict,
@@ -116,6 +117,10 @@ class CircuitResult:
 def build_circuit(net, params=None):
     """One soma per hidden/output unit, one synapse per nonzero weight/bias.
 
+    A layer's synapses are the nonzero entries of its [W | b] over the
+    columns its forward pass multiplies: the im2col columns of its input for
+    a conv layer, the whole input for a dense one, each with one more row
+    for the reference generator, so the bias is that generator's weight.
     Synapses are stored once, in sending order, the one order the kernel
     reads: by source (input generators, the reference generator, then
     neurons), then by owning neuron. Source s sends through synapses
@@ -130,45 +135,25 @@ def build_circuit(net, params=None):
     ref_gen = n_in
     n_neurons = sum(layer_sizes)
     layer_offsets = list(np.cumsum([0] + layer_sizes[:-1]))
-    neuron_layer = np.concatenate([
-        np.full(sz, l + 1, dtype=np.int64) for l, sz in enumerate(layer_sizes)
-    ])
+    neuron_layer = np.repeat(np.arange(1, len(layer_sizes) + 1), layer_sizes)
 
-    owners, srcs, coeffs = [], [], []  # per layer: its weights, then its biases
+    owners, srcs, coeffs = [], [], []
     for l, spec in enumerate(net.layers):
-        w, b = net.weights[l], net.biases[l]
-        own_base = layer_offsets[l]
-        src_base = n_gen + layer_offsets[l - 1] if l > 0 else 0
-        if spec.kind == "dense":
-            owner_local, src_local = np.nonzero(w)
-            coeff = w[owner_local, src_local]
-        else:
-            c_in, h, wd = shapes[l]
-            f, oh, ow = shapes[l + 1]
-            ff, ii, jj, cc, pp, qq = np.meshgrid(
-                np.arange(f), np.arange(oh), np.arange(ow),
-                np.arange(c_in), np.arange(3), np.arange(3),
-                indexing="ij")
-            coeff = np.ascontiguousarray(w[ff, cc, pp, qq]).reshape(-1)
-            keep = coeff != 0
-            coeff = coeff[keep]
-            owner_local = ((ff * oh + ii) * ow + jj).reshape(-1)[keep]
-            src_local = ((cc * h + (ii + pp)) * wd + (jj + qq)).reshape(-1)[keep]
-        owners.append(own_base + owner_local.astype(np.int64))
-        srcs.append(src_base + src_local.astype(np.int64))
-        coeffs.append(coeff)
-        # bias synapses, driven by the reference generator
-        bidx = np.nonzero(b)[0]
-        if spec.kind == "conv3x3":
-            # one synapse per output unit of each biased channel
-            _, oh, ow = shapes[l + 1]
-            owner_local = (bidx[:, None] * (oh * ow) + np.arange(oh * ow)).reshape(-1)
-            bidx = np.repeat(bidx, oh * ow)
-        else:
-            owner_local = bidx
-        owners.append(own_base + owner_local.astype(np.int64))
-        srcs.append(np.full(owner_local.size, ref_gen, dtype=np.int64))
-        coeffs.append(b[bidx])
+        # the layer's input units as an image of their source ids; a conv
+        # layer reads them through the im2col map its forward pass multiplies
+        first = n_gen + layer_offsets[l - 1] if l > 0 else 0
+        units = first + np.arange(int(np.prod(shapes[l]))).reshape(shapes[l])
+        cols = im2col(units[None])[0] if spec.kind == "conv3x3" else units.reshape(-1, 1)
+        # one more row for the reference generator, which the bias column weighs
+        cols = np.vstack([cols, np.full(cols.shape[1], ref_gen)])
+        w = net.weights[l]
+        coeff = np.hstack([w.reshape(w.shape[0], -1), net.biases[l][:, None]])
+        f, r = np.nonzero(coeff)
+        positions = cols.shape[1]
+        owners.append((layer_offsets[l] + f[:, None] * positions
+                       + np.arange(positions)).reshape(-1))
+        srcs.append(cols[r].reshape(-1))
+        coeffs.append(np.repeat(coeff[f, r], positions))
     owner, src = np.concatenate(owners), np.concatenate(srcs)
     order = np.lexsort((owner, src))  # sending order: by source, then by owner
     mag, delay = synapse_delay(np.concatenate(coeffs)[order], params.period)
@@ -210,8 +195,8 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
         raise ValidationError(
             "no spike threshold set; pass v_threshold, e.g. from calibrate_threshold"
         )
-    if not v_threshold > 0:
-        raise ValidationError(f"spike threshold must be positive, got {v_threshold}")
+    if not (v_threshold > 0 and np.isfinite(v_threshold)):
+        raise ValidationError(f"spike threshold must be positive and finite, got {v_threshold}")
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
     volleys, t0 = [], 0.0  # each stimulus starts where the one before it ends
     for image, n_cycles in stimuli:

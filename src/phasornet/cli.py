@@ -99,6 +99,8 @@ def _load_config(args):
             cfg[key] = val
     if cfg["epochs"] is None:
         cfg["epochs"] = EPOCH_DEFAULTS.get(cfg["dataset"], 10)
+    if cfg["seed"] < 0:  # numpy's generators take no negative seed
+        raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 

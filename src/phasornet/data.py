@@ -4,6 +4,7 @@ Both formats are read bit-exactly per their public layouts. Pixels are scaled
 by 1/255 into [0, 1] with no mean-centering; labels stay integer.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -54,42 +55,36 @@ def _read_be32(f, path):
     return struct.unpack(">i", data)[0]
 
 
+def _read_idx(path, magic, ndim, what):
+    """The uint8 payload of a big-endian IDX file with the given magic and
+    number of dimensions, shaped by its header; `what` names it in errors."""
+    with open(path, "rb") as f:
+        found = _read_be32(f, path)
+        if found != magic:
+            raise MagicMismatchError(f"expected {what} magic {magic}, found {found}",
+                                     path=path, offset=0)
+        dims = [_read_be32(f, path) for _ in range(ndim)]
+        if min(dims) < 0:
+            raise CorruptRecordError(f"negative {what} dimension in header {dims}",
+                                     path=path, offset=4 + 4 * dims.index(min(dims)))
+        size = math.prod(dims)
+        payload = f.read(size)
+    if len(payload) != size:
+        raise TruncatedFileError(f"expected {size} {what} bytes, found {len(payload)}",
+                                 path=path, offset=4 + 4 * ndim)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+
+
 def load_mnist_idx(images_path, labels_path, name="mnist", split=""):
     """Read the big-endian IDX pair into a (N, 1, 28, 28) dataset."""
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path)
-        if magic != MNIST_IMAGE_MAGIC:
-            raise MagicMismatchError(
-                f"expected image magic {MNIST_IMAGE_MAGIC}, found {magic}",
-                path=images_path, offset=0)
-        count = _read_be32(f, images_path)
-        rows = _read_be32(f, images_path)
-        cols = _read_be32(f, images_path)
-        payload = f.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise TruncatedFileError(
-                f"expected {count * rows * cols} pixel bytes, found {len(payload)}",
-                path=images_path, offset=16)
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, 1, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path)
-        if magic != MNIST_LABEL_MAGIC:
-            raise MagicMismatchError(
-                f"expected label magic {MNIST_LABEL_MAGIC}, found {magic}",
-                path=labels_path, offset=0)
-        n_labels = _read_be32(f, labels_path)
-        payload = f.read(n_labels)
-        if len(payload) != n_labels:
-            raise TruncatedFileError(
-                f"expected {n_labels} label bytes, found {len(payload)}",
-                path=labels_path, offset=8)
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-
-    if n_labels != count:
+    images = _read_idx(images_path, MNIST_IMAGE_MAGIC, 3, "image")
+    labels = _read_idx(labels_path, MNIST_LABEL_MAGIC, 1, "label")
+    if labels.size != images.shape[0]:
         raise TruncatedFileError(
-            f"image count {count} != label count {n_labels}", path=labels_path, offset=4)
-    return Dataset(images.astype(np.float32) / 255.0, labels, name=name, split=split)
+            f"image count {images.shape[0]} != label count {labels.size}",
+            path=labels_path, offset=4)
+    return Dataset(images[:, None].astype(np.float32) / 255.0, labels.astype(np.int64),
+                   name=name, split=split)
 
 
 def load_cifar10_bin(batch_paths, name="cifar10", split=""):

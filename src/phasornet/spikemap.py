@@ -54,16 +54,16 @@ class SpikeRaster:
 
 def phase_to_time(theta, period):
     """t = theta * T / 2pi, theta normalized into [0, 2pi)."""
-    if not period > 0:
-        raise ValidationError(f"cycle period must be positive, got {period}")
+    if not (period > 0 and np.isfinite(period)):
+        raise ValidationError(f"cycle period must be positive and finite, got {period}")
     theta = np.asarray(theta, dtype=np.float64) % TWO_PI
     return theta * period / TWO_PI
 
 
 def time_to_phase(t, period):
     """theta = 2pi * (t mod T) / T."""
-    if not period > 0:
-        raise ValidationError(f"cycle period must be positive, got {period}")
+    if not (period > 0 and np.isfinite(period)):
+        raise ValidationError(f"cycle period must be positive and finite, got {period}")
     return TWO_PI * (np.asarray(t, dtype=np.float64) % period) / period
 
 
@@ -91,11 +91,11 @@ def unroll(net, x, period, n_cycles):
     layers, neurons, times = [], [], []
     for layer, (h, active) in enumerate(states):
         units = np.flatnonzero(active)
+        offsets = phase_to_time(cphase(h[units]), period)  # checks the period first
         bases = np.arange(layer, n_cycles) * period
         layers.append(np.full(units.size * bases.size, layer, dtype=np.int64))
         neurons.append(np.tile(units, bases.size))
-        times.append(np.repeat(bases, units.size)
-                     + np.tile(phase_to_time(cphase(h[units]), period), bases.size))
+        times.append(np.repeat(bases, units.size) + np.tile(offsets, bases.size))
     return SpikeRaster.sorted(np.concatenate(layers), np.concatenate(neurons),
                               np.concatenate(times), period, n_cycles)
 

@@ -135,9 +135,25 @@ class TestBuild:
     def test_csr_consistency(self):
         # synapses in sending order: each one's weight is the coefficient from
         # its out_ptr source to its owner, and owners ascend within a source
-        net = tiny_net(seed=4)
-        net.biases[1][::3] = 0.2 - 0.1j
+        dense = tiny_net(seed=4)
+        dense.biases[1][::3] = 0.2 - 0.1j
+        specs = [LayerSpec("conv3x3", in_channels=2, out_channels=3),
+                 LayerSpec("conv3x3", in_channels=3, out_channels=4),
+                 LayerSpec("dense", fan_in=4 * 2 * 3, fan_out=5)]
+        conv = PhasorNetwork.create((2, 6, 7), specs, seed=4, dtype=np.complex64)
+        conv.weights[0][0, 1, 2, 0] = 0  # zeroed taps, and a whole zeroed kernel
+        conv.weights[1][2] = 0
+        conv.weights[1][:, 0, 1, :] = 0
+        for b in conv.biases:
+            b[:] = 0.1 + 0.05j
+        conv.biases[1][1] = 0
+        for net in (dense, conv):
+            self._check_synapse_table(net)
+
+    @staticmethod
+    def _check_synapse_table(net):
         circuit = build_circuit(net)
+        shapes = net.activation_shapes()
         assert circuit.out_ptr[0] == 0
         assert circuit.out_ptr[-1] == circuit.n_synapses
         src = np.repeat(np.arange(circuit.out_ptr.size - 1), np.diff(circuit.out_ptr))
@@ -147,15 +163,36 @@ class TestBuild:
         ref = circuit.n_gen - 1  # the reference generator drives the biases
         coeff = []
         for s, l, i in zip(src, layer, local):
+            w, b = net.weights[l], net.biases[l]
+            f, pos = divmod(i, circuit.layer_sizes[l] // b.size)
             if s == ref:
-                coeff.append(net.biases[l][i])
-            else:
-                assert (l == 0) == (s < ref)
-                coeff.append(net.weights[l][i, s if l == 0 else s - circuit.n_gen])
+                coeff.append(b[f])
+                continue
+            assert (l == 0) == (s < ref)
+            s_local = s if l == 0 else s - circuit.n_gen - circuit.layer_offsets[l - 1]
+            if w.ndim == 2:
+                coeff.append(w[i, s_local])
+                continue
+            # conv owner (f, i, j) reads input (c, h, w) through tap (h - i, w - j)
+            _, height, width = shapes[l]
+            oi, oj = divmod(pos, shapes[l + 1][2])
+            c, rest = divmod(s_local, height * width)
+            ih, iw = divmod(rest, width)
+            p, q = ih - oi, iw - oj
+            assert 0 <= p < 3 and 0 <= q < 3
+            coeff.append(w[f, c, p, q])
         want_w, want_delay = synapse_delay(np.array(coeff), circuit.params.period)
         np.testing.assert_array_equal(circuit.syn_w, want_w)
         np.testing.assert_array_equal(circuit.syn_delay, want_delay)
         assert np.all(np.diff(owner)[np.diff(src) == 0] > 0)
+        # each (source, owner) pair names one tap, so with every coefficient
+        # nonzero, the count says each nonzero tap appears exactly once
+        assert np.all(np.array(coeff) != 0)
+        want = sum(int(np.count_nonzero(w)) * (size // w.shape[0])
+                   for w, size in zip(net.weights, circuit.layer_sizes))
+        want += sum(int(np.count_nonzero(b)) * (size // b.size)
+                    for b, size in zip(net.biases, circuit.layer_sizes))
+        assert circuit.n_synapses == want
 
     def test_stimulus_offsets(self):
         net = tiny_net(seed=5)

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasornet import cli
 from phasornet.cli import main
@@ -372,6 +373,10 @@ REJECTED = [
                  "n_cycles must be an integer >= 1", id="ideal_n_cycles_zero"),
     pytest.param(_model_cmd("spikes", "--period", "nan"), 1,
                  "period must be positive", id="spikes_period_nan"),
+    pytest.param(_model_cmd("spikes", "--period", "inf"), 1,
+                 "period must be positive and finite", id="spikes_period_inf"),
+    pytest.param(_model_cmd("simulate", "--v-threshold", "inf", "--n-cycles", "3"), 1,
+                 "spike threshold must be positive and finite", id="simulate_threshold_inf"),
     pytest.param(_model_cmd("spikes", "--second-example", "1"), 1,
                  "--second-example needs --backend circuit", id="ideal_second_example"),
     pytest.param(_model_cmd("spikes", "--record-output-unit", "0"), 1,
@@ -384,6 +389,7 @@ REJECTED = [
     pytest.param(_train("--theta", "nan"), 1, "threshold must be finite",
                  id="train_theta_nan"),
     pytest.param(_train("--epochs", "-1"), 1, "epochs must be >= 0", id="train_epochs_negative"),
+    pytest.param(_train("--seed", "-2"), 1, "seed must be >= 0", id="train_seed_negative"),
     pytest.param(_train("--limit-train", "0"), 1, "limit_train must be >= 1",
                  id="train_limit_zero"),
     pytest.param(_train("--limit-train", "-3"), 1, "limit_train must be >= 1",
@@ -424,3 +430,92 @@ class TestRejectedInputs:
         assert rc == code, err
         assert says.format(**paths) in err
         assert "Traceback" not in err
+
+
+# Candidate values, valid ones first and more often, so that most examples
+# get past argument parsing and about one in six runs its command to the end.
+INTS = ["1", "3", "0", "-2", "x"]
+FLOATS = ["0.03", "20", "0", "-1", "nan", "inf", "x"]
+# The flags every command takes, then per command: its positional argument's
+# choices, the flags it always gets, and its own flags. A flag maps to its
+# candidate values; None is a flag that takes no value. Every command gets
+# --data-dir, since the default is relative to the working directory, and
+# runs that train or integrate get a bounded --epochs, --n-cycles and
+# --v-threshold, so no example trains 20 epochs or runs the calibration scan
+# (TestSpikes covers that).
+FUZZ_COMMON = {
+    "--config": ["{config}", "{nan_lr_config}", "{missing}", "{a_dir}", "{not_utf8}"],
+    "--dataset": ["mnist", "mnist", "cifar10", "svhn"],
+    "--data-dir": ["{data}", "{data}", "{missing}", "{csv}"],
+    "--seed": INTS, "--period": FLOATS, "--dt": FLOATS,
+}
+FUZZ_PATHS = ["{model}", "{model}", "{model}", "{corrupt_model}", "{missing}", "{a_dir}",
+              "{not_utf8}"]
+FUZZ_SPIKES = {"--example": INTS, "--second-example": INTS,
+               "--split": ["test", "train", "dev"], "--record-output-unit": INTS}
+FUZZ_COMMANDS = {
+    "train": ([], {"--epochs": ["1", "0", "-1", "x"], "--data-dir": ["{data}"]},
+              {"--arch": ["fc-mnist", "conv", "rnn"], "--batch-size": INTS, "--lr": FLOATS,
+               "--theta": FLOATS, "--limit-train": INTS, "--phase-shift": [None]}),
+    "eval": (FUZZ_PATHS, {"--data-dir": ["{data}"]}, {"--split": ["test", "train", "dev"]}),
+    "spikes": (FUZZ_PATHS, {"--data-dir": ["{data}"], "--n-cycles": ["3", "1", "0", "-2"],
+                            "--v-threshold": FLOATS},
+               dict(FUZZ_SPIKES, **{"--backend": ["ideal", "circuit", "gpu"]})),
+    "simulate": (FUZZ_PATHS, {"--data-dir": ["{data}"], "--n-cycles": ["3", "1", "0", "-2"],
+                              "--v-threshold": FLOATS}, FUZZ_SPIKES),
+    "plot": (FUZZ_PATHS[3:] + ["{csv}"] * 3, {}, {"-o": ["{svg}", "{missing}/x.svg", "{a_dir}"]}),
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """An argv for one command, with {name} placeholders for paths."""
+    cmd = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    positional, bounded, optional = FUZZ_COMMANDS[cmd]
+    argv = [cmd] + ([draw(st.sampled_from(positional))] if positional else [])
+    flags = dict(bounded)
+    if cmd != "plot":
+        argv += ["--out-dir", "{out}"]
+        chosen = draw(st.sets(st.sampled_from(sorted(optional.keys() | FUZZ_COMMON.keys())),
+                              max_size=3))
+        flags.update((f, optional.get(f) or FUZZ_COMMON[f]) for f in chosen)
+    elif draw(st.booleans()):
+        flags["-o"] = optional["-o"]
+    for flag, values in sorted(flags.items()):
+        value = draw(st.sampled_from(values))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestFuzzedArguments:
+    """Any argv for train, eval, spikes, simulate or plot ends in a
+    documented exit code or argparse's usage exit, never in a traceback.
+    fetch-data is left out: it opens the network."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_paths(self, workdir, tmp_path_factory):
+        root, out = workdir
+        d = tmp_path_factory.mktemp("fuzz")
+        model = out / "model.phzn"
+        (d / "corrupt.phzn").write_bytes(model.read_bytes()[:40])
+        (d / "nan_lr.json").write_text(json.dumps({"lr": float("nan")}))
+        (d / "config.json").write_text(json.dumps({"epochs": 1, "batch_size": 8}))
+        (d / "latin1.csv").write_bytes(b"x,y\n1,\xe9\n")
+        (d / "metrics.csv").write_bytes((out / "metrics.csv").read_bytes())
+        (d / "a_dir").mkdir()
+        return {"model": model, "corrupt_model": d / "corrupt.phzn", "data": root / "data",
+                "missing": d / "missing", "a_dir": d / "a_dir", "csv": d / "metrics.csv",
+                "not_utf8": d / "latin1.csv", "config": d / "config.json",
+                "nan_lr_config": d / "nan_lr.json", "svg": d / "plot.svg"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(argv=fuzzed_argv())
+    def test_exit_code(self, fuzz_paths, tmp_path_factory, argv):
+        paths = dict(fuzz_paths, out=tmp_path_factory.mktemp("fuzz_out"))
+        argv = [a.format(**paths) for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse rejected the argv
+            assert e.code == 1, argv
+        else:
+            assert rc in (0, 1, 2, 3), argv

@@ -77,6 +77,13 @@ class TestMnistLoader:
         with pytest.raises(TruncatedFileError, match=str(ip)):
             load_mnist_idx(ip, lp)
 
+    def test_negative_dimension(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8),
+                                np.array([0, 1], dtype=np.uint8))
+        ip.write_bytes(struct.pack(">iiii", 2051, -2, 3, 3) + bytes(18))
+        with pytest.raises(CorruptRecordError, match="negative image dimension"):
+            load_mnist_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

@@ -8,7 +8,7 @@ desk scale.
 import numpy as np
 import pytest
 
-from conftest import small_fc_net
+from conftest import small_fc_net, synthetic_dataset
 from phasornet.circuit import (
     build_circuit,
     calibrate_threshold,
@@ -16,7 +16,8 @@ from phasornet.circuit import (
     decode_over_time,
     run,
 )
-from phasornet.phasor_net import forward, predict
+from phasornet.data import Dataset
+from phasornet.phasor_net import LayerSpec, PhasorNetwork, forward, predict
 from phasornet.spikemap import raster_phases, unroll
 from phasornet.training import encode_batch, evaluate, train
 
@@ -123,3 +124,42 @@ class TestCircuit:
             decoded = decode_over_time(result.raster, 10, len(net.layers), times)
             locked += decoded[-1] >= 0 and np.all(decoded == decoded[-1])
         assert locked / len(images) >= 0.8
+
+
+@pytest.fixture(scope="module")
+def conv_circuit_runs():
+    """A 1x8x8 -> conv 4 -> conv 8 -> dense 10 net trained on the synthetic
+    task, its calibrated circuit, and a 15-cycle run on each of 12 held-out
+    images: (net, [(image, result)])."""
+    ds = synthetic_dataset(n_per_class=24, side=8, seed=7)
+    n_test = 12
+    held_out = ds.images[:n_test]
+    specs = [LayerSpec("conv3x3", in_channels=1, out_channels=4),
+             LayerSpec("conv3x3", in_channels=4, out_channels=8),
+             LayerSpec("dense", fan_in=8 * 4 * 4, fan_out=10)]
+    net = PhasorNetwork.create((1, 8, 8), specs, seed=7)
+    train(net, Dataset(ds.images[n_test:], ds.labels[n_test:]), test_set=None,
+          epochs=40, batch_size=32, lr=0.005, seed=7)
+    circuit = build_circuit(net)
+    thr, _ = calibrate_threshold(net, circuit, list(held_out[:3]))
+    return net, [(image, run(circuit, [(image, 15)], v_threshold=thr)) for image in held_out]
+
+
+class TestConvCircuit:
+    def test_agreement_at_least_80_percent(self, conv_circuit_runs):
+        net, runs = conv_circuit_runs
+        agree = 0
+        for image, result in runs:
+            got = decode_output(result.raster, 10, len(net.layers), now=150.0)
+            want = predict(forward(net, encode_batch(net, image[None])[0]).output)
+            agree += got == want
+        assert agree / len(runs) >= 0.8
+
+    def test_settles_within_ten_cycles(self, conv_circuit_runs):
+        net, runs = conv_circuit_runs
+        locked = 0
+        for _, result in runs:
+            times = np.arange(10, 16) * 10.0
+            decoded = decode_over_time(result.raster, 10, len(net.layers), times)
+            locked += decoded[-1] >= 0 and np.all(decoded == decoded[-1])
+        assert locked / len(runs) >= 0.8
