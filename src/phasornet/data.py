@@ -78,6 +78,8 @@ def _read_idx(path, magic, ndim, what):
 def load_mnist_idx(images_path, labels_path, name="mnist", split=""):
     """Read the big-endian IDX pair into a (N, 1, 28, 28) dataset."""
     images = _read_idx(images_path, MNIST_IMAGE_MAGIC, 3, "image")
+    if images.shape[0] == 0:
+        raise CorruptRecordError("header declares 0 images", path=images_path, offset=4)
     labels = _read_idx(labels_path, MNIST_LABEL_MAGIC, 1, "label")
     if labels.size != images.shape[0]:
         raise TruncatedFileError(

@@ -138,11 +138,8 @@ class PhasorNetwork:
             wshape, bshape, shape = spec.shapes(shape)
             std = 1.0 / np.sqrt(np.prod(wshape[1:]))
             w = rng.normal(0.0, std, wshape) + 1j * rng.normal(0.0, std, wshape)
-            # b is cast down like w: making it directly in dtype changes where
-            # glibc places it, which cost train-conv 5% (BENCH_layer_shapes.json)
-            b = np.zeros(bshape, dtype=w.dtype)
             weights.append(w.astype(dtype))
-            biases.append(b.astype(dtype))
+            biases.append(np.zeros(bshape, dtype=dtype))
         if phase_shift_seed is None:
             phase_shift_seed = seed
         shifts = None

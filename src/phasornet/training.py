@@ -38,6 +38,8 @@ def evaluate(net, dataset, batch_size=256, limit=None):
     """Error rate with the phasor-domain decision rule; a missing prediction
     counts as an error."""
     n = len(dataset) if limit is None else min(limit, len(dataset))
+    if n < 1:
+        raise ValidationError(f"nothing to evaluate: {n} examples")
     wrong = 0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)

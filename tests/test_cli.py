@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -396,6 +397,10 @@ REJECTED = [
                  id="train_limit_negative"),
     pytest.param(["eval", "{nan_theta_model}", "--data-dir", "{data}", "--out-dir", "{out}"],
                  2, "malformed header", id="model_theta_nan"),
+    pytest.param(["train", "--data-dir", "{empty_test_data}", "--out-dir", "{out}"], 2,
+                 "{empty_test_images}", id="train_empty_test_split"),
+    pytest.param(["eval", "{model}", "--data-dir", "{empty_test_data}", "--out-dir", "{out}"],
+                 2, "{empty_test_images}", id="eval_empty_test_split"),
     pytest.param(["plot", "{not_utf8}"], 2, "{not_utf8}", id="plot_not_utf8"),
     pytest.param(["plot", "{a_dir}"], 2, "{a_dir}", id="plot_directory"),
 ]
@@ -418,9 +423,13 @@ class TestRejectedInputs:
         not_utf8.write_bytes(b"x,y\n1,\xe9\n")
         a_dir = tmp_path / "a_dir.csv"
         a_dir.mkdir()
+        empty_test = tmp_path / "empty_test" / "mnist"  # the training split, no test images
+        shutil.copytree(root / "data" / "mnist", empty_test)
+        write_idx(empty_test, ("t10k", "t10k"), np.zeros((0, 8, 8)), np.zeros(0))
         return {"model": out / "model.phzn", "data": root / "data", "out": tmp_path / "run",
                 "nan_theta_model": nan_theta, "nan_lr_config": config,
-                "not_utf8": not_utf8, "a_dir": a_dir}
+                "not_utf8": not_utf8, "a_dir": a_dir, "empty_test_data": empty_test.parent,
+                "empty_test_images": empty_test / "t10k-images-idx3-ubyte"}
 
     @pytest.mark.parametrize("argv,code,says", REJECTED)
     def test_exit_code_without_traceback(self, workdir, tmp_path, capsys, argv, code, says):

@@ -17,6 +17,7 @@ from phasornet.circuit import (
     run,
 )
 from phasornet.data import Dataset
+from phasornet.errors import ValidationError
 from phasornet.phasor_net import LayerSpec, PhasorNetwork, forward, predict
 from phasornet.spikemap import raster_phases, unroll
 from phasornet.training import encode_batch, evaluate, train
@@ -41,6 +42,14 @@ class TestTraining:
         _, test = synth_split
         err = evaluate(small_fc_net(seed=99), test)
         assert err > 0.6
+
+    def test_nothing_to_evaluate(self, trained_net, synth_split):
+        _, test = synth_split
+        empty = Dataset(test.images[:0], test.labels[:0])
+        with pytest.raises(ValidationError, match="nothing to evaluate"):
+            evaluate(trained_net, empty)
+        with pytest.raises(ValidationError, match="nothing to evaluate"):
+            evaluate(trained_net, test, limit=0)
 
     def test_loss_decreases(self, synth_split):
         trainset, test = synth_split
