@@ -6,7 +6,7 @@ with OH, OW = H-2, W-2. im2col lays the input out once as columns
 The forward pass multiplies the kernels into them, and the circuit reads its
 conv synapses off the im2col map of an index image. The backward pass reuses
 those columns for the kernel gradient, and scatters column cotangents back
-onto the input (col2im) for the input gradient.
+onto the input (col2im) for the input gradient, a few examples at a time.
 """
 
 import numpy as np
@@ -14,6 +14,10 @@ import numpy as np
 # Convolution is numpy only. perfbench/run.py still reports this constant,
 # so it stays until the benchmark's next change.
 NUMBA_AVAILABLE = False
+
+# col2im computes the column cotangents of this many bytes' worth of examples
+# at a time (at least one), so the (B, C*9, OH*OW) array never exists whole
+COL2IM_GROUP_BYTES = 2 << 20
 
 
 def im2col(x):
@@ -49,9 +53,15 @@ def conv2d_backward_input(delta, kernels):
     b, f, oh, ow = delta.shape
     c = kernels.shape[1]
     kc = np.conj(kernels.reshape(f, c * 9)).T
-    dcols = np.matmul(kc, delta.reshape(b, f, oh * ow)).reshape(b, c, 3, 3, oh, ow)
-    gx = np.zeros((b, c, oh + 2, ow + 2), dtype=dcols.dtype)
-    for p in range(3):
-        for q in range(3):
-            gx[:, :, p:p + oh, q:q + ow] += dcols[:, :, p, q]
+    d = delta.reshape(b, f, oh * ow)
+    gx = np.zeros((b, c, oh + 2, ow + 2), dtype=np.result_type(kc, d))
+    group = max(1, COL2IM_GROUP_BYTES // (c * 9 * oh * ow * gx.itemsize))
+    buf = np.empty((min(group, b), c * 9, oh * ow), dtype=gx.dtype)
+    for start in range(0, b, group):
+        part = d[start:start + group]
+        dcols = np.matmul(kc, part, out=buf[:len(part)]).reshape(-1, c, 3, 3, oh, ow)
+        g = gx[start:start + group]
+        for p in range(3):
+            for q in range(3):
+                g[:, :, p:p + oh, q:q + ow] += dcols[:, :, p, q]
     return gx

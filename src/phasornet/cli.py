@@ -206,7 +206,7 @@ def cmd_eval(args):
     cfg = _load_config(args)
     net = load_model(args.model)
     ds = _load_split(cfg, args.split)
-    err = evaluate(net, ds)
+    err = evaluate(net, ds, batch_size=cfg["batch_size"])
     _write_manifest(args.out_dir, "eval", cfg, {"model": args.model})
     report = {"dataset": cfg["dataset"], "split": args.split,
               "error_rate": err, "n": len(ds)}

@@ -5,6 +5,7 @@ by 1/255 into [0, 1] with no mean-centering; labels stay integer.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -85,32 +86,48 @@ def load_mnist_idx(images_path, labels_path, name="mnist", split=""):
         raise TruncatedFileError(
             f"image count {images.shape[0]} != label count {labels.size}",
             path=labels_path, offset=4)
-    return Dataset(images[:, None].astype(np.float32) / 255.0, labels.astype(np.int64),
-                   name=name, split=split)
+    pixels = images[:, None].astype(np.float32)
+    pixels /= 255.0
+    return Dataset(pixels, labels.astype(np.int64), name=name, split=split)
 
 
 def load_cifar10_bin(batch_paths, name="cifar10", split=""):
-    """Read CIFAR-10 binary batches (3073-byte records, R/G/B planes)."""
-    all_images, all_labels = [], []
-    for path in batch_paths:
+    """Read CIFAR-10 binary batches (3073-byte records, R/G/B planes) into
+    one float32 array sized from the file sizes, filled a file at a time."""
+    sizes = []
+    for path in batch_paths:  # open() raises the OS's error for a directory
+        with open(path, "rb") as f:
+            sizes.append(os.fstat(f.fileno()).st_size)
+    if not sizes:
+        raise ValidationError("no CIFAR-10 batch files given")
+    for path, size in zip(batch_paths, sizes):
+        if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+            raise TruncatedFileError(
+                f"size {size} is not a positive multiple of {CIFAR_RECORD_BYTES}",
+                path=path, offset=size)
+    n = sum(sizes) // CIFAR_RECORD_BYTES
+    images = np.empty((n, 3, 32, 32), dtype=np.float32)
+    labels = np.empty(n, dtype=np.int64)
+    start = 0
+    for path, size in zip(batch_paths, sizes):
         with open(path, "rb") as f:
             raw = f.read()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise TruncatedFileError(
-                f"size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}",
-                path=path, offset=len(raw))
+        if len(raw) != size:
+            raise TruncatedFileError(f"expected {size} bytes, read {len(raw)}",
+                                     path=path, offset=len(raw))
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0]
-        if labels.max(initial=0) > 9:
-            bad = int(np.flatnonzero(labels > 9)[0])
+        found = records[:, 0]
+        if found.max() > 9:
+            bad = int(np.flatnonzero(found > 9)[0])
             raise CorruptRecordError(
-                f"label byte {labels[bad]} > 9 in record {bad}",
+                f"label byte {found[bad]} > 9 in record {bad}",
                 path=path, offset=bad * CIFAR_RECORD_BYTES)
-        all_labels.append(labels.astype(np.int64))
-        all_images.append(records[:, 1:].reshape(-1, 3, 32, 32))
-    images = np.concatenate(all_images)
-    labels = np.concatenate(all_labels)
-    return Dataset(images.astype(np.float32) / 255.0, labels, name=name, split=split)
+        stop = start + len(records)
+        labels[start:stop] = found
+        images[start:stop] = records[:, 1:].reshape(-1, 3, 32, 32)
+        start = stop
+    images /= 255.0
+    return Dataset(images, labels, name=name, split=split)
 
 
 class BatchIterator:

@@ -130,15 +130,19 @@ class PhasorNetwork:
     def create(cls, input_shape, layer_specs, seed=0, dtype=np.complex64,
                use_phase_shifts=False, phase_shift_seed=None):
         """Initialize weights with independent Gaussian re/im parts of
-        standard deviation 1/sqrt(fan_in); biases zero."""
+        standard deviation 1/sqrt(fan_in); biases zero. Each float64 draw is
+        written straight into its part of the dtype array, so no complex128
+        copy of a weight is made."""
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         shape = tuple(input_shape)
         for spec in layer_specs:
             wshape, bshape, shape = spec.shapes(shape)
             std = 1.0 / np.sqrt(np.prod(wshape[1:]))
-            w = rng.normal(0.0, std, wshape) + 1j * rng.normal(0.0, std, wshape)
-            weights.append(w.astype(dtype))
+            w = np.empty(wshape, dtype=dtype)
+            w.real = rng.normal(0.0, std, wshape)
+            w.imag = rng.normal(0.0, std, wshape)
+            weights.append(w)
             biases.append(np.zeros(bshape, dtype=dtype))
         if phase_shift_seed is None:
             phase_shift_seed = seed

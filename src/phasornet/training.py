@@ -34,9 +34,12 @@ def encode_batch(net, images):
     return x.reshape((x.shape[0],) + net.input_shape)
 
 
-def evaluate(net, dataset, batch_size=256, limit=None):
+def evaluate(net, dataset, batch_size=64, limit=None):
     """Error rate with the phasor-domain decision rule; a missing prediction
-    counts as an error."""
+    counts as an error. The default batch is the training batch, so that
+    evaluation fits in a train step's working set."""
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
     n = len(dataset) if limit is None else min(limit, len(dataset))
     if n < 1:
         raise ValidationError(f"nothing to evaluate: {n} examples")
@@ -92,7 +95,8 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
             losses.append(batch_loss)
             errs.append(err * len(labels))
         train_err = sum(errs) / len(train_set)
-        test_err = evaluate(net, test_set) if test_set is not None else float("nan")
+        test_err = (evaluate(net, test_set, batch_size=batch_size)
+                    if test_set is not None else float("nan"))
         rec = {
             "epoch": epoch + 1,
             "train_err": train_err,

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ needs_mnist = pytest.mark.skipif(
 needs_cifar = pytest.mark.skipif(
     not have_cifar(),
     reason="CIFAR-10 binary files not found (set PHASORNET_DATA_DIR or run `phasornet fetch-data`)")
+
+
+def traced_peak(fn):
+    """Bytes that fn() allocates at its peak, over what was allocated when it
+    started, as tracemalloc counts them (numpy reports its array buffers to
+    it). An allocation count, unlike the process RSS, does not depend on what
+    the heap kept from earlier tests."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def synthetic_dataset(n_per_class=40, n_classes=10, side=8, noise=0.12, seed=0):

@@ -144,6 +144,32 @@ class TestEval:
         assert report["error_rate"] >= 0.5
 
 
+    def test_eval_runs_in_the_config_batch_size(self, workdir, tmp_path, monkeypatch):
+        root, out = workdir
+        seen = []
+
+        def spy(net, ds, batch_size):
+            seen.append(batch_size)
+            return 0.5
+
+        monkeypatch.setattr(cli, "evaluate", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 5}))
+        rc = main(["eval", str(out / "model.phzn"), "--data-dir", str(root / "data"),
+                   "--out-dir", str(tmp_path), "--config", str(cfg)])
+        assert rc == 0
+        assert seen == [5]
+
+    def test_eval_batch_size_zero_is_usage_error(self, workdir, tmp_path, capsys):
+        root, out = workdir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 0}))
+        rc = main(["eval", str(out / "model.phzn"), "--data-dir", str(root / "data"),
+                   "--out-dir", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        assert "batch size" in capsys.readouterr().err
+
+
 class TestSpikes:
     def test_ideal_backend(self, workdir, tmp_path):
         root, out = workdir

@@ -16,6 +16,8 @@ from phasornet.errors import (
     ValidationError,
 )
 
+from conftest import traced_peak
+
 
 def write_idx_pair(tmp_path, pixels, labels):
     """Hand-built IDX fixture: pixels (N, H, W) uint8, labels (N,) uint8."""
@@ -31,9 +33,9 @@ def write_idx_pair(tmp_path, pixels, labels):
     return img_path, lbl_path
 
 
-def write_cifar_batch(tmp_path, records):
+def write_cifar_batch(tmp_path, records, name="data_batch_1.bin"):
     """records: list of (label, pixels(3072,) uint8)."""
-    path = tmp_path / "data_batch_1.bin"
+    path = tmp_path / name
     with open(path, "wb") as f:
         for label, pix in records:
             f.write(bytes([label]))
@@ -127,6 +129,64 @@ class TestCifarLoader:
                                             (10, np.zeros(3072))])
         with pytest.raises(CorruptRecordError, match="record 1"):
             load_cifar10_bin([path])
+
+
+def random_cifar_file(tmp_path, rng, n, name):
+    """n random records; returns the path and the records as (n, 3073) uint8."""
+    records = rng.integers(0, 256, (n, CIFAR_RECORD_BYTES), dtype=np.uint8)
+    records[:, 0] %= 10
+    path = tmp_path / name
+    path.write_bytes(records.tobytes())
+    return path, records
+
+
+class TestCifarBatches:
+    def test_files_fill_one_array_in_order(self, tmp_path):
+        rng = np.random.default_rng(2)
+        p1, r1 = random_cifar_file(tmp_path, rng, 5, "data_batch_1.bin")
+        p2, r2 = random_cifar_file(tmp_path, rng, 3, "data_batch_2.bin")
+        ds = load_cifar10_bin([p1, p2])
+        records = np.concatenate([r1, r2])
+        # the recipe before the in-place fill: a float32 cast, then / 255
+        want = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+        assert ds.images.dtype == np.float32 and ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.images, want)
+        np.testing.assert_array_equal(ds.labels, records[:, 0])
+
+    def test_corrupt_label_in_second_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p1, _ = random_cifar_file(tmp_path, rng, 2, "data_batch_1.bin")
+        p2 = write_cifar_batch(tmp_path, [(1, np.zeros(3072)), (12, np.zeros(3072))],
+                               name="data_batch_2.bin")
+        with pytest.raises(CorruptRecordError, match="record 1") as info:
+            load_cifar10_bin([p1, p2])
+        assert str(p2) in str(info.value)
+
+    def test_no_files_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="no CIFAR-10 batch files"):
+            load_cifar10_bin([])
+
+
+class TestLoaderMemory:
+    """Each loader's traced peak stays within 1.3x of the dataset it returns:
+    the float32 images are made once and scaled in place."""
+
+    def test_mnist(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pixels = rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8)
+        ip, lp = write_idx_pair(tmp_path, pixels, rng.integers(0, 10, 2000))
+        ds = load_mnist_idx(ip, lp)
+        np.testing.assert_array_equal(
+            ds.images, pixels[:, None].astype(np.float32) / 255.0)
+        result = ds.images.nbytes + ds.labels.nbytes
+        assert traced_peak(lambda: load_mnist_idx(ip, lp)) <= 1.3 * result
+
+    def test_cifar(self, tmp_path):
+        path, _ = random_cifar_file(tmp_path, np.random.default_rng(5), 1000,
+                                    "data_batch_1.bin")
+        ds = load_cifar10_bin([path])
+        result = ds.images.nbytes + ds.labels.nbytes
+        assert traced_peak(lambda: load_cifar10_bin([path])) <= 1.3 * result
 
 
 class TestBatching:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import small_fc_net, synthetic_dataset
+from phasornet import cli
 from phasornet.circuit import (
     build_circuit,
     calibrate_threshold,
@@ -42,6 +43,15 @@ class TestTraining:
         _, test = synth_split
         err = evaluate(small_fc_net(seed=99), test)
         assert err > 0.6
+
+    def test_evaluate_batch_does_not_change_the_error(self, trained_net, synth_split):
+        _, test = synth_split
+        conv = cli._build_net(dict(cli.DEFAULTS, arch="conv", seed=5, phase_shift=False),
+                              test.input_shape)
+        for net in (trained_net, conv):
+            errs = {evaluate(net, test, batch_size=b) for b in (64, 256, 7)}
+            assert len(errs) == 1
+            assert errs == {evaluate(net, test)}
 
     def test_nothing_to_evaluate(self, trained_net, synth_split):
         _, test = synth_split

@@ -1,0 +1,44 @@
+"""Peak allocations of evaluation, construction and col2im on the conv preset.
+
+The bounds count traced allocations (conftest.traced_peak), not the process
+RSS, so they hold whatever the heap kept from earlier tests.
+"""
+
+import numpy as np
+
+from phasornet import _kernels, cli, optim, training
+
+from conftest import synthetic_dataset, traced_peak
+
+CONV = dict(cli.DEFAULTS, arch="conv", phase_shift=False, seed=3)
+SHAPE = (1, 28, 28)
+
+
+def test_evaluate_fits_in_a_train_step():
+    ds = synthetic_dataset(n_per_class=26, side=28)  # 260 images
+    net = cli._build_net(CONV, SHAPE)
+    adam = optim.Adam(net.parameters(), lr=1e-3)
+    batch = ds.images[:64], ds.labels[:64]
+    training.train_step(net, adam, *batch)  # the moments exist from here on
+    step = traced_peak(lambda: training.train_step(net, adam, *batch))
+    assert traced_peak(lambda: training.evaluate(net, ds)) <= step
+
+
+def test_create_peak_is_at_most_2_2x_the_parameters():
+    net = cli._build_net(CONV, SHAPE)
+    params = sum(p.nbytes for p in net.parameters())
+    assert traced_peak(lambda: cli._build_net(CONV, SHAPE)) <= 2.2 * params
+
+
+def test_col2im_holds_one_group_of_columns():
+    # conv2 of the conv preset at batch 64: the whole batch's column
+    # cotangents would be 15.2 MiB
+    rng = np.random.default_rng(0)
+    d = (rng.normal(size=(64, 16, 24, 24)) + 1j).astype(np.complex64)
+    k = (rng.normal(size=(16, 6, 3, 3)) + 1j).astype(np.complex64)
+    out = 64 * 6 * 26 * 26 * 8
+    # numpy's strided in-place adds buffer up to bufsize elements of each of
+    # their three operands
+    ufunc_buffers = 3 * np.getbufsize() * 8
+    peak = traced_peak(lambda: _kernels.conv2d_backward_input(d, k))
+    assert peak <= out + _kernels.COL2IM_GROUP_BYTES + ufunc_buffers

@@ -22,7 +22,26 @@ from phasornet.phasor_net import (
     tpam_activation,
 )
 
+from phasornet import cli
+
 from conftest import small_fc_net
+from create_reference import reference_weights
+
+
+class TestCreate:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("arch,shape", [("conv", (1, 28, 28)), ("conv", (3, 32, 32)),
+                                            ("fc-mnist", (1, 28, 28))])
+    def test_weights_match_the_complex128_recipe(self, arch, shape, dtype):
+        for seed in (0, 9):
+            cfg = dict(cli.DEFAULTS, arch=arch, seed=seed, phase_shift=False)
+            net = cli._build_net(cfg, shape, dtype=dtype)
+            want = reference_weights(net.input_shape, net.layers, seed=seed, dtype=dtype)
+            for w, ref in zip(net.weights, want, strict=True):
+                assert w.dtype == dtype
+                np.testing.assert_array_equal(w, ref)
+            for b in net.biases:
+                assert b.dtype == dtype and not b.any()
 
 
 class TestLayerSpecShapes:
