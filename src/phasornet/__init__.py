@@ -9,7 +9,7 @@ ODE simulation of resonating synapses.
 
 import ctypes
 
-from .complex_core import cmul, magnitude, phase, matvec, conv2d_valid
+from .complex_core import matvec, conv2d_valid
 from .phasor_net import (
     LayerSpec,
     PhasorNetwork,
@@ -22,8 +22,6 @@ from .phasor_net import (
     backward,
     loss_cosine,
     loss_mse,
-    loss_phase_gradient,
-    activation_jacobian,
     predict,
 )
 from .optim import Adam

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import _circuit_kernels as ck
 from ._kernels import im2col
-from .complex_core import phase as cphase
 from .errors import NumericError, ValidationError
 from .phasor_net import (encode_input, apply_input_phase_shift, forward, predict,
                          predict_batch)
@@ -100,9 +99,6 @@ class CircuitModel:
     def n_outputs(self):
         return self.layer_sizes[-1]
 
-    def output_offset(self):
-        return self.layer_offsets[-1]
-
 
 @dataclass
 class CircuitResult:
@@ -179,7 +175,7 @@ def stimulus_phase_offsets(circuit, image):
     """Spike-time offsets within a cycle for all generators (reference last)."""
     x = encode_input(np.asarray(image).reshape(-1))
     x = apply_input_phase_shift(x, circuit.phase_shifts)
-    return np.concatenate([phase_to_time(cphase(x), circuit.params.period), [0.0]])
+    return np.concatenate([phase_to_time(np.angle(x), circuit.params.period), [0.0]])
 
 
 def run(circuit, stimuli, v_threshold=None, record_neurons=()):
@@ -198,6 +194,9 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     if not (v_threshold > 0 and np.isfinite(v_threshold)):
         raise ValidationError(f"spike threshold must be positive and finite, got {v_threshold}")
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
+    if rec_ids.size and not (rec_ids[0] >= 0 and rec_ids[-1] < circuit.n_neurons):
+        raise ValidationError(
+            f"recorded neuron ids must lie in [0, {circuit.n_neurons}), got {rec_ids.tolist()}")
     volleys, t0 = [], 0.0  # each stimulus starts where the one before it ends
     for image, n_cycles in stimuli:
         if isinstance(n_cycles, bool) or not isinstance(n_cycles, (int, np.integer)) \

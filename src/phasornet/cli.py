@@ -270,7 +270,7 @@ def cmd_spikes(args):
     if args.second_example is not None:
         stimuli.append((ds.images[args.second_example], n_cycles))
     out_layer = len(net.layers)
-    record = [circ.output_offset() + args.record_output_unit] \
+    record = [circ.layer_offsets[-1] + args.record_output_unit] \
         if args.record_output_unit is not None else []
     result = circuit_mod.run(circ, stimuli, v_threshold=v_th,
                              record_neurons=record)

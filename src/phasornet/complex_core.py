@@ -1,38 +1,16 @@
-"""Complex scalar/tensor arithmetic and the two structural linear operations.
+"""The two structural linear operations on complex arrays: dense matvec and
+3x3 valid convolution.
 
-Complex values are numpy complex scalars/arrays (complex64 for training,
-complex128 where tight tolerances are needed, e.g. gradient checking). A
-"tensor" here is just a numpy array of complex dtype; real and imaginary
-parts are the two carried reals.
-
-Phase convention: two-argument arctangent, range (-pi, pi]. Phase comparisons
-elsewhere in the package go through cos/sin, never raw angle subtraction.
+Complex values are numpy complex arrays (complex64 for training, complex128
+where tight tolerances are needed, e.g. gradient checking); real and
+imaginary parts are the two carried reals. Phases are np.angle's, in
+(-pi, pi]; phase comparisons go through cos/sin, never raw angle subtraction.
 """
 
 import numpy as np
 
 from . import _kernels
 from .errors import DimensionError
-
-
-def cmul(a, b):
-    """Complex product (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re)."""
-    return np.multiply(a, b)
-
-
-def magnitude(z):
-    """sqrt(re^2 + im^2), elementwise."""
-    return np.abs(z)
-
-
-def phase(z):
-    """Two-argument arctangent of (im, re), in (-pi, pi]."""
-    return np.arctan2(np.imag(z), np.real(z))
-
-
-def from_polar(r, theta):
-    """r * e^{i theta} as a complex array."""
-    return r * np.exp(1j * np.asarray(theta, dtype=np.float64))
 
 
 def matvec(w, h, b):

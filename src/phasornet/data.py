@@ -40,10 +40,6 @@ class Dataset:
         return self.images.shape[0]
 
     @property
-    def n_classes(self):
-        return 10
-
-    @property
     def input_shape(self):
         return self.images.shape[1:]
 
@@ -86,6 +82,10 @@ def load_mnist_idx(images_path, labels_path, name="mnist", split=""):
         raise TruncatedFileError(
             f"image count {images.shape[0]} != label count {labels.size}",
             path=labels_path, offset=4)
+    if labels.max() > 9:
+        bad = int(np.flatnonzero(labels > 9)[0])
+        raise CorruptRecordError(f"label byte {labels[bad]} > 9 at index {bad}",
+                                 path=labels_path, offset=8 + bad)
     pixels = images[:, None].astype(np.float32)
     pixels /= 255.0
     return Dataset(pixels, labels.astype(np.int64), name=name, split=split)
@@ -154,7 +154,3 @@ class BatchIterator:
             idx = order[start:start + self.batch_size]
             yield self.dataset.images[idx], self.dataset.labels[idx]
         self.epoch += 1
-
-
-def batches(dataset, size, seed=0):
-    return BatchIterator(dataset, size, seed)

@@ -15,6 +15,7 @@ Parameter byte width follows the header's dtype field (complex64/complex128).
 """
 
 import json
+import math
 import operator
 import os
 
@@ -117,8 +118,10 @@ def _read_model(src, path):
             param_shapes += [wshape, bshape]
         phase_shift_seed = operator.index(header["phase_shift_seed"])
         v_threshold = header["v_threshold"]
-        if not isinstance(v_threshold, (int, float, type(None))):
-            raise TypeError(f"v_threshold {v_threshold!r} is not a number")
+        # json gives exact int/float types, so a bool fails the type test
+        if not (v_threshold is None or type(v_threshold) is int
+                or type(v_threshold) is float and math.isfinite(v_threshold)):
+            raise ValueError(f"v_threshold {v_threshold!r} is not a finite number")
         has_optimizer_state = header.get("has_optimizer_state")
     except (ValueError, KeyError, TypeError) as e:
         raise DataFormatError(f"malformed header: {type(e).__name__}: {e}",

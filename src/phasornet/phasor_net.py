@@ -72,8 +72,6 @@ class TargetEncoding:
     """Class phases: the positive class sits pi out of phase with the rest."""
 
     phases: np.ndarray
-    positive_phase: float = POSITIVE_PHASE
-    negative_phase: float = NEGATIVE_PHASE
 
 
 @dataclass
@@ -100,7 +98,6 @@ class ForwardTrace:
 class Gradients:
     weights: list
     biases: list
-    thetas: list  # dL/dTheta per layer; reported as zero (threshold not trained)
 
 
 class PhasorNetwork:
@@ -128,7 +125,7 @@ class PhasorNetwork:
 
     @classmethod
     def create(cls, input_shape, layer_specs, seed=0, dtype=np.complex64,
-               use_phase_shifts=False, phase_shift_seed=None):
+               use_phase_shifts=False):
         """Initialize weights with independent Gaussian re/im parts of
         standard deviation 1/sqrt(fan_in); biases zero. Each float64 draw is
         written straight into its part of the dtype array, so no complex128
@@ -144,13 +141,11 @@ class PhasorNetwork:
             w.imag = rng.normal(0.0, std, wshape)
             weights.append(w)
             biases.append(np.zeros(bshape, dtype=dtype))
-        if phase_shift_seed is None:
-            phase_shift_seed = seed
         shifts = None
         if use_phase_shifts:
-            shifts = make_phase_shifts(int(np.prod(input_shape)), phase_shift_seed)
+            shifts = make_phase_shifts(int(np.prod(input_shape)), seed)
         return cls(input_shape, layer_specs, weights, biases,
-                   phase_shifts=shifts, phase_shift_seed=phase_shift_seed)
+                   phase_shifts=shifts, phase_shift_seed=seed)
 
     def activation_shapes(self):
         """Shapes of h^(0) .. h^(L): input shape plus each layer's output."""
@@ -186,11 +181,12 @@ class PhasorNetwork:
 
     def parameters(self):
         """Flat list of (weight, bias) arrays, layer order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return interleave(self.weights, self.biases)
+
+
+def interleave(weights, biases):
+    """[w0, b0, w1, b1, ...]: the flat parameter order Adam and model files use."""
+    return [a for pair in zip(weights, biases) for a in pair]
 
 
 # -- encoders ----------------------------------------------------------------
@@ -258,16 +254,15 @@ def encode_target_phases(labels, n_classes):
     return phases
 
 
-# -- activation and its Jacobian ---------------------------------------------
+# -- activation and its pull-back --------------------------------------------
 
 
-def tpam_activation(z, theta=0.0, return_mask=False, return_inv=False):
+def tpam_activation(z, theta=0.0):
     """Project onto the unit circle if |z| - theta > 0, else exactly zero.
 
-    With return_mask, also returns the boolean mask of active units; with
-    return_inv, also the reciprocal magnitudes 1/|z|, exactly 0 where
-    inactive (in that order, after h). A NaN pre-activation is inactive, and
-    its output is NaN, not zero.
+    Returns (h, mask, inv): the activations, the boolean mask of active units
+    and the reciprocal magnitudes 1/|z|, exactly 0 where inactive. A NaN
+    pre-activation is inactive, and its output is NaN, not zero.
     """
     z = np.asarray(z)
     mag = np.abs(z)
@@ -275,26 +270,7 @@ def tpam_activation(z, theta=0.0, return_mask=False, return_inv=False):
     # numpy divides by a real-valued complex as a product with its reciprocal,
     # so z * (1/|z|) equals z / |z| bit for bit
     inv = np.reciprocal(mag, out=np.zeros_like(mag), where=mask)
-    h = z * inv
-    out = (h,)
-    if return_mask:
-        out += (mask,)
-    if return_inv:
-        out += (inv,)
-    return out if len(out) > 1 else h
-
-
-def activation_jacobian(z):
-    """Real 2x2 Jacobian [[du/da, du/db], [dv/da, dv/db]] of z -> z/|z|.
-
-    Singular at z = 0; callers must route |z| <= Theta units to zero gradient.
-    """
-    a, b = float(np.real(z)), float(np.imag(z))
-    r = np.hypot(a, b)
-    if r == 0.0:
-        raise ValidationError("activation Jacobian is singular at z = 0")
-    r3 = r ** 3
-    return np.array([[b * b / r3, -a * b / r3], [-a * b / r3, a * a / r3]])
+    return z * inv, mask, inv
 
 
 def _activation_pullback(g, h, inv):
@@ -342,8 +318,7 @@ def forward(net, x):
             z = matvec(w, h, b)
         else:
             z, c = conv2d_valid(h, w, b, return_cols=True)
-        h, mask, inv = tpam_activation(z, spec.theta, return_mask=True,
-                                       return_inv=True)
+        h, mask, inv = tpam_activation(z, spec.theta)
         hs.append(h)
         masks.append(mask)
         invs.append(inv)
@@ -372,21 +347,14 @@ def loss_mse(output, target_phases):
     return 0.5 * (d.real ** 2 + d.imag ** 2).sum(axis=-1)
 
 
-def loss_phase_gradient(theta, theta_hat):
-    """dL/dthetahat = sin(theta - thetahat)."""
-    return np.sin(np.asarray(theta, dtype=np.float64) - np.asarray(theta_hat, dtype=np.float64))
-
-
 def backward(net, trace, target_phases):
     """Gradients of the batch-mean loss w.r.t. every weight/bias component.
 
     target_phases: (n_out,) or (B, n_out) real phase targets matching the
     trace batch. Returns complex gradient arrays whose re/im parts are the
-    partials w.r.t. the corresponding parameter components; dL/dTheta slots
-    are zero (thresholds are not trained).
+    partials w.r.t. the corresponding parameter components (thresholds are
+    not trained).
     """
-    if isinstance(target_phases, TargetEncoding):
-        target_phases = target_phases.phases
     target_phases = np.asarray(target_phases, dtype=np.float64)
     single = trace.x.shape == net.input_shape
     hs = [trace.x] + list(trace.h)
@@ -424,11 +392,7 @@ def backward(net, trace, target_phases):
             g_biases[l] = gz.sum(axis=(0, 2, 3))
             if l:
                 g = _kernels.conv2d_backward_input(gz, w)
-    return Gradients(
-        weights=g_weights,
-        biases=g_biases,
-        thetas=[0.0] * len(net.layers),
-    )
+    return Gradients(weights=g_weights, biases=g_biases)
 
 
 # -- prediction --------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_core import phase as cphase
 from .errors import DataFormatError, ValidationError
 from .phasor_net import forward
 
@@ -69,7 +68,7 @@ def time_to_phase(t, period):
 
 def synapse_delay(weights, period):
     """Complex weights -> (magnitudes, delays): |W| and phase(W) scaled into [0, T)."""
-    return np.abs(weights).astype(np.float64), phase_to_time(cphase(weights), period)
+    return np.abs(weights).astype(np.float64), phase_to_time(np.angle(weights), period)
 
 
 def unroll(net, x, period, n_cycles):
@@ -91,7 +90,7 @@ def unroll(net, x, period, n_cycles):
     layers, neurons, times = [], [], []
     for layer, (h, active) in enumerate(states):
         units = np.flatnonzero(active)
-        offsets = phase_to_time(cphase(h[units]), period)  # checks the period first
+        offsets = phase_to_time(np.angle(h[units]), period)  # checks the period first
         bases = np.arange(layer, n_cycles) * period
         layers.append(np.full(units.size * bases.size, layer, dtype=np.int64))
         neurons.append(np.tile(units, bases.size))

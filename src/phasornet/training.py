@@ -13,17 +13,10 @@ from .phasor_net import (
     encode_input,
     encode_target_phases,
     forward,
+    interleave,
     loss_mse,
     predict_batch,
 )
-
-
-def _flatten_grads(grads):
-    out = []
-    for gw, gb in zip(grads.weights, grads.biases):
-        out.append(gw)
-        out.append(gb)
-    return out
 
 
 def encode_batch(net, images):
@@ -34,13 +27,13 @@ def encode_batch(net, images):
     return x.reshape((x.shape[0],) + net.input_shape)
 
 
-def evaluate(net, dataset, batch_size=64, limit=None):
+def evaluate(net, dataset, batch_size=64):
     """Error rate with the phasor-domain decision rule; a missing prediction
     counts as an error. The default batch is the training batch, so that
     evaluation fits in a train step's working set."""
     if batch_size < 1:
         raise ValidationError(f"batch size must be >= 1, got {batch_size}")
-    n = len(dataset) if limit is None else min(limit, len(dataset))
+    n = len(dataset)
     if n < 1:
         raise ValidationError(f"nothing to evaluate: {n} examples")
     wrong = 0
@@ -61,7 +54,7 @@ def train_step(net, optimizer, images, labels):
     targets = encode_target_phases(labels, net.n_outputs)
     trace = forward(net, x)
     grads = backward(net, trace, targets)
-    optimizer.step(net.parameters(), _flatten_grads(grads))
+    optimizer.step(net.parameters(), interleave(grads.weights, grads.biases))
     batch_loss = float(np.mean(loss_mse(trace.output, targets)))
     pred = predict_batch(trace.output)
     err = float((pred != labels).mean())

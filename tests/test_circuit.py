@@ -304,6 +304,14 @@ class TestRun:
         assert np.all(np.isfinite(result.trace_vm))
         assert result.trace_times[0] == pytest.approx(0.025)
 
+    @pytest.mark.parametrize("which", ["past_end", "negative"])
+    def test_out_of_range_recorded_neuron(self, which):
+        circuit = build_circuit(tiny_net(seed=0))
+        nid = circuit.n_neurons + 3 if which == "past_end" else -1
+        with pytest.raises(ValidationError, match="recorded neuron"):
+            run(circuit, [(tiny_images(1)[0], 2)], v_threshold=1e30,
+                record_neurons=[0, nid])
+
     def test_trace_times_follow_the_kernel_steps(self):
         # dt = 0.03 does not divide a 4-cycle stimulus (1333.33 steps); the run
         # keeps one clock across the switch, 2667 steps of 0.03 ms

@@ -1,46 +1,28 @@
 import numpy as np
 import pytest
 
-from phasornet.complex_core import cmul, conv2d_valid, from_polar, magnitude, matvec, phase
+from phasornet.complex_core import conv2d_valid, matvec
 from phasornet.errors import DimensionError
-
-
-class TestCmul:
-    def test_multiplicative_identity(self):
-        assert cmul(1 + 0j, 0.3 - 0.7j) == 0.3 - 0.7j
-
-    def test_i_squared(self):
-        assert cmul(1j, 1j) == -1 + 0j
-
-    def test_phase_addition(self):
-        a = from_polar(1.0, np.pi / 3)
-        b = from_polar(1.0, np.pi / 6)
-        assert abs(cmul(a, b) - 1j) < 1e-12
-
-    def test_commutative_associative(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.normal(size=200) + 1j * rng.normal(size=200) for _ in range(3))
-        np.testing.assert_allclose(cmul(a, b), cmul(b, a), rtol=1e-15, atol=1e-15)
-        np.testing.assert_allclose(cmul(cmul(a, b), c), cmul(a, cmul(b, c)),
-                                   rtol=1e-14, atol=1e-14)
-
-    def test_magnitude_multiplicative(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=500) + 1j * rng.normal(size=500)
-        b = rng.normal(size=500) + 1j * rng.normal(size=500)
-        np.testing.assert_allclose(magnitude(cmul(a, b)), magnitude(a) * magnitude(b),
-                                   rtol=1e-12)
+from phasornet.spikemap import phase_to_time, synapse_delay
 
 
 class TestPhaseConvention:
+    """np.angle's (-pi, pi] phases, as the spike-time maps read them."""
+
     def test_range(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=1000) + 1j * rng.normal(size=1000)
-        p = phase(z)
-        assert np.all(p > -np.pi) and np.all(p <= np.pi)
+        mag, delay = synapse_delay(z, 10.0)
+        assert np.all(delay >= 0.0) and np.all(delay < 10.0)
+        # the lower half-plane's negative phases wrap to the cycle's second half
+        np.testing.assert_array_equal(delay >= 5.0, z.imag < 0)
+        np.testing.assert_allclose(mag * np.exp(2j * np.pi * delay / 10.0), z,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_negative_real_axis(self):
-        assert phase(-1.0 + 0.0j) == pytest.approx(np.pi)
+        # phase pi, the top of the range, is half a cycle
+        assert phase_to_time(np.angle(-1.0 + 0.0j), 10.0) == pytest.approx(5.0)
+        assert synapse_delay(np.array([-1.0 + 0.0j]), 10.0)[1][0] == pytest.approx(5.0)
 
 
 class TestMatvec:
@@ -51,10 +33,10 @@ class TestMatvec:
         np.testing.assert_array_equal(out, h)
 
     def test_phase_shifter(self):
-        w = np.array([[from_polar(1.0, 0.4)]])
-        h = np.array([from_polar(1.0, 1.1)])
+        w = np.array([[np.exp(0.4j)]])
+        h = np.array([np.exp(1.1j)])
         out = matvec(w, h, np.zeros(1, dtype=complex))
-        assert abs(out[0] - from_polar(1.0, 1.5)) < 1e-12
+        assert abs(out[0] - np.exp(1.5j)) < 1e-12
 
     def test_against_scalar_loop(self):
         rng = np.random.default_rng(4)

@@ -98,6 +98,13 @@ class TestMnistLoader:
         with pytest.raises(TruncatedFileError, match="count"):
             load_mnist_idx(ip, lp)
 
+    def test_corrupt_label(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
+                                np.array([1, 12, 255], dtype=np.uint8))
+        with pytest.raises(CorruptRecordError, match="label byte 12 > 9") as info:
+            load_mnist_idx(ip, lp)
+        assert info.value.offset == 9 and str(lp) in str(info.value)
+
 
 class TestCifarLoader:
     def test_single_record(self, tmp_path):

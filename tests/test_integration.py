@@ -59,7 +59,7 @@ class TestTraining:
         with pytest.raises(ValidationError, match="nothing to evaluate"):
             evaluate(trained_net, empty)
         with pytest.raises(ValidationError, match="nothing to evaluate"):
-            evaluate(trained_net, test, limit=0)
+            evaluate(trained_net, empty, batch_size=1)
 
     def test_loss_decreases(self, synth_split):
         trainset, test = synth_split

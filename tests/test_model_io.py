@@ -202,9 +202,12 @@ class TestFormatErrors:
         lambda h: {**h, "layers": [{**h["layers"][0], "fan_in": 64.0}] + h["layers"][1:]},
         lambda h: {**h, "layers": []},
         lambda h: {**h, "v_threshold": "0.01"},
+        lambda h: {**h, "v_threshold": True},
+        lambda h: {**h, "v_threshold": float("nan")},
+        lambda h: {**h, "v_threshold": float("inf")},
     ], ids=["not_json", "not_utf8", "not_object", "no_dtype", "negative_input",
             "unknown_kind", "inconsistent_fan_in", "float_fan_in", "no_layers",
-            "string_threshold"])
+            "string_threshold", "bool_threshold", "nan_threshold", "inf_threshold"])
     def test_malformed_header(self, tmp_path, capsys, edit):
         """A header that cannot be interpreted is a data error at its offset,
         and exit code 2 from the CLI, before any payload is read."""
