@@ -1,8 +1,9 @@
 """Command-line surface: train, eval, spikes, simulate, plot, fetch-data.
 
 Configuration precedence is flags > config file (JSON) > built-in defaults.
-Every command writes its outputs under --out-dir together with a run
-manifest (config snapshot, seed, package version).
+Each command takes only the flags it reads. train, eval, spikes and simulate
+write their outputs under --out-dir together with a run manifest (config
+snapshot, seed, package version); plot and fetch-data write none.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -216,44 +217,45 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_spikes(args):
+def _spiking_run(args, backend):
+    """Config, model and split of a spikes or simulate run, with its indices
+    checked and its manifest written."""
     cfg = _load_config(args)
-    if args.backend == "ideal":
-        for flag, value in (("--second-example", args.second_example),
-                            ("--record-output-unit", args.record_output_unit)):
-            if value is not None:
-                raise ValidationError(f"{flag} needs --backend circuit")
     net = load_model(args.model)
     ds = _load_split(cfg, args.split)
-    for flag, value, bound in (("example", args.example, len(ds)),
-                               ("second example", args.second_example, len(ds)),
-                               ("record output unit", args.record_output_unit,
-                                net.n_outputs)):
+    for flag, value, bound in (
+            ("example", args.example, len(ds)),
+            ("second example", getattr(args, "second_example", None), len(ds)),
+            ("record output unit", getattr(args, "record_output_unit", None), net.n_outputs)):
         if value is not None and not 0 <= value < bound:
             raise ValidationError(f"{flag} index {value} out of range [0, {bound})")
-    out_dir = args.out_dir
-    _write_manifest(out_dir, "spikes", cfg,
-                    {"model": args.model, "backend": args.backend,
-                     "example": args.example})
-    n_cycles = cfg["n_cycles"]
-    image = ds.images[args.example]
-    if args.backend == "ideal":
-        if n_cycles < 1:
-            raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles}")
-        if n_cycles < len(net.layers) + 1:
-            print(f"warning: {n_cycles} cycles < depth+1 = {len(net.layers) + 1}; "
-                  f"the output layer never fires", file=sys.stderr)
-            n_cycles = len(net.layers) + 1
-        x = encode_batch(net, image[None])[0]
-        raster = unroll(net, x, cfg["period"], n_cycles)
-        path = os.path.join(out_dir, "raster_ideal.csv")
-        write_raster_csv(raster, path)
-        print(f"wrote {path} ({raster.time.size} events)")
-        return 0
+    _write_manifest(args.out_dir, "spikes", cfg,
+                    {"model": args.model, "backend": backend, "example": args.example})
+    return cfg, net, ds
 
-    # circuit backend
+
+def cmd_spikes(args):
+    cfg, net, ds = _spiking_run(args, "ideal")
+    n_cycles = cfg["n_cycles"]
+    if n_cycles < 1:
+        raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles}")
+    if n_cycles < len(net.layers) + 1:
+        print(f"warning: {n_cycles} cycles < depth+1 = {len(net.layers) + 1}; "
+              f"the output layer never fires", file=sys.stderr)
+        n_cycles = len(net.layers) + 1
+    x = encode_batch(net, ds.images[args.example][None])[0]
+    raster = unroll(net, x, cfg["period"], n_cycles)
+    path = os.path.join(args.out_dir, "raster_ideal.csv")
+    write_raster_csv(raster, path)
+    print(f"wrote {path} ({raster.time.size} events)")
+    return 0
+
+
+def cmd_simulate(args):
+    cfg, net, ds = _spiking_run(args, "circuit")
+    out_dir, n_cycles = args.out_dir, cfg["n_cycles"]
     circ = build_circuit(net, CircuitParams(period=cfg["period"], dt=cfg["dt"],
-                                            n_cycles=cfg["n_cycles"]))
+                                            n_cycles=n_cycles))
     v_th = cfg["v_threshold"] if cfg["v_threshold"] is not None else net.v_threshold
     if v_th is None:
         print("calibrating spike threshold...", file=sys.stderr)
@@ -266,19 +268,16 @@ def cmd_spikes(args):
                   "on any calibration image; using the smallest candidate", file=sys.stderr)
         net.v_threshold = v_th
         save_model(net, os.path.join(out_dir, "model_calibrated.phzn"))
-    stimuli = [(image, n_cycles)]
-    if args.second_example is not None:
-        stimuli.append((ds.images[args.second_example], n_cycles))
-    out_layer = len(net.layers)
+    stimuli = [(ds.images[i], n_cycles) for i in (args.example, args.second_example)
+               if i is not None]
     record = [circ.layer_offsets[-1] + args.record_output_unit] \
         if args.record_output_unit is not None else []
-    result = circuit_mod.run(circ, stimuli, v_threshold=v_th,
-                             record_neurons=record)
+    result = circuit_mod.run(circ, stimuli, v_threshold=v_th, record_neurons=record)
     path = os.path.join(out_dir, "raster_circuit.csv")
     write_raster_csv(result.raster, path)
     print(f"wrote {path} ({result.raster.time.size} events)")
     times = np.arange(1.0, result.total_time + 0.5, 1.0)
-    decoded = decode_over_time(result.raster, circ.n_outputs, out_layer, times)
+    decoded = decode_over_time(result.raster, circ.n_outputs, len(net.layers), times)
     dpath = os.path.join(out_dir, "decoded_class.csv")
     with open(dpath, "w") as f:
         f.write("time_ms,predicted_class\n")
@@ -305,33 +304,37 @@ def cmd_plot(args):
 
 
 def cmd_fetch_data(args):
+    """Downloads go to a .part name and take the real one only once they have
+    opened and extracted, so a download that stops early is never reused."""
     cfg = _load_config(args)
     d = os.path.join(cfg["data_dir"], cfg["dataset"])
     os.makedirs(d, exist_ok=True)
     try:
         if cfg["dataset"] == "mnist":
-            for split in ("train", "test"):
-                for name in MNIST_FILES[split]:
-                    dest = os.path.join(d, name)
-                    if os.path.exists(dest):
-                        continue
-                    url = MNIST_URL + name + ".gz"
-                    print(f"fetching {url}")
-                    with urllib.request.urlopen(url) as r:
-                        raw = gzip.decompress(r.read())
-                    with open(dest, "wb") as f:
-                        f.write(raw)
+            for name in MNIST_FILES["train"] + MNIST_FILES["test"]:
+                dest = os.path.join(d, name)
+                if os.path.exists(dest):
+                    continue
+                url = MNIST_URL + name + ".gz"
+                print(f"fetching {url}")
+                with urllib.request.urlopen(url) as r:
+                    raw = gzip.decompress(r.read())
+                with open(dest + ".part", "wb") as f:
+                    f.write(raw)
+                os.replace(dest + ".part", dest)
         else:
             tar_path = os.path.join(d, "cifar-10-binary.tar.gz")
-            if not os.path.exists(tar_path):
+            archive = tar_path if os.path.exists(tar_path) else tar_path + ".part"
+            if archive != tar_path:
                 print(f"fetching {CIFAR_URL}")
-                urllib.request.urlretrieve(CIFAR_URL, tar_path)
-            with tarfile.open(tar_path) as tf:
+                urllib.request.urlretrieve(CIFAR_URL, archive)
+            with tarfile.open(archive) as tf:
                 for member in tf.getmembers():
                     if member.name.endswith(".bin"):
                         member.name = os.path.basename(member.name)
                         tf.extract(member, d)
-    except OSError as e:
+            os.replace(archive, tar_path)
+    except (OSError, EOFError, tarfile.TarError) as e:
         raise DataFormatError(f"download failed: {e}")
     print(f"dataset ready under {d}")
     return 0
@@ -340,24 +343,30 @@ def cmd_fetch_data(args):
 # -- entry point -------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--dataset", choices=["mnist", "cifar10"])
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--out-dir", dest="out_dir", default="out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--period", type=float, help="cycle period T, ms")
-    p.add_argument("--dt", type=float, help="integration step, ms")
-    p.add_argument("--n-cycles", dest="n_cycles", type=int)
-    p.add_argument("--v-threshold", dest="v_threshold", type=float)
-
-
 def build_parser():
+    """Each command takes exactly the flags it reads; config-file keys stay
+    global, so one file serves every command."""
     parser = _Parser(prog="phasornet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model")
-    _add_common(p)
+    def command(name, help, func, out_dir=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--dataset", choices=["mnist", "cifar10"])
+        p.add_argument("--data-dir", dest="data_dir")
+        if out_dir:
+            p.add_argument("--out-dir", dest="out_dir", default="out")
+        p.set_defaults(func=func)
+        return p
+
+    def model_command(name, help, func):
+        p = command(name, help, func)
+        p.add_argument("model")
+        p.add_argument("--split", choices=["train", "test"], default="test")
+        return p
+
+    p = command("train", "train a model", cmd_train)
+    p.add_argument("--seed", type=int)
     p.add_argument("--arch", choices=["fc-mnist", "conv"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -367,39 +376,31 @@ def build_parser():
                    const=True, help="apply fixed random per-input phase shifts")
     p.add_argument("--limit-train", dest="limit_train", type=int,
                    help="cap the number of training examples (smoke mode)")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model")
-    _add_common(p)
-    p.add_argument("model")
-    p.add_argument("--split", choices=["train", "test"], default="test")
-    p.set_defaults(func=cmd_eval)
+    model_command("eval", "evaluate a model", cmd_eval)
 
-    for name, backend in (("spikes", None), ("simulate", "circuit")):
-        p = sub.add_parser(name, help="export spike rasters")
-        _add_common(p)
-        p.add_argument("model")
+    for name, help, func in (
+            ("spikes", "export the ideal spike raster", cmd_spikes),
+            ("simulate", "run the resonate-and-fire circuit", cmd_simulate)):
+        p = model_command(name, help, func)
         p.add_argument("--example", type=int, default=0)
-        p.add_argument("--second-example", dest="second_example", type=int,
-                       help="second stimulus presented after the first")
-        p.add_argument("--split", choices=["train", "test"], default="test")
-        if backend is None:
-            p.add_argument("--backend", choices=["ideal", "circuit"],
-                           default="ideal")
-        else:
-            p.set_defaults(backend="circuit")
-        p.add_argument("--record-output-unit", dest="record_output_unit",
-                       type=int, help="output unit whose V_m trace to record")
-        p.set_defaults(func=cmd_spikes)
+        p.add_argument("--period", type=float, help="cycle period T, ms")
+        p.add_argument("--n-cycles", dest="n_cycles", type=int)
+    # simulate, built last, also takes the circuit's flags
+    p.add_argument("--dt", type=float, help="integration step, ms")
+    p.add_argument("--v-threshold", dest="v_threshold", type=float)
+    p.add_argument("--second-example", dest="second_example", type=int,
+                   help="second stimulus presented after the first")
+    p.add_argument("--record-output-unit", dest="record_output_unit",
+                   type=int, help="output unit whose V_m trace to record")
 
     p = sub.add_parser("plot", help="render a metrics or raster CSV to SVG")
     p.add_argument("csv")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("fetch-data", help="download a dataset into the cache")
-    _add_common(p)
-    p.set_defaults(func=cmd_fetch_data)
+    command("fetch-data", "download a dataset into the cache", cmd_fetch_data,
+            out_dir=False)
     return parser
 
 

@@ -2,7 +2,8 @@
 
 Layout (all integers little-endian):
     magic           4 bytes  b"PHZN"
-    version         uint32   currently 1
+    version         uint32   2 (version 1 files, whose header also holds an
+                             unused phase_shift_seed, load the same way)
     header length   uint32
     header          UTF-8 canonical JSON (sorted keys, no whitespace)
     phase shifts    float64[n_inputs]
@@ -25,7 +26,7 @@ from .errors import DataFormatError
 from .phasor_net import LayerSpec, PhasorNetwork
 
 MAGIC = b"PHZN"
-VERSION = 1
+VERSION = 2
 
 _DTYPES = {"complex64": np.complex64, "complex128": np.complex128}
 
@@ -47,7 +48,6 @@ def save_model(net, path, optimizer=None):
         "dtype": dtype_name,
         "input_shape": list(net.input_shape),
         "layers": [_layer_to_dict(s) for s in net.layers],
-        "phase_shift_seed": net.phase_shift_seed,
         "v_threshold": net.v_threshold,
         "has_optimizer_state": optimizer is not None,
     }
@@ -98,9 +98,9 @@ def _read_model(src, path):
     if _take(src, np.uint8, 4, path, "magic").tobytes() != MAGIC:
         raise DataFormatError(f"bad magic; not a model file", path=path, offset=0)
     version = int(_take(src, "<u4", 1, path, "version")[0])
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise DataFormatError(
-            f"unsupported model format version {version} (expected {VERSION})",
+            f"unsupported model format version {version} (expected 1 or {VERSION})",
             path=path, offset=4)
     hlen = int(_take(src, "<u4", 1, path, "header length")[0])
     blob = _take(src, np.uint8, hlen, path, "header").tobytes()
@@ -116,13 +116,14 @@ def _read_model(src, path):
         for spec in layers:
             wshape, bshape, shape = spec.shapes(shape)
             param_shapes += [wshape, bshape]
-        phase_shift_seed = operator.index(header["phase_shift_seed"])
         v_threshold = header["v_threshold"]
         # json gives exact int/float types, so a bool fails the type test
         if not (v_threshold is None or type(v_threshold) is int
                 or type(v_threshold) is float and math.isfinite(v_threshold)):
             raise ValueError(f"v_threshold {v_threshold!r} is not a finite number")
-        has_optimizer_state = header.get("has_optimizer_state")
+        has_optimizer_state = header["has_optimizer_state"]
+        if type(has_optimizer_state) is not bool:
+            raise ValueError(f"has_optimizer_state {has_optimizer_state!r} is not true or false")
     except (ValueError, KeyError, TypeError) as e:
         raise DataFormatError(f"malformed header: {type(e).__name__}: {e}",
                               path=path, offset=12) from None
@@ -149,6 +150,5 @@ def _read_model(src, path):
             f"{size - f.tell()} trailing bytes after payload", path=path, offset=f.tell())
 
     net = PhasorNetwork(input_shape, layers, params[0::2], params[1::2],
-                        phase_shifts=shifts, phase_shift_seed=phase_shift_seed,
-                        v_threshold=v_threshold)
+                        phase_shifts=shifts, v_threshold=v_threshold)
     return net, opt_state

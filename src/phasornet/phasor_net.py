@@ -104,7 +104,7 @@ class PhasorNetwork:
     """Ordered layers with complex weights/biases and per-layer thresholds."""
 
     def __init__(self, input_shape, layers, weights, biases,
-                 phase_shifts=None, phase_shift_seed=0, v_threshold=None):
+                 phase_shifts=None, v_threshold=None):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.layers = list(layers)
         self.weights = list(weights)
@@ -117,7 +117,6 @@ class PhasorNetwork:
             raise DimensionError(
                 f"phase shift vector has shape {self.phase_shifts.shape}, expected ({n_in},)"
             )
-        self.phase_shift_seed = int(phase_shift_seed)
         self.v_threshold = v_threshold
         self._check_shapes()
 
@@ -144,8 +143,7 @@ class PhasorNetwork:
         shifts = None
         if use_phase_shifts:
             shifts = make_phase_shifts(int(np.prod(input_shape)), seed)
-        return cls(input_shape, layer_specs, weights, biases,
-                   phase_shifts=shifts, phase_shift_seed=seed)
+        return cls(input_shape, layer_specs, weights, biases, phase_shifts=shifts)
 
     def activation_shapes(self):
         """Shapes of h^(0) .. h^(L): input shape plus each layer's output."""

@@ -1,7 +1,12 @@
+import argparse
+import gzip
+import io
 import json
 import os
 import shutil
 import struct
+import tarfile
+import urllib.error
 
 import numpy as np
 import pytest
@@ -10,6 +15,19 @@ from hypothesis import given, settings, strategies as st
 from phasornet import cli
 from phasornet.cli import main
 from phasornet.model_io import load_model
+
+
+def unreachable(*args, **kwargs):
+    raise urllib.error.URLError("network is unreachable")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_network():
+    """No test here opens the network; a test that fetches fakes it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.urllib.request, "urlopen", unreachable)
+        mp.setattr(cli.urllib.request, "urlretrieve", unreachable)
+        yield
 
 
 def write_idx(tmp_dir, stem, images, labels):
@@ -175,7 +193,7 @@ class TestSpikes:
         root, out = workdir
         rc = main(["spikes", str(out / "model.phzn"),
                    "--data-dir", str(root / "data"), "--out-dir", str(tmp_path),
-                   "--backend", "ideal", "--example", "1"])
+                   "--example", "1"])
         assert rc == 0
         lines = (tmp_path / "raster_ideal.csv").read_text().splitlines()
         assert lines[0] == "layer,neuron,time_ms"
@@ -185,7 +203,7 @@ class TestSpikes:
         root, out = workdir
         rc = main(["spikes", str(out / "model.phzn"),
                    "--data-dir", str(root / "data"), "--out-dir", str(tmp_path),
-                   "--backend", "ideal", "--n-cycles", "2"])
+                   "--n-cycles", "2"])
         assert rc == 0
         assert "never fires" in capsys.readouterr().err
 
@@ -292,8 +310,7 @@ class TestPlot:
         root, out = workdir
         rdir = tmp_path / "r"
         rc = main(["spikes", str(out / "model.phzn"),
-                   "--data-dir", str(root / "data"), "--out-dir", str(rdir),
-                   "--backend", "ideal"])
+                   "--data-dir", str(root / "data"), "--out-dir", str(rdir)])
         assert rc == 0
         svg = tmp_path / "raster.svg"
         rc = main(["plot", str(rdir / "raster_ideal.csv"), "-o", str(svg)])
@@ -405,9 +422,9 @@ REJECTED = [
     pytest.param(_model_cmd("simulate", "--v-threshold", "inf", "--n-cycles", "3"), 1,
                  "spike threshold must be positive and finite", id="simulate_threshold_inf"),
     pytest.param(_model_cmd("spikes", "--second-example", "1"), 1,
-                 "--second-example needs --backend circuit", id="ideal_second_example"),
+                 "unrecognized arguments: --second-example 1", id="ideal_second_example"),
     pytest.param(_model_cmd("spikes", "--record-output-unit", "0"), 1,
-                 "--record-output-unit needs --backend circuit", id="ideal_record_unit"),
+                 "unrecognized arguments: --record-output-unit 0", id="ideal_record_unit"),
     pytest.param(_train("--lr", "nan"), 1, "learning rate", id="train_lr_nan"),
     pytest.param(_train("--lr", "0"), 1, "learning rate", id="train_lr_zero"),
     pytest.param(_train("--lr", "-0.001"), 1, "learning rate", id="train_lr_negative"),
@@ -460,7 +477,10 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("argv,code,says", REJECTED)
     def test_exit_code_without_traceback(self, workdir, tmp_path, capsys, argv, code, says):
         paths = self.paths(workdir, tmp_path)
-        rc = main([a.format(**paths) for a in argv])  # an escaping exception is a traceback
+        try:  # any other escaping exception is a traceback
+            rc = main([a.format(**paths) for a in argv])
+        except SystemExit as e:  # argparse's usage exit
+            rc = e.code
         err = capsys.readouterr().err
         assert rc == code, err
         assert says.format(**paths) in err
@@ -471,33 +491,38 @@ class TestRejectedInputs:
 # get past argument parsing and about one in six runs its command to the end.
 INTS = ["1", "3", "0", "-2", "x"]
 FLOATS = ["0.03", "20", "0", "-1", "nan", "inf", "x"]
-# The flags every command takes, then per command: its positional argument's
-# choices, the flags it always gets, and its own flags. A flag maps to its
-# candidate values; None is a flag that takes no value. Every command gets
-# --data-dir, since the default is relative to the working directory, and
-# runs that train or integrate get a bounded --epochs, --n-cycles and
-# --v-threshold, so no example trains 20 epochs or runs the calibration scan
-# (TestSpikes covers that).
+# The flags that every command but plot takes, then per command: its
+# positional argument's choices, the flags it always gets, and its own flags,
+# which win over a common flag of the same name. A flag maps to its candidate
+# values; None is a flag that takes no value. Every command gets --data-dir,
+# since the default is relative to the working directory, and runs that train
+# or integrate get a bounded --epochs, --n-cycles and --v-threshold, so no
+# example trains 20 epochs or runs the calibration scan (TestSpikes covers
+# that). fetch-data reads {data}, where MNIST is present, or the fresh {out},
+# and never a path that other examples expect to be missing.
 FUZZ_COMMON = {
     "--config": ["{config}", "{nan_lr_config}", "{missing}", "{a_dir}", "{not_utf8}"],
     "--dataset": ["mnist", "mnist", "cifar10", "svhn"],
     "--data-dir": ["{data}", "{data}", "{missing}", "{csv}"],
-    "--seed": INTS, "--period": FLOATS, "--dt": FLOATS,
 }
 FUZZ_PATHS = ["{model}", "{model}", "{model}", "{corrupt_model}", "{missing}", "{a_dir}",
               "{not_utf8}"]
-FUZZ_SPIKES = {"--example": INTS, "--second-example": INTS,
-               "--split": ["test", "train", "dev"], "--record-output-unit": INTS}
+FUZZ_RUN = {"--data-dir": ["{data}"], "--out-dir": ["{out}"]}
+FUZZ_SPIKES = {"--example": INTS, "--split": ["test", "train", "dev"], "--period": FLOATS}
 FUZZ_COMMANDS = {
-    "train": ([], {"--epochs": ["1", "0", "-1", "x"], "--data-dir": ["{data}"]},
+    "train": ([], dict(FUZZ_RUN, **{"--epochs": ["1", "0", "-1", "x"]}),
               {"--arch": ["fc-mnist", "conv", "rnn"], "--batch-size": INTS, "--lr": FLOATS,
-               "--theta": FLOATS, "--limit-train": INTS, "--phase-shift": [None]}),
-    "eval": (FUZZ_PATHS, {"--data-dir": ["{data}"]}, {"--split": ["test", "train", "dev"]}),
-    "spikes": (FUZZ_PATHS, {"--data-dir": ["{data}"], "--n-cycles": ["3", "1", "0", "-2"],
-                            "--v-threshold": FLOATS},
-               dict(FUZZ_SPIKES, **{"--backend": ["ideal", "circuit", "gpu"]})),
-    "simulate": (FUZZ_PATHS, {"--data-dir": ["{data}"], "--n-cycles": ["3", "1", "0", "-2"],
-                              "--v-threshold": FLOATS}, FUZZ_SPIKES),
+               "--theta": FLOATS, "--limit-train": INTS, "--phase-shift": [None],
+               "--seed": INTS}),
+    "eval": (FUZZ_PATHS, FUZZ_RUN, {"--split": ["test", "train", "dev"]}),
+    "spikes": (FUZZ_PATHS, dict(FUZZ_RUN, **{"--n-cycles": ["3", "1", "0", "-2"]}),
+               FUZZ_SPIKES),
+    "simulate": (FUZZ_PATHS, dict(FUZZ_RUN, **{"--n-cycles": ["3", "1", "0", "-2"],
+                                               "--v-threshold": FLOATS}),
+                 dict(FUZZ_SPIKES, **{"--dt": FLOATS, "--second-example": INTS,
+                                      "--record-output-unit": INTS})),
+    "fetch-data": ([], {"--data-dir": ["{data}", "{out}"]},
+                   {"--data-dir": ["{data}", "{out}", "{csv}"]}),
     "plot": (FUZZ_PATHS[3:] + ["{csv}"] * 3, {}, {"-o": ["{svg}", "{missing}/x.svg", "{a_dir}"]}),
 }
 
@@ -510,7 +535,6 @@ def fuzzed_argv(draw):
     argv = [cmd] + ([draw(st.sampled_from(positional))] if positional else [])
     flags = dict(bounded)
     if cmd != "plot":
-        argv += ["--out-dir", "{out}"]
         chosen = draw(st.sets(st.sampled_from(sorted(optional.keys() | FUZZ_COMMON.keys())),
                               max_size=3))
         flags.update((f, optional.get(f) or FUZZ_COMMON[f]) for f in chosen)
@@ -523,9 +547,9 @@ def fuzzed_argv(draw):
 
 
 class TestFuzzedArguments:
-    """Any argv for train, eval, spikes, simulate or plot ends in a
-    documented exit code or argparse's usage exit, never in a traceback.
-    fetch-data is left out: it opens the network."""
+    """Any argv for any command ends in a documented exit code or argparse's
+    usage exit, never in a traceback. fetch-data finds the network
+    unreachable."""
 
     @pytest.fixture(scope="class")
     def fuzz_paths(self, workdir, tmp_path_factory):
@@ -554,3 +578,115 @@ class TestFuzzedArguments:
             assert e.code == 1, argv
         else:
             assert rc in (0, 1, 2, 3), argv
+
+
+DATA_FLAGS = {"--config", "--dataset", "--data-dir"}
+SPIKES_FLAGS = DATA_FLAGS | {"--out-dir", "model", "--example", "--split", "--period",
+                             "--n-cycles"}
+COMMAND_FLAGS = {
+    "train": DATA_FLAGS | {"--out-dir", "--seed", "--arch", "--epochs", "--batch-size", "--lr",
+                           "--theta", "--phase-shift", "--limit-train"},
+    "eval": DATA_FLAGS | {"--out-dir", "model", "--split"},
+    "spikes": SPIKES_FLAGS,
+    "simulate": SPIKES_FLAGS | {"--dt", "--v-threshold", "--second-example",
+                                "--record-output-unit"},
+    "fetch-data": DATA_FLAGS,
+    "plot": {"csv", "--output"},
+}
+# (command, flag) pairs that the commands used to accept without reading them
+REMOVED = [("train", flag) for flag in ("--period", "--dt", "--n-cycles", "--v-threshold")] \
+    + [("eval", flag) for flag in ("--seed", "--period", "--dt", "--n-cycles", "--v-threshold")] \
+    + [("spikes", flag) for flag in ("--seed", "--backend", "--dt", "--v-threshold",
+                                     "--second-example", "--record-output-unit")] \
+    + [("simulate", "--seed")] \
+    + [("fetch-data", flag) for flag in ("--out-dir", "--seed", "--period", "--dt",
+                                         "--n-cycles", "--v-threshold")]
+REMOVED_VALUE = {"--backend": "ideal", "--out-dir": "x", "--dt": "0.05"}
+
+
+class TestCommandFlags:
+    def test_each_command_takes_exactly_its_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {a.option_strings[-1] if a.option_strings else a.dest
+                        for a in p._actions if not isinstance(a, argparse._HelpAction)}
+                 for name, p in sub.choices.items()}
+        assert found == COMMAND_FLAGS
+        assert sum(map(len, found.values())) == 45
+
+    @pytest.mark.parametrize("cmd,flag", REMOVED, ids=[" ".join(r) for r in REMOVED])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, cmd, flag):
+        argv = [cmd] + (["model.phzn"] if "model" in COMMAND_FLAGS[cmd] else [])
+        with pytest.raises(SystemExit) as e:
+            main(argv + [flag, REMOVED_VALUE.get(flag, "1")])
+        err = capsys.readouterr().err
+        assert e.value.code == 1
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
+def tar_gz(members):
+    """The bytes of a .tar.gz archive holding members {name: bytes}."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w:gz") as tf:
+        for name, data in members.items():
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tf.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
+
+
+CIFAR_MEMBERS = {f"cifar-10-batches-bin/{name}": bytes(range(256)) * 400
+                 for name in ["data_batch_1.bin", "test_batch.bin", "readme.html"]}
+
+
+class TestFetchData:
+    """fetch-data with the network faked: a download that stops early is a
+    data error, and no later run reuses it."""
+
+    @staticmethod
+    def fake_retrieve(monkeypatch, *bodies):
+        """Serves bodies in turn; returns the list of URLs fetched."""
+        calls = []
+
+        def urlretrieve(url, filename):
+            with open(filename, "wb") as f:
+                f.write(bodies[len(calls)])
+            calls.append(url)
+        monkeypatch.setattr(cli.urllib.request, "urlretrieve", urlretrieve)
+        return calls
+
+    def fetch(self, tmp_path, capsys, dataset):
+        rc = main(["fetch-data", "--dataset", dataset, "--data-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    def test_good_archive_extracts_its_bin_files(self, tmp_path, monkeypatch, capsys):
+        calls = self.fake_retrieve(monkeypatch, tar_gz(CIFAR_MEMBERS))
+        assert self.fetch(tmp_path, capsys, "cifar10")[0] == 0
+        d = tmp_path / "cifar10"
+        assert sorted(os.listdir(d)) == ["cifar-10-binary.tar.gz", "data_batch_1.bin",
+                                         "test_batch.bin"]
+        assert (d / "test_batch.bin").read_bytes() == bytes(range(256)) * 400
+        assert self.fetch(tmp_path, capsys, "cifar10")[0] == 0
+        assert len(calls) == 1  # the kept archive is reused
+
+    def test_truncated_archive_is_a_data_error_and_refetched(self, tmp_path, monkeypatch,
+                                                             capsys):
+        good = tar_gz(CIFAR_MEMBERS)
+        calls = self.fake_retrieve(monkeypatch, good[:len(good) // 2], good)
+        rc, err = self.fetch(tmp_path, capsys, "cifar10")
+        assert rc == 2 and "download failed" in err
+        assert not (tmp_path / "cifar10" / "cifar-10-binary.tar.gz").exists()
+        assert self.fetch(tmp_path, capsys, "cifar10")[0] == 0
+        assert len(calls) == 2
+        assert (tmp_path / "cifar10" / "data_batch_1.bin").read_bytes() \
+            == bytes(range(256)) * 400
+
+    def test_truncated_mnist_gzip_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        body = gzip.compress(bytes(range(256)) * 100)
+        monkeypatch.setattr(cli.urllib.request, "urlopen",
+                            lambda url: io.BytesIO(body[:len(body) // 2]))
+        rc, err = self.fetch(tmp_path, capsys, "mnist")
+        assert rc == 2 and "download failed" in err
+        assert os.listdir(tmp_path / "mnist") == []

@@ -80,7 +80,6 @@ class TestRoundTrip:
         back = load_model(path)
         assert back.input_shape == net.input_shape
         assert back.dtype == net.dtype
-        assert back.phase_shift_seed == net.phase_shift_seed
         np.testing.assert_array_equal(back.phase_shifts, net.phase_shifts)
         for wa, wb in zip(net.weights, back.weights):
             np.testing.assert_array_equal(wa, wb)
@@ -175,6 +174,30 @@ class TestFormatErrors:
         with pytest.raises(DataFormatError, match="version 99"):
             load_model(path)
 
+    def test_version_1_file_loads(self, tmp_path):
+        """Version 1 headers also held a phase_shift_seed that nothing read;
+        such a file loads like the version 2 file it is made from."""
+        net = small_fc_net(seed=8, dtype=np.complex128)
+        opt = Adam(net.parameters())
+        opt.step(net.parameters(), [np.ones_like(p) for p in net.parameters()])
+        path = tmp_path / "m.phzn"
+        save_model(net, path, optimizer=opt)
+        raw = path.read_bytes()
+        assert int(np.frombuffer(raw[4:8], "<u4")[0]) == 2
+        hlen = int(np.frombuffer(raw[8:12], "<u4")[0])
+        header = json.loads(raw[12:12 + hlen])
+        assert "phase_shift_seed" not in header
+        header = json.dumps({**header, "phase_shift_seed": 8}, sort_keys=True,
+                            separators=(",", ":")).encode()
+        old = tmp_path / "v1.phzn"
+        old.write_bytes(raw[:4] + np.uint32(1).tobytes() + np.uint32(len(header)).tobytes()
+                        + header + raw[12 + hlen:])
+        (a, state_a), (b, state_b) = (load_model(p, with_optimizer=True) for p in (path, old))
+        for x, y in zip(a.parameters() + [a.phase_shifts] + state_a["m"] + state_a["v"],
+                        b.parameters() + [b.phase_shifts] + state_b["m"] + state_b["v"]):
+            assert np.array_equal(x, y)
+        assert state_a["t"] == state_b["t"] == 1
+
     def test_truncated_payload(self, tmp_path):
         net = small_fc_net(seed=9)
         path = tmp_path / "m.phzn"
@@ -205,9 +228,12 @@ class TestFormatErrors:
         lambda h: {**h, "v_threshold": True},
         lambda h: {**h, "v_threshold": float("nan")},
         lambda h: {**h, "v_threshold": float("inf")},
+        lambda h: {**h, "has_optimizer_state": "no"},
+        lambda h: {k: v for k, v in h.items() if k != "has_optimizer_state"},
     ], ids=["not_json", "not_utf8", "not_object", "no_dtype", "negative_input",
             "unknown_kind", "inconsistent_fan_in", "float_fan_in", "no_layers",
-            "string_threshold", "bool_threshold", "nan_threshold", "inf_threshold"])
+            "string_threshold", "bool_threshold", "nan_threshold", "inf_threshold",
+            "string_optimizer_flag", "no_optimizer_flag"])
     def test_malformed_header(self, tmp_path, capsys, edit):
         """A header that cannot be interpreted is a data error at its offset,
         and exit code 2 from the CLI, before any payload is read."""
