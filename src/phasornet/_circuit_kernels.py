@@ -34,8 +34,10 @@ spike's deliveries are one contiguous run, and a synapse has one source.
 fire returns spikes in (neuron, step) order, so the delivery before a
 spike's to a synapse is the one at the same position of the run of the
 previous spike, when that came from the same neuron, or else the last one
-sent to it (last). Generator volleys are queued when the chunk they start in
-comes up, as a (cycle, synapse) grid whose rows age from the row before.
+sent to it (last). Generator spikes are read from the run's timetable, one
+row of spike times per cycle with the reference generator last. A cycle's
+row is queued when the chunk its cycle starts in comes up; the rows queued
+together form a (cycle, synapse) grid whose rows age from the row before.
 
 Summation order. The chunk's products add the same terms as one block at a
 time would, in another order, so spike times can move in the last digits:
@@ -44,9 +46,10 @@ by at most 7.1e-13 ms over the 183k spikes of the untrained conv preset at
 
 Clock. A run over a stimulus sequence has one clock: step j starts at j*dt
 and ends at (j + 1)*dt, and the run is round(total cycles * period / dt)
-steps. A stimulus switch restarts nothing: the stimulus's generator volleys
-start at its exact start time, the sum of n_cycles * period over the stimuli
-before it, and land on the grid like every other delivery.
+steps. Generator spike times are given, not accumulated: the timetable
+(built by circuit.run) puts cycle k of a stimulus that starts at t0 at
+(t0 + k * period) + offset, so a stimulus switch restarts nothing, and the
+times land on the grid like every other delivery.
 
 Firing. A neuron fires where V_m rises through the threshold, unless it is
 refractory; V_m < 0 ends refractoriness (fire). Spike times are linearly
@@ -217,8 +220,10 @@ def fire(vm, vm_prev, armed, v_th):
 class Integrator:
     """Circuit state and pending deliveries of one run over a stimulus sequence."""
 
-    def __init__(self, circuit, v_threshold, n_steps, stimuli):
-        """stimuli: (start time, generator offsets, n_cycles) per stimulus."""
+    def __init__(self, circuit, v_threshold, n_steps, gen_times):
+        """gen_times: (cycles, generators) spike time of every generator in
+        every cycle, the reference generator last, so its column holds the
+        cycle starts."""
         p = circuit.params
         self.circuit, self.v_th, self.total = circuit, v_threshold, n_steps
         self.table, self.local, self.carry_vm, self.carry_end = constants(p, n_steps)
@@ -252,9 +257,8 @@ class Integrator:
                                  np.diff(circuit.out_ptr[:circuit.n_gen + 1]))
         self.gen_bounds = np.searchsorted(layer[:self.gen_src.size],
                                           np.arange(len(sizes) + 1))
-        self.cycles = [(t0, offsets, cyc) for t0, offsets, n_cycles in stimuli
-                       for cyc in range(n_cycles)][::-1]  # generator cycles, the next last
-        self.volley = None  # arrival times of the last cycle queued
+        self.gen_times = gen_times
+        self.gen_sent = 0  # cycles whose volleys are queued
         self.pending = {}  # (layer, chunk) -> (key, synapse, age) arrays
         self.spike_t, self.spike_n = [], []
         self.deliveries = 0
@@ -291,28 +295,22 @@ class Integrator:
                 (key, s.astype(np.int32, copy=False), a.astype(np.int32, copy=False)))
 
     def _send_generators(self, until):
-        """Queue every generator volley whose cycle starts before time
-        `until`. Each cycle's times add the period to the last cycle's, as a
-        heap that re-queues a volley would, so the volleys form a (cycle,
-        synapse) grid, and each delivery's age counts from the row before."""
-        p, n = self.circuit.params, self.gen_src.size
-        rows = []
-        while self.cycles and self.cycles[-1][0] + self.cycles[-1][2] * p.period < until:
-            t0, offsets, cyc = self.cycles.pop()
-            if cyc == 0:
-                self.volley = (t0 + offsets[self.gen_src]) + self.out_delay[:n]
-            else:
-                self.volley = self.volley + p.period
-            rows.append(self.volley)
-        if not rows:
+        """Queue the generator volleys of every cycle that starts before time
+        `until`, as a (cycle, synapse) grid; each delivery's age counts from
+        the row before."""
+        start, self.gen_sent = self.gen_sent, int(np.searchsorted(self.gen_times[:, -1], until))
+        if self.gen_sent <= start:
             return
-        steps = self._arrival(np.stack(rows), 0).astype(np.int32)
+        n = self.gen_src.size
+        times = self.gen_times[start:self.gen_sent].take(self.gen_src, axis=1)
+        times += self.out_delay[:n]
+        steps = self._arrival(times, 0).astype(np.int32)
         age = np.diff(steps, axis=0, prepend=self.last[None, :n])
         self.last[:n] = steps[-1]
         for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
             if hi > lo:
                 self._queue(l, steps[:, lo:hi].ravel(),
-                            np.tile(np.arange(lo, hi, dtype=np.int32), len(rows)),
+                            np.tile(np.arange(lo, hi, dtype=np.int32), len(steps)),
                             age[:, lo:hi].ravel())
 
     def _deliveries(self, layer, chunk):

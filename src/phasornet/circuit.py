@@ -197,36 +197,35 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     if rec_ids.size and not (rec_ids[0] >= 0 and rec_ids[-1] < circuit.n_neurons):
         raise ValidationError(
             f"recorded neuron ids must lie in [0, {circuit.n_neurons}), got {rec_ids.tolist()}")
-    volleys, t0 = [], 0.0  # each stimulus starts where the one before it ends
+    starts, offsets, t0 = [], [], 0.0  # each stimulus starts where the one before it ends
     for image, n_cycles in stimuli:
         if isinstance(n_cycles, bool) or not isinstance(n_cycles, (int, np.integer)) \
                 or n_cycles < 1:
             raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles!r}")
-        volleys.append((t0, stimulus_phase_offsets(circuit, image), n_cycles))
+        starts.append(t0 + np.arange(n_cycles) * p.period)
+        offsets += [stimulus_phase_offsets(circuit, image)] * n_cycles
         t0 += n_cycles * p.period
-    total_cycles = sum(nc for _, nc in stimuli)
+    # every generator's spike time in every cycle, the reference generator last
+    gen_times = np.concatenate(starts)[:, None] + np.array(offsets)
+    total_cycles = gen_times.shape[0]
     n_steps = int(round(total_cycles * p.period / p.dt))
     with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-        kernel = ck.Integrator(circuit, float(v_threshold), n_steps, volleys)
+        kernel = ck.Integrator(circuit, float(v_threshold), n_steps, gen_times)
         rec_vm = np.zeros((n_steps, rec_ids.shape[0]))
         err, step = kernel.run(rec_ids, rec_vm)
     if err >= 0:
         raise NumericError(
             f"integration blew up at neuron {err}, t = {step * p.dt:.3f} ms")
 
-    columns = []  # (layer, neuron, time) of the generator volleys, then the soma spikes
-    for t0, offsets, n_cycles in volleys:
-        n_in = offsets.shape[0] - 1  # input generators are layer 0; the reference is not
-        columns.append((np.zeros(n_in * n_cycles, dtype=np.int64),
-                        np.repeat(np.arange(n_in), n_cycles),
-                        ((t0 + np.arange(n_cycles) * p.period)
-                         + offsets[:-1, None]).reshape(-1)))
+    n_in = circuit.n_gen - 1  # input generators are layer 0; the reference is not
     times, neurons = kernel.spikes()
     layers = circuit.neuron_layer[neurons]
     local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
-    columns.append((layers, local, times))
-    raster = SpikeRaster.sorted(*(np.concatenate(c) for c in zip(*columns)),
-                                p.period, total_cycles)
+    raster = SpikeRaster.sorted(
+        np.concatenate([np.zeros(total_cycles * n_in, dtype=np.int64), layers]),
+        np.concatenate([np.tile(np.arange(n_in), total_cycles), local]),
+        np.concatenate([gen_times[:, :-1].reshape(-1), times]),
+        p.period, total_cycles)
     return CircuitResult(
         raster=raster,
         vm_max=kernel.vm_max,

@@ -22,13 +22,14 @@ import os
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, ValidationError
 from .phasor_net import LayerSpec, PhasorNetwork
 
 MAGIC = b"PHZN"
 VERSION = 2
 
-_DTYPES = {"complex64": np.complex64, "complex128": np.complex128}
+# parameter dtype -> (parameter, optimizer moment) dtypes in the file
+_WIRE = {"complex64": ("<c8", "<f4"), "complex128": ("<c16", "<f8")}
 
 
 # header fields of each layer kind, besides kind and theta
@@ -44,6 +45,10 @@ def _layer_to_dict(spec):
 
 def save_model(net, path, optimizer=None):
     dtype_name = np.dtype(net.dtype).name
+    if dtype_name not in _WIRE:
+        raise ValidationError(f"cannot save {dtype_name} parameters; "
+                              f"the format holds {' or '.join(_WIRE)}")
+    wide, real = _WIRE[dtype_name]
     header = {
         "dtype": dtype_name,
         "input_shape": list(net.input_shape),
@@ -59,12 +64,10 @@ def save_model(net, path, optimizer=None):
         f.write(np.uint32(len(blob)).tobytes())
         f.write(blob)
         f.write(np.ascontiguousarray(net.phase_shifts, dtype="<f8"))
-        wide = "<c16" if dtype_name == "complex128" else "<c8"
         for w, b in zip(net.weights, net.biases):
             f.write(np.ascontiguousarray(w, dtype=wide))
             f.write(np.ascontiguousarray(b, dtype=wide))
         if optimizer is not None:
-            real = "<f8" if dtype_name == "complex128" else "<f4"
             f.write(np.int64(optimizer.t).tobytes())
             for m, v in zip(optimizer.m, optimizer.v):
                 f.write(np.ascontiguousarray(m, dtype=real))
@@ -106,8 +109,8 @@ def _read_model(src, path):
     blob = _take(src, np.uint8, hlen, path, "header").tobytes()
     try:
         header = json.loads(blob.decode())
-        dtype_name = header["dtype"]
-        dtype = _DTYPES[dtype_name]
+        wide, real = _WIRE[header["dtype"]]
+        dtype = np.dtype(header["dtype"])
         input_shape = tuple(operator.index(d) for d in header["input_shape"])
         layers = [LayerSpec(**d) for d in header["layers"]]
         if not layers:
@@ -128,14 +131,11 @@ def _read_model(src, path):
         raise DataFormatError(f"malformed header: {type(e).__name__}: {e}",
                               path=path, offset=12) from None
     shifts = _take(src, "<f8", int(np.prod(input_shape)), path, "phase shifts")
-
-    wide = "<c16" if dtype_name == "complex128" else "<c8"
     params = [_take(src, wide, int(np.prod(shape)), path, "parameters")
               .reshape(shape).astype(dtype, copy=False) for shape in param_shapes]
 
     opt_state = None
     if has_optimizer_state:
-        real = "<f8" if dtype_name == "complex128" else "<f4"
         t = int(_take(src, "<i8", 1, path, "optimizer step")[0])
         m, v = [], []
         for ref in params:

@@ -18,16 +18,14 @@ from .errors import NumericError, ValidationError
 # Real components per update block: the block's six float32 arrays (gradient,
 # m, v, parameter and two scratch buffers) take 1.5 MB, inside a 4 MB L2.
 BLOCK = 65536
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates; denominator guard
 
 
 class Adam:
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.lr = float(lr)
         if not (np.isfinite(self.lr) and self.lr > 0):  # NaN fails too
             raise ValidationError(f"learning rate must be finite and positive, got {lr}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         reals = [self._as_real(p) for p in params]
         self.m = [np.zeros(r.shape, dtype=r.dtype) for r in reals]
@@ -66,7 +64,7 @@ class Adam:
             flat.append((pr.reshape(-1), g, self.m[i].reshape(-1),
                          self.v[i].reshape(-1)))
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         b1t = 1.0 - b1 ** self.t
         b2t = 1.0 - b2 ** self.t
         for pr, g, m, v in flat:

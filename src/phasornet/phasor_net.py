@@ -234,12 +234,7 @@ def apply_input_phase_shift(x, shifts):
 
 def encode_target(cls, n_classes):
     """Binary-phase-keyed target: positive class at pi, the rest at 0."""
-    cls = int(cls)
-    if not 0 <= cls < n_classes:
-        raise ValidationError(f"class {cls} out of range [0, {n_classes})")
-    phases = np.full(n_classes, NEGATIVE_PHASE, dtype=np.float64)
-    phases[cls] = POSITIVE_PHASE
-    return TargetEncoding(phases)
+    return TargetEncoding(encode_target_phases(np.array([cls]), n_classes)[0])
 
 
 def encode_target_phases(labels, n_classes):

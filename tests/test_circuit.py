@@ -261,13 +261,23 @@ class TestRun:
         with pytest.raises(ValidationError, match="positive"):
             run(circuit, [(tiny_images(1)[0], 3)], v_threshold=v_threshold)
 
-    def test_generator_volley_in_raster(self):
-        net = tiny_net(seed=6)
-        circuit = build_circuit(net)
-        result = run(circuit, [(tiny_images(1)[0], 3)], v_threshold=1e30)
-        gen = result.raster.time[result.raster.layer == 0]
-        assert gen.size == 16 * 3  # every input unit, every cycle
-        assert np.all(gen < result.total_time)
+    @pytest.mark.parametrize("dt, n_images", [(0.025, 1), (0.03, 2)],
+                             ids=["one_stimulus", "switch_dt0.03"])
+    def test_generator_volley_in_raster(self, dt, n_images):
+        circuit = build_circuit(tiny_net(seed=6), CircuitParams(dt=dt))
+        images = tiny_images(n_images)
+        result = run(circuit, [(im, 3) for im in images], v_threshold=1e30)
+        gen = result.raster.layer == 0
+        assert np.count_nonzero(gen) == 16 * 3 * n_images  # every input unit, every cycle
+        assert np.all(result.raster.time[gen] < result.total_time)
+        # each input unit fires at its stimulus's offset in every cycle
+        neuron, time = result.raster.neuron[gen], result.raster.time[gen]
+        for unit in range(16):
+            want = np.concatenate([
+                (t0 + np.arange(3) * circuit.params.period)
+                + stimulus_phase_offsets(circuit, im)[unit]
+                for t0, im in zip([0.0, 3 * circuit.params.period], images)])
+            np.testing.assert_array_equal(time[neuron == unit], want)
 
     def test_subthreshold_run_has_no_soma_spikes(self):
         net = tiny_net(seed=6)
@@ -595,7 +605,8 @@ class TestArrivalSteps:
         net = tiny_net(seed=2)
         net.weights[1][:, :6] = np.abs(net.weights[1][:, :6])  # zero-delay synapses
         circuit = build_circuit(net)
-        return circuit, ck.Integrator(circuit, 1.0, 1600, [(0.0, np.zeros(17), 4)])
+        gen_times = np.zeros((4, 17)) + circuit.params.period * np.arange(4)[:, None]
+        return circuit, ck.Integrator(circuit, 1.0, 1600, gen_times)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 11), st.integers(0, 1500), st.integers(0, 40),

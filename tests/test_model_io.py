@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import small_fc_net
 from phasornet.cli import main
-from phasornet.errors import DataFormatError
+from phasornet.errors import DataFormatError, ValidationError
 from phasornet.model_io import MAGIC, load_model, save_model
 from phasornet.optim import Adam
 from phasornet.phasor_net import LayerSpec, PhasorNetwork, encode_input, forward
@@ -103,6 +103,17 @@ class TestRoundTrip:
         back = load_model(path)
         assert back.dtype == np.complex128
         np.testing.assert_array_equal(back.weights[0], net.weights[0])
+
+    @pytest.mark.skipif(np.dtype(np.clongdouble).itemsize <= 16,
+                        reason="long double is double on this platform")
+    def test_unsupported_dtype_is_refused(self, tmp_path):
+        """A dtype the format has no wire type for is refused before any
+        byte is written, not saved as complex64 under its own name."""
+        net = small_fc_net(seed=3, dtype=np.clongdouble)
+        path = tmp_path / "m.phzn"
+        with pytest.raises(ValidationError, match="cannot save complex"):
+            save_model(net, path)
+        assert not path.exists()
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         net = small_fc_net(seed=4)
