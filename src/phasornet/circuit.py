@@ -11,6 +11,7 @@ soma's threshold crossing re-encodes the phase as a spike time.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import NumericError, ValidationError
 from .phasor_net import (encode_input, apply_input_phase_shift, forward, predict,
                          predict_batch)
 from .spikemap import TWO_PI, SpikeRaster, phase_to_time, synapse_delay, time_to_phase
+from .training import encode_batch
 
 
 @dataclass
@@ -34,34 +36,40 @@ class CircuitParams:
     period: float = 10.0  # cycle period T, ms
     dt: float = 0.025
     c_m: float = 10.0  # membrane capacitance, pF
-    g_l: float = None  # leak conductance; default pi*C_m/T
-    g_c: float = None  # soma-dendrite conductance; default 60*pi*C_m/T
-    v_l: float = 0.0  # leak reversal potential, mV
     l_res: float = None  # resonance constant; default 1/((2pi/T)^2 C_m)
-    w_spike: float = 0.3  # synapse reset activation, pA
-    tau_d: float = None  # dendrite averaging time constant; default 0.8*T
     tau_s: float = 0.0  # synapse damping time constant; 0 = undamped
     n_cycles: int = 15
+    v_l = 0.0  # leak reversal potential, mV; a constant, not a field
+    w_spike = 0.3  # synapse reset activation, pA; a constant, not a field
 
     def __post_init__(self):
         for name in ("period", "dt"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):  # NaN fails too
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
-        if self.g_l is None:
-            self.g_l = np.pi * self.c_m / self.period
-        if self.g_c is None:
-            self.g_c = 60.0 * np.pi * self.c_m / self.period
         if self.l_res is None:
             self.l_res = 1.0 / ((TWO_PI / self.period) ** 2 * self.c_m)
-        if self.tau_d is None:
-            self.tau_d = 0.8 * self.period
         if self.period / self.dt < 100:
             raise ValidationError(
                 f"period/dt ratio {self.period / self.dt:.1f} < 100; decrease dt"
             )
         if self.tau_s < 0:
             raise ValidationError(f"tau_s must be >= 0, got {self.tau_s}")
+
+    @property
+    def g_l(self):
+        """Leak conductance, pi*C_m/T."""
+        return np.pi * self.c_m / self.period
+
+    @property
+    def g_c(self):
+        """Soma-dendrite conductance, 60*pi*C_m/T."""
+        return 60.0 * np.pi * self.c_m / self.period
+
+    @property
+    def tau_d(self):
+        """Dendrite averaging time constant, 0.8*T."""
+        return 0.8 * self.period
 
     @property
     def omega(self):
@@ -88,12 +96,16 @@ class CircuitModel:
     syn_delay: np.ndarray
     syn_owner: np.ndarray
     out_ptr: np.ndarray
-    out_syn: np.ndarray  # arange(n_synapses): the synapse at each out_ptr position
     phase_shifts: np.ndarray
 
     @property
     def n_synapses(self):
         return self.syn_w.shape[0]
+
+    @cached_property
+    def out_syn(self):
+        """The synapse at each out_ptr position, arange(n_synapses); built on first read."""
+        return np.arange(self.n_synapses)
 
     @property
     def n_outputs(self):
@@ -166,7 +178,6 @@ def build_circuit(net, params=None):
         syn_delay=delay,
         syn_owner=owner[order],
         out_ptr=out_ptr,
-        out_syn=np.arange(order.size),
         phase_shifts=net.phase_shifts.copy(),
     )
 
@@ -309,8 +320,7 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
         n_cycles = p.n_cycles
     amp = observe_amplitude(circuit, images[0], n_cycles)
     candidates = amp * np.logspace(np.log10(0.03), np.log10(0.3), n_candidates)
-    x = encode_input(np.stack([np.asarray(im).reshape(net.input_shape) for im in images]))
-    x = apply_input_phase_shift(x, net.phase_shifts)
+    x = encode_batch(net, np.stack([np.asarray(im).reshape(-1) for im in images]))
     wants = predict_batch(forward(net, x).output.reshape(len(images), -1)).tolist()
     best_thr, best_agree = None, -1
     out_layer, n = len(net.layers), len(images)

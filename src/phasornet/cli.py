@@ -185,13 +185,13 @@ def cmd_train(args):
     with open(metrics_path, "w") as f:
         f.write("epoch,train_err,test_err,loss\n")
 
-    def on_epoch(rec, net, optimizer):
+    def on_epoch(rec, net):
         with open(metrics_path, "a") as f:
             f.write(f"{rec['epoch']},{rec['train_err']:.6f},"
                     f"{rec['test_err']:.6f},{rec['loss']:.6f}\n")
-        save_model(net, model_path, optimizer=optimizer)
+        save_model(net, model_path)
 
-    history, optimizer = train(
+    history = train(
         net, train_set, test_set, epochs=cfg["epochs"],
         batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"],
         limit_train=cfg["limit_train"], on_epoch=on_epoch, log=print)

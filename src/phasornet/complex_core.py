@@ -34,17 +34,13 @@ def matvec(w, h, b):
 def conv2d_valid(x, kernels, bias, return_cols=False):
     """Valid-padding stride-1 cross-correlation with 3x3 kernels.
 
-    x: (C, H, W) or batched (B, C, H, W); kernels: (F, C, 3, 3); bias: (F,).
-    Returns (..., F, H-2, W-2). With return_cols, also returns the im2col
-    columns of x (batched even for a single x) that the backward pass
-    reuses; see _kernels.
+    x: (B, C, H, W); kernels: (F, C, 3, 3); bias: (F,).
+    Returns (B, F, H-2, W-2). With return_cols, also returns the im2col
+    columns of x that the backward pass reuses; see _kernels.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.ndim != 4 or kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
         raise DimensionError(
             f"conv2d_valid expects x(B,C,H,W) and kernels(F,C,3,3), got {x.shape}, {kernels.shape}"
@@ -58,6 +54,4 @@ def conv2d_valid(x, kernels, bias, return_cols=False):
     if x.shape[2] < 3 or x.shape[3] < 3:
         raise DimensionError(f"spatial extent too small for 3x3 kernel: {x.shape}")
     out, cols = _kernels.conv2d_forward(x, np.ascontiguousarray(kernels), bias)
-    if single:
-        out = out[0]
     return (out, cols) if return_cols else out

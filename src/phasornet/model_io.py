@@ -90,7 +90,7 @@ def load_model(path, with_optimizer=False):
     """Returns net, or (net, optimizer_state) when with_optimizer is True.
 
     optimizer_state is None if the file carries none, else a dict with keys
-    t, m, v suitable for Adam.load_state.
+    t, m, v: the Adam step count and moments that save_model wrote.
     """
     with open(path, "rb") as f:
         net, opt_state = _read_model((f, os.fstat(f.fileno()).st_size), path)

@@ -90,26 +90,3 @@ class Adam:
                 s2 *= lr
                 s2 /= s1
                 pr[lo:hi] -= s2
-
-    # -- checkpointing -------------------------------------------------------
-
-    def load_state(self, t, m, v):
-        """Adopt saved moments. Each array is updated in place by step(), so
-        it must have its parameter's real-view shape and dtype and be
-        C-contiguous."""
-        if len(m) != len(self.m) or len(v) != len(self.v):
-            raise ValueError("optimizer state does not match parameter count")
-        m = [np.asarray(a) for a in m]
-        v = [np.asarray(a) for a in v]
-        for name, arrays in (("m", m), ("v", v)):
-            for i, (a, ref) in enumerate(zip(arrays, self.m)):
-                if (a.shape != ref.shape or a.dtype != ref.dtype
-                        or not a.flags.c_contiguous):
-                    raise ValueError(
-                        f"optimizer state {name}[{i}] has shape {a.shape}, dtype "
-                        f"{a.dtype}, c_contiguous {a.flags.c_contiguous}; expected "
-                        f"shape {ref.shape}, dtype {ref.dtype}, c_contiguous True"
-                    )
-        self.t = int(t)
-        self.m = m
-        self.v = v

@@ -67,6 +67,7 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
 
     Returns a list of per-epoch metric dicts (epoch, train_err, test_err,
     loss). train_err is the running mean of batch errors within the epoch.
+    on_epoch(rec, net), if given, runs after each epoch's record.
     """
     if epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
@@ -102,5 +103,5 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
                 f"train_err {train_err:.4f} test_err {test_err:.4f} "
                 f"({time.perf_counter() - t0:.1f}s)")
         if on_epoch is not None:
-            on_epoch(rec, net, optimizer)
-    return history, optimizer
+            on_epoch(rec, net)
+    return history

@@ -8,15 +8,15 @@ run can change that result, and is checked against this loop.
 import numpy as np
 
 from phasornet.circuit import decode_output, observe_amplitude, run
-from phasornet.phasor_net import apply_input_phase_shift, encode_input, forward, predict_batch
+from phasornet.phasor_net import forward, predict_batch
+from phasornet.training import encode_batch
 
 
 def full_scan(net, circuit, images, n_candidates, n_cycles):
     """(threshold, agreement, images agreed per candidate) of the full scan."""
     amp = observe_amplitude(circuit, images[0], n_cycles)
     candidates = amp * np.logspace(np.log10(0.03), np.log10(0.3), n_candidates)
-    x = encode_input(np.stack([np.asarray(im).reshape(net.input_shape) for im in images]))
-    x = apply_input_phase_shift(x, net.phase_shifts)
+    x = encode_batch(net, np.stack([np.asarray(im).reshape(-1) for im in images]))
     wants = predict_batch(forward(net, x).output.reshape(len(images), -1)).tolist()
     scores = []
     for thr in candidates:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +28,7 @@ from phasornet.phasor_net import (
     predict,
 )
 from phasornet.spikemap import SpikeRaster, phase_to_time, synapse_delay, unroll
+from phasornet.training import encode_batch
 
 import calibration_reference
 import decode_reference
@@ -73,6 +76,13 @@ class TestParams:
         assert p.tau_d == pytest.approx(8.0)
         assert p.omega == pytest.approx(2 * np.pi / p.period)
         assert p.inv_tau_s == 0.0
+
+    def test_derived_constants_are_not_settable(self):
+        assert [f.name for f in dataclasses.fields(CircuitParams)] == [
+            "period", "dt", "c_m", "l_res", "tau_s", "n_cycles"]
+        p = CircuitParams(period=20.0, c_m=8.0)
+        assert (p.g_l, p.g_c, p.tau_d) == (np.pi * 8.0 / 20.0, 60.0 * np.pi * 8.0 / 20.0, 16.0)
+        assert (p.v_l, p.w_spike) == (0.0, 0.3)
 
     def test_resonance_tracks_period(self):
         p = CircuitParams(period=25.0)
@@ -877,6 +887,26 @@ class TestCalibration:
             net, circuit, images, n_candidates=4, n_cycles=5)
         assert calibrate_threshold(net, circuit, images, n_candidates=4,
                                    n_cycles=5) == (want_thr, want_agree)
+
+    def test_reference_classes_use_the_nets_encoding(self, monkeypatch):
+        # the phasors that eval and predict feed forward(): encoded in the
+        # net's dtype, phase shifts applied
+        specs = [LayerSpec("dense", fan_in=16, fan_out=12),
+                 LayerSpec("dense", fan_in=12, fan_out=10)]
+        net = PhasorNetwork.create((16,), specs, seed=1, dtype=np.complex128)
+        net.phase_shifts = np.random.default_rng(1).uniform(0, 2 * np.pi, 16)
+        net.biases[0][:] = 0.2 + 0.1j
+        images = tiny_images(2, seed=1)
+        seen = []
+
+        def spy(net, x):
+            seen.append(x)
+            return forward(net, x)
+
+        monkeypatch.setattr(circuit_mod, "forward", spy)
+        calibrate_threshold(net, build_circuit(net), images, n_candidates=2, n_cycles=3)
+        assert len(seen) == 1 and seen[0].dtype == np.complex128
+        np.testing.assert_array_equal(seen[0], encode_batch(net, np.stack(images)))
 
 
 class TestEndToEnd:

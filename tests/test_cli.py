@@ -76,6 +76,8 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["config"]["epochs"] == 2
         assert manifest["seed"] == 3
+        _, state = load_model(out / "model.phzn", with_optimizer=True)
+        assert state is None  # the checkpoint holds the model only
 
     def test_zero_epochs_writes_initial_model(self, workdir, tmp_path, capsys):
         root, _ = workdir

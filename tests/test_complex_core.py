@@ -62,17 +62,17 @@ class TestConv2dValid:
         x = np.ones((1, 3, 3), dtype=np.complex128)
         k = np.zeros((1, 1, 3, 3), dtype=np.complex128)
         beta = np.array([0.25 - 0.5j])
-        out = conv2d_valid(x, k, beta)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == beta[0]
+        out = conv2d_valid(x[None], k, beta)
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == beta[0]
 
     def test_delta_kernel_crops_center(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 6, 7)) + 1j * rng.normal(size=(1, 6, 7))
         k = np.zeros((1, 1, 3, 3), dtype=np.complex128)
         k[0, 0, 1, 1] = 1.0
-        out = conv2d_valid(x, k, np.zeros(1, dtype=np.complex128))
-        np.testing.assert_allclose(out[0], x[0, 1:-1, 1:-1], rtol=1e-12)
+        out = conv2d_valid(x[None], k, np.zeros(1, dtype=np.complex128))
+        np.testing.assert_allclose(out[0, 0], x[0, 1:-1, 1:-1], rtol=1e-12)
 
     def test_against_quadruple_loop(self):
         rng = np.random.default_rng(6)
@@ -89,16 +89,22 @@ class TestConv2dValid:
                             for q in range(3):
                                 acc = acc + k[f, c, p, q] * x[c, i + p, j + q]
                     want[f, i, j] = acc
-        np.testing.assert_allclose(conv2d_valid(x, k, b), want, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(conv2d_valid(x[None], k, b)[0], want, rtol=1e-10, atol=1e-10)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError, match="channel"):
-            conv2d_valid(np.zeros((2, 5, 5), dtype=complex),
+            conv2d_valid(np.zeros((1, 2, 5, 5), dtype=complex),
                          np.zeros((1, 3, 3, 3), dtype=complex),
                          np.zeros(1, dtype=complex))
 
     def test_too_small_input(self):
-        with pytest.raises(DimensionError):
-            conv2d_valid(np.zeros((1, 2, 5), dtype=complex),
+        with pytest.raises(DimensionError, match="spatial"):
+            conv2d_valid(np.zeros((1, 1, 2, 5), dtype=complex),
+                         np.zeros((1, 1, 3, 3), dtype=complex),
+                         np.zeros(1, dtype=complex))
+
+    def test_single_example_without_batch_axis_is_refused(self):
+        with pytest.raises(DimensionError, match=r"x\(B,C,H,W\)"):
+            conv2d_valid(np.zeros((1, 5, 5), dtype=complex),
                          np.zeros((1, 1, 3, 3), dtype=complex),
                          np.zeros(1, dtype=complex))

@@ -64,16 +64,16 @@ class TestTraining:
     def test_loss_decreases(self, synth_split):
         trainset, test = synth_split
         net = small_fc_net(seed=21)
-        history, _ = train(net, trainset, test_set=None, epochs=4,
-                           batch_size=32, seed=21)
+        history = train(net, trainset, test_set=None, epochs=4,
+                        batch_size=32, seed=21)
         losses = [h["loss"] for h in history]
         assert losses[-1] < losses[0]
 
     def test_best_so_far_error_improves(self, synth_split):
         trainset, test = synth_split
         net = small_fc_net(seed=22)
-        history, _ = train(net, trainset, test_set=test, epochs=5,
-                           batch_size=32, seed=22)
+        history = train(net, trainset, test_set=test, epochs=5,
+                        batch_size=32, seed=22)
         errs = [h["test_err"] for h in history]
         assert min(errs) < errs[0]
 

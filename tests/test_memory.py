@@ -1,12 +1,15 @@
-"""Peak allocations of evaluation, construction and col2im on the conv preset.
+"""Peak allocations of evaluation, construction and col2im on the conv
+preset, and what its built circuit holds.
 
 The bounds count traced allocations (conftest.traced_peak), not the process
 RSS, so they hold whatever the heap kept from earlier tests.
 """
 
+import tracemalloc
+
 import numpy as np
 
-from phasornet import _kernels, cli, optim, training
+from phasornet import _kernels, circuit, cli, optim, training
 
 from conftest import synthetic_dataset, traced_peak
 
@@ -42,3 +45,18 @@ def test_col2im_holds_one_group_of_columns():
     ufunc_buffers = 3 * np.getbufsize() * 8
     peak = traced_peak(lambda: _kernels.conv2d_backward_input(d, k))
     assert peak <= out + _kernels.COL2IM_GROUP_BYTES + ufunc_buffers
+
+
+def test_built_circuit_holds_at_most_25_bytes_per_synapse():
+    # weight, delay and owner take 8 bytes each; neurons and sources add
+    # about 0.14 byte per synapse on the conv preset. An identity table of
+    # the synapses would add 8 more.
+    net = cli._build_net(CONV, SHAPE)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        circ = circuit.build_circuit(net)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= 25 * circ.n_synapses

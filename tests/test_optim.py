@@ -121,22 +121,6 @@ def test_nonfinite_gradient_writes_nothing():
         np.testing.assert_array_equal(a, b)
 
 
-def test_load_state_rejects_mismatched_moments():
-    p = np.ones((2, 3), dtype=np.complex64)
-    b = np.ones(3, dtype=np.complex64)
-    opt = Adam([p, b])
-    good = [np.zeros((2, 6), np.float32), np.zeros(6, np.float32)]
-    opt.load_state(4, [a.copy() for a in good], [a.copy() for a in good])
-    assert opt.t == 4
-    with pytest.raises(ValueError, match=r"m\[0\]"):
-        opt.load_state(1, [np.zeros((3, 4), np.float32), good[1]], good)
-    with pytest.raises(ValueError, match=r"v\[1\]"):
-        opt.load_state(1, good, [good[0], np.zeros(6, np.float64)])
-    with pytest.raises(ValueError, match=r"m\[0\]"):
-        opt.load_state(1, [np.zeros((6, 2), np.float32).T, good[1]], good)
-    assert opt.t == 4
-
-
 def test_non_contiguous_parameter_is_rejected():
     p = np.ones((4, 3)).T
     opt = Adam([p])
