@@ -153,7 +153,7 @@ def test_mnist_reproduction(mnist):
     net = conv_preset(trainset.input_shape, seed=0)
     best = [1.0]
 
-    def on_epoch(rec, net_, opt):
+    def on_epoch(rec, net_):
         best[0] = min(best[0], rec["test_err"])
 
     for chunk in range(20):
@@ -173,14 +173,14 @@ def test_cifar10_reproduction(cifar):
     trainset, test = cifar
     smoke = conv_preset(trainset.input_shape, seed=0)
     t0 = time.time()
-    hist, _ = train(smoke, trainset, test_set=test, epochs=3, batch_size=64,
-                    limit_train=10000, seed=0, log=print)
+    hist = train(smoke, trainset, test_set=test, epochs=3, batch_size=64,
+                 limit_train=10000, seed=0, log=print)
     smoke_err = min(h["test_err"] for h in hist)
     smoke_ok = smoke_err <= 0.60 and time.time() - t0 < 1800
 
     net = conv_preset(trainset.input_shape, seed=1)
-    hist, _ = train(net, trainset, test_set=test, epochs=30, batch_size=64,
-                    seed=1, log=print)
+    hist = train(net, trainset, test_set=test, epochs=30, batch_size=64,
+                 seed=1, log=print)
     errs = [h["test_err"] for h in hist]
     best_so_far = np.minimum.accumulate(errs)
     trend_ok = bool(np.all(np.diff(best_so_far[:10]) < 0))
