@@ -1,24 +1,30 @@
 """Layer-chunk integration kernel for the circuit backend.
 
-Linear state. Between resets a forward-Euler synapse (v, w) follows one fixed
-linear map M = [[1, -dt/C_m], [dt/L, 1 - dt/tau_s]], and a delivery resets it
-to (0, w_spike). A neuron's dendrite therefore needs only the weighted sum
-(V, W) = sum_s w_s (v_s, w_s): it follows M too, and a delivery to synapse s
-adds w_s ((0, w_spike) - M^age (0, w_spike)), which swaps the synapse's old
-trajectory, reset `age` steps ago, for a fresh one. M^age (0, w_spike) comes
-in closed form from the map's eigenvalues (synapse_modes). A spike resets
-neither the soma nor the dendrite, so (V, W, V_m, Vdbar) is a linear filter
-of the deliveries, and BLOCK steps of it are one lower-triangular Toeplitz
-product plus an initial-state basis (the propagator method of Rotter &
-Diesmann 1999). The product is taken in SUB-step diagonal blocks, which pass
-their effect on later steps through the 4-dimensional state (propagators).
+Exact step map. Between deliveries the state (V, W, V_m, Vdbar, 1) obeys a
+linear ODE with constant coefficients, so one step of it is the fixed map
+e^(dt A), computed once (step_powers): it has no discretisation error, and
+dt sets only the grid that deliveries land on and that threshold crossings
+are found on. Between resets a synapse (v, w) follows the map's 2x2 synapse
+block M = e^(dt A_s), A_s = [[0, -1/C_m], [1/L, -1/tau_s]], and a delivery
+resets it to (0, w_spike). A neuron's dendrite therefore needs only the
+weighted sum (V, W) = sum_s w_s (v_s, w_s): it follows M too, and a delivery
+to synapse s adds w_s ((0, w_spike) - M^age (0, w_spike)), which swaps the
+synapse's old trajectory, reset `age` steps ago, for a fresh one.
+M^age (0, w_spike) comes in closed form from the eigenvalues mu of A_s, with
+lam = e^(mu dt) (synapse_modes). A spike resets neither the soma nor the
+dendrite, so (V, W, V_m, Vdbar) is a linear filter of the deliveries, and
+BLOCK steps of it are one lower-triangular Toeplitz product plus an
+initial-state basis (the propagator method of Rotter & Diesmann 1999). The
+product is taken in SUB-step diagonal blocks, which pass their effect on
+later steps through the 4-dimensional state (propagators).
 The propagators and the reset table depend only on the parameter values and
 the step count, and are built once for each (constants).
 
 Chunks. The circuit is feed-forward, and a delivery never lands on the step
-that sent it. A run is cut into chunks of whole blocks, as many as the
-largest layer fits in BUDGET (neuron, step) entries, and within a chunk the
-layers are integrated in order: when layer l starts, every delivery it gets
+that sent it. A run is cut into the fewest chunks of equal whole-block
+sizes that the largest layer fits in BUDGET (neuron, step) entries (a
+6-block run under a 4-block budget is two chunks of 3), and within a chunk
+the layers are integrated in order: when layer l starts, every delivery it gets
 in the chunk is known, from the generators, from earlier chunks, and from
 the spikes layer l-1 fired in this chunk. A layer too large for one block
 within the budget is integrated in row slices. One pass over a slice injects
@@ -71,19 +77,26 @@ SUB = 32  # steps per diagonal block of the block's propagator, a power of two
 BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
 
 
-def synapse_modes(params):
-    """Eigenvalues lam (2,) of the Euler synapse map and coefficients c (2,)
-    such that a synapse reset n steps ago has v = Re sum_j c_j lam_j^n."""
+def _synapse_rates(params):
+    """Eigenvalues mu (2,) of the continuous synapse system
+    d(v, w)/dt = (-w / C_m, v / L - w / tau_s)."""
     p = params
-    a, b, damp = p.dt / p.c_m, p.dt / p.l_res, p.dt * p.inv_tau_s
-    root = np.sqrt(complex(damp * damp - 4.0 * a * b))
+    root = np.sqrt(complex(p.inv_tau_s ** 2 - 4.0 / (p.l_res * p.c_m)))
     if root == 0:
         raise ValidationError("critically damped synapse (tau_s = sqrt(L*C_m)/2) "
                               "has a repeated eigenvalue; change tau_s slightly")
-    lam = np.array([(2.0 - damp + root) / 2.0, (2.0 - damp - root) / 2.0])
-    # v(0) = 0 and v(1) = -a*w_spike fix c_1 = -c_2
-    c1 = -a * p.w_spike / (lam[0] - lam[1])
-    return lam, np.array([c1, -c1])
+    return np.array([-p.inv_tau_s + root, -p.inv_tau_s - root]) / 2.0
+
+
+def synapse_modes(params):
+    """Eigenvalues lam = e^(mu dt) (2,) of the exact synapse step map and
+    coefficients c (2,) such that a synapse reset n steps ago has
+    v = Re sum_j c_j lam_j^n."""
+    p = params
+    mu = _synapse_rates(p)
+    # v(0) = 0 and dv/dt(0) = -w_spike / C_m fix c_1 = -c_2
+    c1 = -p.w_spike / (p.c_m * (mu[0] - mu[1]))
+    return np.exp(mu * p.dt), np.array([c1, -c1])
 
 
 def csr_rows(ptr, rows):
@@ -102,21 +115,38 @@ def reset_table(params, never):
     lam, c = synapse_modes(p)
     powers = lam ** np.arange(never)[:, None]
     table = np.full(2 * never, 1j * p.w_spike)
-    table[:never] -= (powers @ c).real + 1j * (powers @ (c * (1.0 - lam) * p.c_m / p.dt)).real
+    # v(n) = Re sum c lam^n and w(n) = -C_m dv/dt = -C_m Re sum c mu lam^n
+    table[:never] -= (powers @ c).real - 1j * p.c_m * (powers @ (c * _synapse_rates(p))).real
     table[0] = 0.0  # a second arrival in the step of a reset resets nothing
     return table
 
 
-def euler_powers(params, k):
-    """Powers 0..k of one forward-Euler step of (V, W, V_m, Vdbar, 1), (k + 1, 5, 5)."""
+def _expm(a):
+    """e^a of a small square matrix: a Taylor series of a / 2^s, where the
+    max-row-sum norm of a / 2^s is below 1/2, squared s times."""
+    s = max(0, np.frexp(np.abs(a).sum(axis=1).max())[1] + 1)
+    x = a / 2.0 ** s
+    term = out = np.eye(len(a))
+    for k in range(1, 18):  # the first term left out is below 2^-18 / 18! < 1e-21
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def step_powers(params, k):
+    """Powers 0..k of the exact step map e^(dt A) of (V, W, V_m, Vdbar, 1),
+    (k + 1, 5, 5), where A is the continuous system's generator."""
     p = params
-    a, g = p.dt / p.c_m, p.dt * p.g_c / p.c_m
-    step = np.array([
-        [1.0, -a, 0.0, 0.0, 0.0],
-        [p.dt / p.l_res, 1.0 - p.dt * p.inv_tau_s, 0.0, 0.0, 0.0],
-        [g, 0.0, 1.0 - p.dt * (p.g_l + p.g_c) / p.c_m, -g, p.dt * p.g_l * p.v_l / p.c_m],
-        [p.dt / p.tau_d, 0.0, 0.0, 1.0 - p.dt / p.tau_d, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0]])
+    g = p.g_c / p.c_m
+    a = np.array([
+        [0.0, -1.0 / p.c_m, 0.0, 0.0, 0.0],
+        [1.0 / p.l_res, -p.inv_tau_s, 0.0, 0.0, 0.0],
+        [g, 0.0, -(p.g_l + p.g_c) / p.c_m, -g, p.g_l * p.v_l / p.c_m],
+        [1.0 / p.tau_d, 0.0, 0.0, -1.0 / p.tau_d, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0]])
+    step = _expm(p.dt * a)
     powers = [np.eye(5)]
     for _ in range(k):
         powers.append(step @ powers[-1])
@@ -146,7 +176,7 @@ def propagators(params):
     sub-block, then the state entering the block (V, W, V_m, Vdbar, 1), to
     V_m after every step of the later sub-blocks and to (V, W, V_m, Vdbar)
     entering the next block."""
-    powers = euler_powers(params, BLOCK)
+    powers = step_powers(params, BLOCK)
     q = np.arange(SUB)
     lag = q - q[:, None] + 1  # from a delivery at step d to V_m after step q
     lag[lag <= 0] = -1
@@ -229,7 +259,9 @@ class Integrator:
         self.table, self.local, self.carry_vm, self.carry_end = constants(p, n_steps)
         n, first = circuit.n_neurons, np.asarray(circuit.layer_offsets)
         sizes = circuit.layer_sizes
-        nb = max(1, min(BUDGET // (BLOCK * max(sizes)), -(-n_steps // BLOCK)))
+        # the fewest chunks the budget allows, of equal whole-block sizes
+        blocks, nb = -(-n_steps // BLOCK), max(1, BUDGET // (BLOCK * max(sizes)))
+        nb = -(-blocks // -(-blocks // nb))
         self.chunk = nb * BLOCK  # steps per chunk
         self.rows = max(1, BUDGET // self.chunk)  # rows per slice of a layer
         owner = circuit.syn_owner

@@ -1,5 +1,6 @@
 """Circuit-level spiking simulator: soma/dendrite ODEs, resonant synapses,
-delayed spike delivery, threshold-and-refractory firing, forward Euler.
+delayed spike delivery, threshold-and-refractory firing, integrated on a
+grid of dt by the exact step map of the linear ODEs (_circuit_kernels).
 
 Every nonzero complex weight becomes one synapse with weight |W| and delay
 phase(W) * T/2pi; a nonzero bias becomes a synapse driven by a reference
@@ -10,6 +11,7 @@ synapse oscillator resonates at exactly the cycle frequency, 1/sqrt(L*C_m) =
 soma's threshold crossing re-encodes the phase as a spike time.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +22,8 @@ from ._kernels import im2col
 from .errors import NumericError, ValidationError
 from .phasor_net import (encode_input, apply_input_phase_shift, forward, predict,
                          predict_batch)
-from .spikemap import TWO_PI, SpikeRaster, phase_to_time, synapse_delay, time_to_phase
+from .spikemap import (TWO_PI, SpikeRaster, phase_to_time, raster_phases, synapse_delay,
+                       time_to_phase)
 from .training import encode_batch
 
 
@@ -30,11 +33,13 @@ class CircuitParams:
 
     tau_s = 0 denotes an undamped synapse oscillator (the damping term is
     dropped entirely); the defaults put the oscillator resonance exactly at
-    the cycle frequency.
+    the cycle frequency. The step map is exact at any dt, but deliveries land
+    on the dt grid and crossings are interpolated on it, so dt may be at most
+    period/100.
     """
 
     period: float = 10.0  # cycle period T, ms
-    dt: float = 0.025
+    dt: float = 0.1  # integration step, ms
     c_m: float = 10.0  # membrane capacitance, pF
     l_res: float = None  # resonance constant; default 1/((2pi/T)^2 C_m)
     tau_s: float = 0.0  # synapse damping time constant; 0 = undamped
@@ -284,6 +289,39 @@ def output_spike_phases(raster, n_outputs, output_layer, now):
     """Mean phase (circular) per output unit over the decode window."""
     acc = _window_phasors(raster, n_outputs, output_layer, [now])[0]
     return np.where(acc != 0, np.angle(acc), np.nan)
+
+
+Fidelity = namedtuple("Fidelity", "residual active_spiking inactive_spiking")
+
+
+def fidelity(net, raster, image, cycle=None):
+    """How closely one cycle of a raster (the last by default) carries the
+    phasor network's activations for `image`, as a Fidelity of (L,) arrays,
+    one entry per layer:
+
+    residual: mean |spike phase - activation phase|, rad, over the active
+        units that spike in the cycle, after removing the layer's one
+        circular-mean offset (nan where no active unit spikes);
+    active_spiking: share of the active units that spike in the cycle;
+    inactive_spiking: share of the inactive units that spike in it (nan
+        where every unit is active).
+    """
+    cycle = raster.n_cycles - 1 if cycle is None else cycle
+    trace = forward(net, encode_batch(net, np.asarray(image).reshape(1, -1))[0])
+    out = np.full((3, len(net.layers)), np.nan)
+    for l, (h, active) in enumerate(zip(trace.h, trace.masks)):
+        h, active = h.reshape(-1), active.reshape(-1)
+        phases = raster_phases(raster, l + 1, h.size, cycle)
+        spiked = ~np.isnan(phases)
+        both = active & spiked
+        if both.any():
+            turn = np.exp(1j * (phases[both] - np.angle(h[both])))
+            out[0, l] = np.abs(np.angle(turn * np.exp(-1j * np.angle(turn.mean())))).mean()
+        if active.any():
+            out[1, l] = both.sum() / active.sum()
+        if not active.all():
+            out[2, l] = (spiked & ~active).sum() / (~active).sum()
+    return Fidelity(*out)
 
 
 # -- threshold calibration ---------------------------------------------------

@@ -49,7 +49,7 @@ DEFAULTS = {
     "limit_train": None,
     # circuit overrides
     "period": 10.0,
-    "dt": 0.025,
+    "dt": 0.1,
     "v_threshold": None,
     "n_cycles": 15,
 }

@@ -1,9 +1,13 @@
-"""Forward-Euler reference integrator for the circuit backend, tests only.
+"""Exact-step reference integrator for the circuit backend, tests only.
 
-This is the circuit's original integration loop: every synapse oscillator is
-stepped explicitly each grid step and deliveries go through a binary heap of
-(time, synapse, repeats-left) entries. Generator volleys keep one entry per
-synapse in flight and re-push it with time + T while repeats remain. A run
+This is the circuit's integration as a plain per-synapse loop: every synapse
+oscillator is stepped explicitly each grid step by its 2x2 map e^(dt A_s),
+each soma's (V_m, Vdbar) by rows 2-3 of the 5x5 map e^(dt A) of
+(V, W, V_m, Vdbar, 1) from its summed dendrite (V, W), and deliveries go
+through a binary heap of (time, synapse, repeats-left) entries. Both maps
+come from np.linalg.eig of the continuous system's generator, not from the
+kernel's Taylor series. Generator volleys keep one entry per synapse in
+flight and re-push it with time + T while repeats remain. A run
 has one clock: every stimulus's generators are queued up front at that
 stimulus's start time, and step k runs from k*dt to (k + 1)*dt over the
 whole sequence. The block kernel in phasornet._circuit_kernels is checked
@@ -33,6 +37,25 @@ def program_generators(seg_start, gen_offsets, n_cycles, out_ptr, out_syn,
 Reference = namedtuple("Reference", "raster vm_max trace_vm deliveries")
 
 
+def generator(p):
+    """The continuous system d/dt (V, W, V_m, Vdbar, 1) = A (V, W, V_m, Vdbar, 1):
+    the synapse oscillator C_m dv/dt = -w, L dw/dt = v - L w / tau_s, the soma
+    C_m dV_m/dt = g_l (v_l - V_m) + g_c (V - V_m - Vdbar) and the dendrite
+    average tau_d dVdbar/dt = V - Vdbar."""
+    return np.array([
+        [0.0, -1.0 / p.c_m, 0.0, 0.0, 0.0],
+        [1.0 / p.l_res, -p.inv_tau_s, 0.0, 0.0, 0.0],
+        [p.g_c / p.c_m, 0.0, -(p.g_l + p.g_c) / p.c_m, -p.g_c / p.c_m, p.g_l * p.v_l / p.c_m],
+        [1.0 / p.tau_d, 0.0, 0.0, -1.0 / p.tau_d, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def exact_step(a, dt):
+    """e^(dt a) by eigendecomposition (a must be diagonalizable)."""
+    mu, vec = np.linalg.eig(a)
+    return ((vec * np.exp(mu * dt)) @ np.linalg.inv(vec)).real
+
+
 def fire_step(vm_old, vm, refr, v_th):
     """One step of the threshold rule: neurons that rise through v_th while
     not refractory fire and turn refractory; V_m < 0 clears refractoriness.
@@ -43,13 +66,14 @@ def fire_step(vm_old, vm, refr, v_th):
     return np.flatnonzero(crossing)
 
 
-def run_segment(n_steps, dt, period,
-                g_l, g_c, v_l, c_m, tau_d, l_res, w_spike, inv_tau_s, v_th,
+def run_segment(n_steps, dt, period, syn_step, soma_step, w_spike, v_th,
                 syn_w, syn_delay, out_ptr, out_syn, n_gen,
                 vm, vdbar, refr, vs, ws, vm_max,
                 heap, syn_owner, events, rec_ids, rec_vm, pops):
-    """Integrate n_steps grid steps, recording V_m of rec_ids in rec_vm and
-    counting heap pops in pops[0]; returns (failing neuron or -1, step)."""
+    """Integrate n_steps grid steps, each synapse by the 2x2 map syn_step and
+    each soma by soma_step, rows 2-3 of the 5x5 map; records V_m of rec_ids in
+    rec_vm and counts heap pops in pops[0]. Returns (failing neuron or -1,
+    step)."""
     n = vm.shape[0]
     for k in range(n_steps):
         now = k * dt
@@ -61,12 +85,10 @@ def run_segment(n_steps, dt, period,
             if r > 0:
                 heapq.heappush(heap, (t + period, s, r - 1))
         vd = np.bincount(syn_owner, weights=syn_w * vs, minlength=n)
-        vs_old = vs.copy()
-        vs -= dt * (ws / c_m)
-        ws += dt * (vs_old / l_res - ws * inv_tau_s)
+        wd = np.bincount(syn_owner, weights=syn_w * ws, minlength=n)
+        vs[:], ws[:] = syn_step @ np.stack([vs, ws])
         vm_old = vm.copy()
-        vm += dt * (g_l * (v_l - vm_old) + g_c * (vd - vm_old - vdbar)) / c_m
-        vdbar += dt * (vd - vdbar) / tau_d
+        vm[:], vdbar[:] = soma_step @ np.stack([vd, wd, vm_old, vdbar, np.ones(n)])
         if not np.all(np.isfinite(vm)):
             return int(np.flatnonzero(~np.isfinite(vm))[0]), k
         for ni in fire_step(vm_old, vm, refr, v_th):
@@ -100,11 +122,11 @@ def run(circuit, stimuli, v_threshold, record_neurons=()):
     n_cycles = sum(nc for _, nc in stimuli)
     n_steps = int(round(n_cycles * p.period / p.dt))
     trace = np.zeros((n_steps, rec_ids.size))
+    a = generator(p)
     with np.errstate(over="ignore", invalid="ignore"):
         err, _ = run_segment(
-            n_steps, p.dt, p.period,
-            p.g_l, p.g_c, p.v_l, p.c_m, p.tau_d, p.l_res, p.w_spike,
-            p.inv_tau_s, float(v_threshold),
+            n_steps, p.dt, p.period, exact_step(a[:2, :2], p.dt),
+            exact_step(a, p.dt)[2:4], p.w_spike, float(v_threshold),
             circuit.syn_w, circuit.syn_delay, circuit.out_ptr,
             circuit.out_syn, circuit.n_gen,
             vm, vdbar, refr, vs, ws, vm_max, heap, circuit.syn_owner, events,

@@ -21,6 +21,7 @@ from conftest import (
     needs_mnist,
 )
 from test_phasor_net import _finite_diff_check
+from phasornet._circuit_kernels import synapse_modes
 from phasornet.circuit import (
     CircuitParams,
     build_circuit,
@@ -207,7 +208,9 @@ def test_ideal_spike_round_trip(trained_fc_mnist):
 
 def test_synapse_resonance():
     """Isolated undamped synapse after reset: harmonic with omega = 2pi/T,
-    within 2% amplitude and one-dt period at dt = 0.025 ms; better at dt/2."""
+    within 2% amplitude and one-dt period at dt = 0.025 ms; the exact step
+    map's trace is the sinusoid to 1e-9 of its amplitude at dt = 0.025 and
+    0.1 ms, and returns to itself each cycle to 1e-12."""
     from test_circuit import TestSynapseResonance
 
     helper = TestSynapseResonance()
@@ -219,10 +222,14 @@ def test_synapse_resonance():
     i1 = int(np.argmin(trace[:steps]))
     i2 = steps + int(np.argmin(trace[steps:2 * steps]))
     period_ok = abs((i2 - i1) * p.dt - p.period) <= p.dt
-    p2, fine = helper._trace(dt=0.0125, n_cycles=1)
-    fine_amp = np.abs(fine[:int(round(p2.period / p2.dt)) // 2]).max()
-    shrink_ok = abs(fine_amp - want_amp) < abs(got_amp - want_amp)
-    report("synapse-resonance", amp_ok and period_ok and shrink_ok,
+    exact_ok = True
+    for dt in (0.025, 0.1):
+        p2, exact = helper._trace(dt=dt, n_cycles=2)
+        t = np.arange(1, exact.size + 1) * p2.dt
+        exact_ok &= np.abs(exact + want_amp * np.sin(p2.omega * t)).max() <= 1e-9 * want_amp
+        lam, _ = synapse_modes(p2)
+        exact_ok &= np.abs(lam ** int(round(p2.period / p2.dt)) - 1.0).max() <= 1e-12
+    report("synapse-resonance", amp_ok and period_ok and exact_ok,
            f"amplitude {got_amp:.4g} vs {want_amp:.4g}, "
            f"period {(i2 - i1) * p.dt:.4g} ms")
 

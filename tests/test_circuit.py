@@ -10,6 +10,7 @@ from phasornet.circuit import (
     calibrate_threshold,
     decode_output,
     decode_over_time,
+    fidelity,
     observe_amplitude,
     output_spike_phases,
     run,
@@ -32,7 +33,7 @@ from phasornet.training import encode_batch
 
 import calibration_reference
 import decode_reference
-import euler_reference
+import step_reference
 from conftest import small_fc_net
 
 
@@ -242,13 +243,16 @@ class TestSynapseResonance:
         measured = (i2 - i1) * p.dt
         assert abs(measured - p.period) <= p.dt
 
-    def test_halving_dt_tightens_amplitude(self):
-        want = CircuitParams().w_spike / (CircuitParams().c_m * CircuitParams().omega)
-        _, coarse = self._trace(dt=0.025, n_cycles=1)
-        _, fine = self._trace(dt=0.0125, n_cycles=1)
-        err_coarse = abs(np.abs(coarse[:200]).max() - want)
-        err_fine = abs(np.abs(fine[:400]).max() - want)
-        assert err_fine < err_coarse
+    def test_closed_form_is_exact(self):
+        # the exact step map has no discretisation error: the trace is the
+        # sinusoid at every dt, and the synapse returns to itself each cycle
+        for dt in (0.025, 0.1):
+            p, trace = self._trace(dt=dt, n_cycles=2)
+            t = np.arange(1, trace.size + 1) * p.dt
+            amp = p.w_spike / (p.c_m * p.omega)
+            np.testing.assert_allclose(trace, -amp * np.sin(p.omega * t), rtol=0, atol=1e-9 * amp)
+            lam, _ = synapse_modes(p)
+            np.testing.assert_allclose(lam ** int(round(p.period / p.dt)), 1.0, rtol=0, atol=1e-12)
 
     def test_sinusoid_shape(self):
         p, trace = self._trace(dt=0.0125, n_cycles=1)
@@ -320,9 +324,10 @@ class TestRun:
         nid = circuit.layer_offsets[-1]  # first output unit
         result = run(circuit, [(images[0], 5)], v_threshold=thr,
                      record_neurons=[nid])
-        assert result.trace_vm.shape == (int(round(5 * 10.0 / 0.025)), 1)
+        dt = circuit.params.dt
+        assert result.trace_vm.shape == (int(round(5 * 10.0 / dt)), 1)
         assert np.all(np.isfinite(result.trace_vm))
-        assert result.trace_times[0] == pytest.approx(0.025)
+        assert result.trace_times[0] == pytest.approx(dt)
 
     @pytest.mark.parametrize("which", ["past_end", "negative"])
     def test_out_of_range_recorded_neuron(self, which):
@@ -345,10 +350,10 @@ class TestRun:
         assert result.total_time == 80.0
 
     def test_blowup_raises_numeric_error(self):
-        # an absurdly fast resonator makes forward Euler diverge
-        net = tiny_net(seed=7)
-        params = CircuitParams(l_res=1e-12)
-        circuit = build_circuit(net, params)
+        # the exact step map is stable; weights near the float range make
+        # V_m overflow, which the kernel's non-finite check catches
+        circuit = build_circuit(tiny_net(seed=7))
+        circuit = dataclasses.replace(circuit, syn_w=np.full(circuit.n_synapses, 1e308))
         with pytest.raises(NumericError, match="blew up"):
             run(circuit, [(tiny_images(1)[0], 5)], v_threshold=0.01)
 
@@ -373,11 +378,14 @@ def delivery_count(circuit, raster, last_step_time):
 
 
 class TestKernelMatchesEulerReference:
-    """The block kernel against the explicit Euler + heap loop."""
+    """The block kernel against the explicit step + heap loop of
+    tests/step_reference.py. The loop stepped forward Euler until the kernel
+    took the exact step map; the class keeps its name so that its tests keep
+    their ids."""
 
     def _check(self, net, circuit, stimuli, v_threshold, record=()):
         result = run(circuit, stimuli, v_threshold=v_threshold, record_neurons=record)
-        want = euler_reference.run(circuit, stimuli, v_threshold, record_neurons=record)
+        want = step_reference.run(circuit, stimuli, v_threshold, record_neurons=record)
         soma = result.raster.layer > 0
         assert want.raster.time.size > 0, "no soma spiked; the case checks nothing"
         np.testing.assert_array_equal(result.raster.layer[soma], want.raster.layer)
@@ -463,7 +471,7 @@ class TestKernelMatchesEulerReference:
         net, circuit, images, thr, _ = calibrated
         record = [0, circuit.layer_offsets[-1], circuit.n_neurons - 1, 0]  # one twice
         result = self._check(net, circuit, [(images[0], 5)], thr, record)
-        assert result.trace_vm.shape == (2000, 4)
+        assert result.trace_vm.shape == (int(round(5 * 10.0 / circuit.params.dt)), 4)
 
     def test_two_hidden_layers_in_one_block(self):
         # zero-delay synapses between hidden layers: a block's layer-1 spikes
@@ -528,28 +536,31 @@ class TestKernelMatchesEulerReference:
         assert {width for width, *_ in seen} == {BLOCK}
 
     def test_spike_ages_chain_within_a_chunk(self, calibrated, monkeypatch):
-        # chunks of four blocks: a neuron that fires twice in one chunk sends
-        # its second spike's deliveries with ages counted from its first's
+        # a budget of four blocks and a run of six (15 cycles of 100 steps):
+        # two equal chunks of three blocks. A neuron that fires twice in one
+        # chunk sends its second spike's deliveries with ages counted from
+        # its first's
         net, circuit, images, thr, _ = calibrated
         monkeypatch.setattr(ck, "BUDGET", 4 * BLOCK * max(circuit.layer_sizes))
         seen = self.passes(monkeypatch)
-        result = self._check(net, circuit, [(images[0], 6)], thr)
-        assert {width for width, *_ in seen} == {4 * BLOCK}
+        result = self._check(net, circuit, [(images[0], 15)], thr)
+        assert {(width, chunk) for width, _, _, chunk, _, _ in seen} == \
+            {(3 * BLOCK, 0), (3 * BLOCK, 1)}
         soma = result.raster.layer == 1
         steps = np.ceil(result.raster.time[soma] / circuit.params.dt).astype(np.int64) - 1
-        _, per_chunk = np.unique(np.c_[result.raster.neuron[soma], steps // (4 * BLOCK)],
+        _, per_chunk = np.unique(np.c_[result.raster.neuron[soma], steps // (3 * BLOCK)],
                                  axis=0, return_counts=True)
         assert per_chunk.max() >= 2, "no layer-1 neuron fired twice in one chunk"
 
     def test_run_shorter_than_one_chunk(self, calibrated, monkeypatch):
-        # 1600 steps, 6.25 blocks: one chunk of seven blocks, which the run
-        # ends inside
+        # 400 steps, 1.56 blocks: one chunk of two blocks, which the run ends
+        # inside
         net, circuit, images, thr, _ = calibrated
         seen = self.passes(monkeypatch)
         self._check(net, circuit, [(images[0], 4)], thr)
         assert {(width, total, chunk) for width, total, _, chunk, _, _ in seen} == \
-            {(7 * BLOCK, 1600, 0)}
-        assert ck.BUDGET >= 7 * BLOCK * max(circuit.layer_sizes)  # so the run sets the chunk
+            {(2 * BLOCK, 400, 0)}
+        assert ck.BUDGET >= 2 * BLOCK * max(circuit.layer_sizes)  # so the run sets the chunk
 
     def test_critically_damped_synapse_is_rejected(self):
         # dt/tau_s = 2 dt / sqrt(L C_m), exact in binary: one repeated eigenvalue
@@ -593,7 +604,7 @@ class TestFiringRule:
         refr = (~armed).astype(np.uint8)
         want, old = [], vm_prev.copy()
         for k in range(vm.shape[1]):
-            want += [(k, n) for n in euler_reference.fire_step(old, vm[:, k], refr, V_TH)]
+            want += [(k, n) for n in step_reference.fire_step(old, vm[:, k], refr, V_TH)]
             old = vm[:, k]
         got, state, prev = [], armed.copy(), vm_prev.copy()
         for b0 in range(0, vm.shape[1], BLOCK):  # refractory state carried between blocks
@@ -614,7 +625,7 @@ class TestArrivalSteps:
     def integrator():
         net = tiny_net(seed=2)
         net.weights[1][:, :6] = np.abs(net.weights[1][:, :6])  # zero-delay synapses
-        circuit = build_circuit(net)
+        circuit = build_circuit(net, CircuitParams(dt=0.025))
         gen_times = np.zeros((4, 17)) + circuit.params.period * np.arange(4)[:, None]
         return circuit, ck.Integrator(circuit, 1.0, 1600, gen_times)
 
@@ -834,6 +845,47 @@ class TestDecodeIdealRaster:
         for n_cycles in (depth + 1, depth + 2, depth + 5):
             raster = unroll(net, x, 10.0, n_cycles)
             assert decode_output(raster, net.n_outputs, depth, now=n_cycles * 10.0) == want
+
+
+class TestFidelity:
+    """fidelity() on rasters whose answer is known: the ideal raster, and
+    the ideal raster with one unit's spikes moved, dropped or added."""
+
+    @staticmethod
+    def case():
+        # theta = 1 leaves 3 of 12 and 2 of 10 units inactive
+        specs = [LayerSpec("dense", fan_in=16, fan_out=12, theta=1.0),
+                 LayerSpec("dense", fan_in=12, fan_out=10, theta=1.0)]
+        net = PhasorNetwork.create((16,), specs, seed=3, dtype=np.complex128)
+        image = tiny_images(1, seed=3)[0]
+        trace = forward(net, encode_batch(net, image[None])[0])
+        assert [int(m.sum()) for m in trace.masks] == [9, 8]
+        return net, image, unroll(net, encode_batch(net, image[None])[0], 10.0, 4), trace
+
+    def test_ideal_raster_is_exact(self):
+        net, image, raster, _ = self.case()
+        got = fidelity(net, raster, image)
+        np.testing.assert_allclose(got.residual, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.active_spiking, [1.0, 1.0])
+        np.testing.assert_array_equal(got.inactive_spiking, [0.0, 0.0])
+
+    def test_offset_is_removed_and_errors_show(self):
+        net, image, raster, trace = self.case()
+        layer1 = raster.layer == 1
+        late = dataclasses.replace(raster, time=np.where(layer1, raster.time + 0.7, raster.time))
+        np.testing.assert_allclose(fidelity(net, late, image).residual, 0.0, rtol=0, atol=1e-12)
+        active = np.flatnonzero(trace.masks[0])
+        moved = layer1 & (raster.neuron == active[0])
+        off = dataclasses.replace(raster, time=np.where(moved, raster.time + 1.0, raster.time))
+        assert fidelity(net, off, image).residual[0] > 0.05
+        keep = ~(layer1 & (raster.neuron == active[1]))
+        silent = dataclasses.replace(raster, layer=raster.layer[keep],
+                                     neuron=raster.neuron[keep], time=raster.time[keep])
+        assert fidelity(net, silent, image).active_spiking[0] == 8 / 9
+        extra = SpikeRaster.sorted(
+            np.r_[raster.layer, 2], np.r_[raster.neuron, np.flatnonzero(~trace.masks[1])[0]],
+            np.r_[raster.time, 35.0], raster.period, raster.n_cycles)
+        assert fidelity(net, extra, image).inactive_spiking[1] == 0.5
 
 
 class TestCalibration:

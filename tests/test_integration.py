@@ -15,6 +15,7 @@ from phasornet.circuit import (
     calibrate_threshold,
     decode_output,
     decode_over_time,
+    fidelity,
     run,
 )
 from phasornet.data import Dataset
@@ -182,3 +183,17 @@ class TestConvCircuit:
             decoded = decode_over_time(result.raster, 10, len(net.layers), times)
             locked += decoded[-1] >= 0 and np.all(decoded == decoded[-1])
         assert locked / len(runs) >= 0.8
+
+    def test_spike_phases_follow_the_activations(self, conv_circuit_runs):
+        # Per layer, over the 12 images: last-cycle spike phases against the
+        # activations' phases. On this net with seeds 1-7 at dt = 0.1 the
+        # mean residuals reach 0.042 / 0.128 / 0.062 rad and the share of
+        # active units that spike is >= 0.997 on every layer (seed 7: 0.040 /
+        # 0.120 / 0.062 rad). Every unit is active at theta = 0, so no share
+        # of inactive units is defined.
+        net, runs = conv_circuit_runs
+        fids = [fidelity(net, result.raster, image) for image, result in runs]
+        residual = np.mean([f.residual for f in fids], axis=0)
+        assert np.all(residual < [0.06, 0.18, 0.09]), residual
+        assert np.all(np.mean([f.active_spiking for f in fids], axis=0) >= 0.99)
+        assert np.all(np.isnan([f.inactive_spiking for f in fids]))
