@@ -77,26 +77,20 @@ SUB = 32  # steps per diagonal block of the block's propagator, a power of two
 BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
 
 
-def _synapse_rates(params):
-    """Eigenvalues mu (2,) of the continuous synapse system
-    d(v, w)/dt = (-w / C_m, v / L - w / tau_s)."""
+def synapse_modes(params):
+    """Eigenvalues lam = e^(mu dt) (2,) of the exact synapse step map,
+    coefficients c (2,) such that a synapse reset n steps ago has
+    v = Re sum_j c_j lam_j^n, and the eigenvalues mu (2,) of the continuous
+    synapse system d(v, w)/dt = (-w / C_m, v / L - w / tau_s)."""
     p = params
     root = np.sqrt(complex(p.inv_tau_s ** 2 - 4.0 / (p.l_res * p.c_m)))
     if root == 0:
         raise ValidationError("critically damped synapse (tau_s = sqrt(L*C_m)/2) "
                               "has a repeated eigenvalue; change tau_s slightly")
-    return np.array([-p.inv_tau_s + root, -p.inv_tau_s - root]) / 2.0
-
-
-def synapse_modes(params):
-    """Eigenvalues lam = e^(mu dt) (2,) of the exact synapse step map and
-    coefficients c (2,) such that a synapse reset n steps ago has
-    v = Re sum_j c_j lam_j^n."""
-    p = params
-    mu = _synapse_rates(p)
+    mu = np.array([-p.inv_tau_s + root, -p.inv_tau_s - root]) / 2.0
     # v(0) = 0 and dv/dt(0) = -w_spike / C_m fix c_1 = -c_2
     c1 = -p.w_spike / (p.c_m * (mu[0] - mu[1]))
-    return np.exp(mu * p.dt), np.array([c1, -c1])
+    return np.exp(mu * p.dt), np.array([c1, -c1]), mu
 
 
 def csr_rows(ptr, rows):
@@ -112,11 +106,11 @@ def reset_table(params, never):
     V + iW: what one delivery adds to a unit-weight dendrite state. Ages of
     `never` or more belong to a synapse never reset, whose state is 0."""
     p = params
-    lam, c = synapse_modes(p)
+    lam, c, mu = synapse_modes(p)
     powers = lam ** np.arange(never)[:, None]
     table = np.full(2 * never, 1j * p.w_spike)
     # v(n) = Re sum c lam^n and w(n) = -C_m dv/dt = -C_m Re sum c mu lam^n
-    table[:never] -= (powers @ c).real - 1j * p.c_m * (powers @ (c * _synapse_rates(p))).real
+    table[:never] -= (powers @ c).real - 1j * p.c_m * (powers @ (c * mu)).real
     table[0] = 0.0  # a second arrival in the step of a reset resets nothing
     return table
 

@@ -35,11 +35,11 @@ class CircuitParams:
     dropped entirely); the defaults put the oscillator resonance exactly at
     the cycle frequency. The step map is exact at any dt, but deliveries land
     on the dt grid and crossings are interpolated on it, so dt may be at most
-    period/100.
+    period/100, which is its default.
     """
 
     period: float = 10.0  # cycle period T, ms
-    dt: float = 0.1  # integration step, ms
+    dt: float = None  # integration step, ms; default period/100
     c_m: float = 10.0  # membrane capacitance, pF
     l_res: float = None  # resonance constant; default 1/((2pi/T)^2 C_m)
     tau_s: float = 0.0  # synapse damping time constant; 0 = undamped
@@ -48,13 +48,15 @@ class CircuitParams:
     w_spike = 0.3  # synapse reset activation, pA; a constant, not a field
 
     def __post_init__(self):
+        if self.dt is None:
+            self.dt = self.period / 100
         for name in ("period", "dt"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):  # NaN fails too
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
         if self.l_res is None:
             self.l_res = 1.0 / ((TWO_PI / self.period) ** 2 * self.c_m)
-        if self.period / self.dt < 100:
+        if self.dt > self.period / 100:
             raise ValidationError(
                 f"period/dt ratio {self.period / self.dt:.1f} < 100; decrease dt"
             )
@@ -294,24 +296,23 @@ def output_spike_phases(raster, n_outputs, output_layer, now):
 Fidelity = namedtuple("Fidelity", "residual active_spiking inactive_spiking")
 
 
-def fidelity(net, raster, image, cycle=None):
-    """How closely one cycle of a raster (the last by default) carries the
-    phasor network's activations for `image`, as a Fidelity of (L,) arrays,
-    one entry per layer:
+def fidelity(net, raster, image):
+    """How closely the last cycle of a raster carries the phasor network's
+    activations for `image`, as a Fidelity of (L,) arrays, one entry per
+    layer:
 
     residual: mean |spike phase - activation phase|, rad, over the active
-        units that spike in the cycle, after removing the layer's one
+        units that spike in the last cycle, after removing the layer's one
         circular-mean offset (nan where no active unit spikes);
-    active_spiking: share of the active units that spike in the cycle;
+    active_spiking: share of the active units that spike in the last cycle;
     inactive_spiking: share of the inactive units that spike in it (nan
         where every unit is active).
     """
-    cycle = raster.n_cycles - 1 if cycle is None else cycle
     trace = forward(net, encode_batch(net, np.asarray(image).reshape(1, -1))[0])
     out = np.full((3, len(net.layers)), np.nan)
     for l, (h, active) in enumerate(zip(trace.h, trace.masks)):
         h, active = h.reshape(-1), active.reshape(-1)
-        phases = raster_phases(raster, l + 1, h.size, cycle)
+        phases = raster_phases(raster, l + 1, h.size, raster.n_cycles - 1)
         spiked = ~np.isnan(phases)
         both = active & spiked
         if both.any():

@@ -49,7 +49,7 @@ DEFAULTS = {
     "limit_train": None,
     # circuit overrides
     "period": 10.0,
-    "dt": 0.1,
+    "dt": None,  # CircuitParams' default, period/100
     "v_threshold": None,
     "n_cycles": 15,
 }
@@ -59,7 +59,7 @@ EPOCH_DEFAULTS = {"mnist": 20, "cifar10": 30}
 CALIBRATION_IMAGES = 4
 # config keys whose default is None take these types (or null); the others
 # take their default's type, which is the type their flag parses to
-_NULLABLE_TYPES = {"epochs": int, "limit_train": int, "v_threshold": float}
+_NULLABLE_TYPES = {"epochs": int, "limit_train": int, "dt": float, "v_threshold": float}
 # what a config-file value of each type may hold; JSON true/false is no number
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
               bool: (bool, "true or false"), str: (str, "a string")}
@@ -387,7 +387,7 @@ def build_parser():
         p.add_argument("--period", type=float, help="cycle period T, ms")
         p.add_argument("--n-cycles", dest="n_cycles", type=int)
     # simulate, built last, also takes the circuit's flags
-    p.add_argument("--dt", type=float, help="integration step, ms")
+    p.add_argument("--dt", type=float, help="integration step, ms (default: period/100)")
     p.add_argument("--v-threshold", dest="v_threshold", type=float)
     p.add_argument("--second-example", dest="second_example", type=int,
                    help="second stimulus presented after the first")

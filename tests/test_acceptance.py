@@ -227,7 +227,7 @@ def test_synapse_resonance():
         p2, exact = helper._trace(dt=dt, n_cycles=2)
         t = np.arange(1, exact.size + 1) * p2.dt
         exact_ok &= np.abs(exact + want_amp * np.sin(p2.omega * t)).max() <= 1e-9 * want_amp
-        lam, _ = synapse_modes(p2)
+        lam, _, _ = synapse_modes(p2)
         exact_ok &= np.abs(lam ** int(round(p2.period / p2.dt)) - 1.0).max() <= 1e-12
     report("synapse-resonance", amp_ok and period_ok and exact_ok,
            f"amplitude {got_amp:.4g} vs {want_amp:.4g}, "
@@ -254,10 +254,11 @@ def test_circuit_fidelity(trained_fc_mnist):
     circuit = build_circuit(net)
     thr, _ = calibrate_threshold(net, circuit, images[:3])
     coarse = _circuit_agreement(net, circuit, images, thr)
-    fine = build_circuit(net, CircuitParams(dt=0.0125))
+    dt = circuit.params.dt
+    fine = build_circuit(net, CircuitParams(dt=dt / 2))
     fine_agree = _circuit_agreement(net, fine, images, thr)
     report("circuit-fidelity", coarse >= 0.8 and fine_agree >= coarse - 1e-12,
-           f"agreement {coarse:.0%} at dt=0.025, {fine_agree:.0%} at dt=0.0125")
+           f"agreement {coarse:.0%} at dt={dt:g}, {fine_agree:.0%} at dt={dt / 2:g}")
 
 
 @needs_mnist

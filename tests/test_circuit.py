@@ -85,6 +85,12 @@ class TestParams:
         assert (p.g_l, p.g_c, p.tau_d) == (np.pi * 8.0 / 20.0, 60.0 * np.pi * 8.0 / 20.0, 16.0)
         assert (p.v_l, p.w_spike) == (0.0, 0.3)
 
+    def test_default_dt_is_a_hundredth_of_the_period(self):
+        assert CircuitParams().dt == 0.1
+        # 67.19948779563593 / (67.19948779563593 / 100) rounds to below 100
+        for period in (10.0, 5.0, 2.5, 67.19948779563593, 1e-3):
+            assert CircuitParams(period=period).dt == period / 100
+
     def test_resonance_tracks_period(self):
         p = CircuitParams(period=25.0)
         assert p.omega == pytest.approx(2 * np.pi / 25.0)
@@ -221,7 +227,7 @@ class TestSynapseResonance:
         """Single synapse kicked once at t = 0: its voltage after each step,
         evaluated through the kernel's closed form sum_j c_j lam_j^n."""
         p = CircuitParams(dt=dt)
-        lam, c = synapse_modes(p)
+        lam, c, _ = synapse_modes(p)
         n_steps = int(round(n_cycles * p.period / dt))
         ages = np.arange(1, n_steps + 1)[:, None]
         return p, (c * lam ** ages).sum(axis=1).real
@@ -251,7 +257,7 @@ class TestSynapseResonance:
             t = np.arange(1, trace.size + 1) * p.dt
             amp = p.w_spike / (p.c_m * p.omega)
             np.testing.assert_allclose(trace, -amp * np.sin(p.omega * t), rtol=0, atol=1e-9 * amp)
-            lam, _ = synapse_modes(p)
+            lam, _, _ = synapse_modes(p)
             np.testing.assert_allclose(lam ** int(round(p.period / p.dt)), 1.0, rtol=0, atol=1e-12)
 
     def test_sinusoid_shape(self):
@@ -379,9 +385,8 @@ def delivery_count(circuit, raster, last_step_time):
 
 class TestKernelMatchesEulerReference:
     """The block kernel against the explicit step + heap loop of
-    tests/step_reference.py. The loop stepped forward Euler until the kernel
-    took the exact step map; the class keeps its name so that its tests keep
-    their ids."""
+    tests/step_reference.py, which steps each synapse and soma by its own
+    exact map."""
 
     def _check(self, net, circuit, stimuli, v_threshold, record=()):
         result = run(circuit, stimuli, v_threshold=v_threshold, record_neurons=record)
@@ -451,7 +456,7 @@ class TestKernelMatchesEulerReference:
         net = tiny_net(seed=0)
         net.biases[0][:3] = 0.5 + 0.5j
         circuit = build_circuit(net, CircuitParams(tau_s=tau_s))
-        lam, _ = synapse_modes(circuit.params)
+        lam, _, _ = synapse_modes(circuit.params)
         assert np.all(lam.imag == 0) == (tau_s == 0.5)
         image = tiny_images(1)[0]
         thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)

@@ -224,6 +224,18 @@ class TestSpikes:
         assert volts[0] == "time_ms,V_m_mV"
         assert len(volts) > 100
 
+    def test_simulate_short_period_steps_a_hundredth_of_it(self, workdir, tmp_path):
+        root, out = workdir
+        rc = main(["simulate", str(out / "model.phzn"),
+                   "--data-dir", str(root / "data"), "--out-dir", str(tmp_path),
+                   "--v-threshold", "0.02", "--n-cycles", "3", "--period", "5",
+                   "--record-output-unit", "0"])
+        assert rc == 0
+        volts = (tmp_path / "voltage_trace.csv").read_text().splitlines()[1:]
+        times = np.array([float(row.split(",")[0]) for row in volts])
+        assert times.size == 300
+        np.testing.assert_allclose(np.diff(times), 0.05)
+
     def test_simulate_calibrates_and_saves_threshold(self, workdir, tmp_path):
         root, out = workdir
         rc = main(["simulate", str(out / "model.phzn"),
