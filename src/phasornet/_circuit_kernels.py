@@ -1,17 +1,18 @@
 """Layer-chunk integration kernel for the circuit backend.
 
-Exact step map. Between deliveries the state (V, W, V_m, Vdbar, 1) obeys a
+Exact step map. Between deliveries the state (V, W, V_m, Vdbar) obeys a
 linear ODE with constant coefficients, so one step of it is the fixed map
 e^(dt A), computed once (step_powers): it has no discretisation error, and
 dt sets only the grid that deliveries land on and that threshold crossings
 are found on. Between resets a synapse (v, w) follows the map's 2x2 synapse
-block M = e^(dt A_s), A_s = [[0, -1/C_m], [1/L, -1/tau_s]], and a delivery
-resets it to (0, w_spike). A neuron's dendrite therefore needs only the
-weighted sum (V, W) = sum_s w_s (v_s, w_s): it follows M too, and a delivery
-to synapse s adds w_s ((0, w_spike) - M^age (0, w_spike)), which swaps the
-synapse's old trajectory, reset `age` steps ago, for a fresh one.
-M^age (0, w_spike) comes in closed form from the eigenvalues mu of A_s, with
-lam = e^(mu dt) (synapse_modes). A spike resets neither the soma nor the
+block M = e^(dt A_s), A_s = [[0, -1/C_m], [omega^2 C_m, 0]]: an undamped
+oscillator resonant at omega = 2pi/T. A delivery resets it to (0, w_spike).
+A neuron's dendrite therefore needs only the weighted sum
+(V, W) = sum_s w_s (v_s, w_s): it follows M too, and a delivery to synapse s
+adds w_s ((0, w_spike) - M^age (0, w_spike)), which swaps the synapse's old
+trajectory, reset `age` steps ago, for a fresh one. M^n (0, w_spike) is
+(-(w_spike / (C_m omega)) sin(omega t), w_spike cos(omega t)) at t = n dt
+(reset_table). A spike resets neither the soma nor the
 dendrite, so (V, W, V_m, Vdbar) is a linear filter of the deliveries, and
 BLOCK steps of it are one lower-triangular Toeplitz product plus an
 initial-state basis (the propagator method of Rotter & Diesmann 1999). The
@@ -29,7 +30,7 @@ in the chunk is known, from the generators, from earlier chunks, and from
 the spikes layer l-1 fired in this chunk. A layer too large for one block
 within the budget is integrated in row slices. One pass over a slice injects
 its deliveries, takes the sub-block products of every block at once, carries
-the 5-wide entering state from block to block, takes V_m of the whole chunk
+the 4-wide entering state from block to block, takes V_m of the whole chunk
 in one product, fires, and sends the spikes' deliveries.
 
 Deliveries. Each is queued, in a bucket per (layer, chunk), as its owner's
@@ -64,33 +65,14 @@ t + delay[s] and resets it on the first step whose time plus GRID_EPS reaches
 that, never earlier than the step after the spike (_arrival).
 """
 
-import dataclasses
 import functools
 
 import numpy as np
-
-from .errors import ValidationError
 
 GRID_EPS = 1e-9
 BLOCK = 256  # steps per block of the block propagator, a power of two
 SUB = 32  # steps per diagonal block of the block's propagator, a power of two
 BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
-
-
-def synapse_modes(params):
-    """Eigenvalues lam = e^(mu dt) (2,) of the exact synapse step map,
-    coefficients c (2,) such that a synapse reset n steps ago has
-    v = Re sum_j c_j lam_j^n, and the eigenvalues mu (2,) of the continuous
-    synapse system d(v, w)/dt = (-w / C_m, v / L - w / tau_s)."""
-    p = params
-    root = np.sqrt(complex(p.inv_tau_s ** 2 - 4.0 / (p.l_res * p.c_m)))
-    if root == 0:
-        raise ValidationError("critically damped synapse (tau_s = sqrt(L*C_m)/2) "
-                              "has a repeated eigenvalue; change tau_s slightly")
-    mu = np.array([-p.inv_tau_s + root, -p.inv_tau_s - root]) / 2.0
-    # v(0) = 0 and dv/dt(0) = -w_spike / C_m fix c_1 = -c_2
-    c1 = -p.w_spike / (p.c_m * (mu[0] - mu[1]))
-    return np.exp(mu * p.dt), np.array([c1, -c1]), mu
 
 
 def csr_rows(ptr, rows):
@@ -103,14 +85,15 @@ def csr_rows(ptr, rows):
 
 def reset_table(params, never):
     """(0, w_spike) - M^age (0, w_spike) for ages 0 .. 2 * never - 1, as
-    V + iW: what one delivery adds to a unit-weight dendrite state. Ages of
-    `never` or more belong to a synapse never reset, whose state is 0."""
+    V + iW: what one delivery adds to a unit-weight dendrite state,
+    (w_spike / (C_m omega)) sin(omega t) + i w_spike (1 - cos(omega t)) at
+    t = age * dt. Ages of `never` or more belong to a synapse never reset,
+    whose state is 0."""
     p = params
-    lam, c, mu = synapse_modes(p)
-    powers = lam ** np.arange(never)[:, None]
+    phase = p.omega * p.dt * np.arange(never)
     table = np.full(2 * never, 1j * p.w_spike)
-    # v(n) = Re sum c lam^n and w(n) = -C_m dv/dt = -C_m Re sum c mu lam^n
-    table[:never] -= (powers @ c).real - 1j * p.c_m * (powers @ (c * mu)).real
+    table[:never] = p.w_spike / (p.c_m * p.omega) * np.sin(phase)
+    table[:never] += 1j * p.w_spike * (1.0 - np.cos(phase))
     table[0] = 0.0  # a second arrival in the step of a reset resets nothing
     return table
 
@@ -130,18 +113,17 @@ def _expm(a):
 
 
 def step_powers(params, k):
-    """Powers 0..k of the exact step map e^(dt A) of (V, W, V_m, Vdbar, 1),
-    (k + 1, 5, 5), where A is the continuous system's generator."""
+    """Powers 0..k of the exact step map e^(dt A) of (V, W, V_m, Vdbar),
+    (k + 1, 4, 4), where A is the continuous system's generator."""
     p = params
     g = p.g_c / p.c_m
     a = np.array([
-        [0.0, -1.0 / p.c_m, 0.0, 0.0, 0.0],
-        [1.0 / p.l_res, -p.inv_tau_s, 0.0, 0.0, 0.0],
-        [g, 0.0, -(p.g_l + p.g_c) / p.c_m, -g, p.g_l * p.v_l / p.c_m],
-        [1.0 / p.tau_d, 0.0, 0.0, -1.0 / p.tau_d, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0]])
+        [0.0, -1.0 / p.c_m, 0.0, 0.0],
+        [p.omega ** 2 * p.c_m, 0.0, 0.0, 0.0],
+        [g, 0.0, -(p.g_l + p.g_c) / p.c_m, -g],
+        [1.0 / p.tau_d, 0.0, 0.0, -1.0 / p.tau_d]])
     step = _expm(p.dt * a)
-    powers = [np.eye(5)]
+    powers = [np.eye(4)]
     for _ in range(k):
         powers.append(step @ powers[-1])
     return np.array(powers)
@@ -166,8 +148,8 @@ def propagators(params):
     local (2 SUB, SUB + 4): one sub-block's deliveries (V, W at each of its
     steps, interleaved) to V_m after each of its steps, and to the state
     (V, W, V_m, Vdbar) they leave at its end.
-    carry (4 BLOCK / SUB + 5, BLOCK + 4): those end states of every
-    sub-block, then the state entering the block (V, W, V_m, Vdbar, 1), to
+    carry (4 BLOCK / SUB + 4, BLOCK + 4): those end states of every
+    sub-block, then the state entering the block (V, W, V_m, Vdbar), to
     V_m after every step of the later sub-blocks and to (V, W, V_m, Vdbar)
     entering the next block."""
     powers = step_powers(params, BLOCK)
@@ -184,20 +166,15 @@ def propagators(params):
     out_rows = [2] * BLOCK + [0, 1, 2, 3]
     carry = _response(powers, lag, out_rows, np.tile(np.arange(4), BLOCK // SUB))
     entry = _response(powers, np.broadcast_to(np.r_[np.arange(1, BLOCK + 1), [BLOCK] * 4],
-                                              (5, BLOCK + 4)), out_rows, np.arange(5))
+                                              (4, BLOCK + 4)), out_rows, np.arange(4))
     return local, np.vstack([carry, entry])
 
 
+@functools.lru_cache(maxsize=8)
 def constants(params, n_steps):
     """(reset table, local, carry's V_m part, carry's end part) for a run of
     n_steps. They are built once per parameter values and step count, and
     are read-only, as every run with those values shares them."""
-    return _constants(type(params), dataclasses.astuple(params), n_steps)
-
-
-@functools.lru_cache(maxsize=8)
-def _constants(kind, values, n_steps):
-    params = kind(*values)
     local, carry = propagators(params)
     parts = (reset_table(params, n_steps + 1), local,
              np.ascontiguousarray(carry[:, :BLOCK]), np.ascontiguousarray(carry[:, BLOCK:]))
@@ -266,8 +243,7 @@ class Integrator:
         self.key = ((owner - first[layer]) * self.chunk).astype(np.int32)  # owner's row
         self.out_delay = circuit.syn_delay
         self.last = np.full(owner.size, -(n_steps + 1), dtype=np.int32)  # never reset
-        self.state = np.zeros((n, 5))  # V, W, V_m, Vdbar, 1
-        self.state[:, 4] = 1.0
+        self.state = np.zeros((n, 4))  # V, W, V_m, Vdbar
         self.armed = np.ones(n, dtype=bool)  # not refractory
         self.vm_max = np.zeros(n)
         # one slice's work arrays, reused by every pass; x holds V_m once the
@@ -275,7 +251,7 @@ class Integrator:
         rows = min(self.rows, max(sizes))
         self.x = np.zeros(rows * self.chunk, dtype=np.complex128)
         self.sub = np.empty((rows * self.chunk // SUB, SUB + 4))
-        self.cin = np.empty((rows, nb, 4 * BLOCK // SUB + 5))
+        self.cin = np.empty((rows, nb, 4 * BLOCK // SUB + 4))
         # The generator synapses come first, grouped by the layer they feed:
         # the input generators feed layer 0 only, and the reference generator
         # comes last with its bias synapses in owner order.
@@ -387,10 +363,10 @@ class Integrator:
         np.add.at(x, key, self.table.take(age) * self.weight.take(syn))
         sub = np.matmul(x.view(np.float64).reshape(-1, 2 * SUB), self.local,
                         out=self.sub[:rows * width // SUB])
-        cin[:, :, :-5] = sub[:, SUB:].reshape(rows, nb, -1)
+        cin[:, :, :-4] = sub[:, SUB:].reshape(rows, nb, -1)
         for b in range(nb):  # the state entering each block
-            cin[:, b, -5:] = state
-            np.matmul(cin[:, b], self.carry_end, out=state[:, :4])
+            cin[:, b, -4:] = state
+            np.matmul(cin[:, b], self.carry_end, out=state)
         vm = np.matmul(cin.reshape(rows * nb, -1), self.carry_vm,
                        out=x.view(np.float64)[:rows * width].reshape(rows * nb, BLOCK))
         by_sub = vm.reshape(-1, SUB)

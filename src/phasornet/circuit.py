@@ -5,10 +5,10 @@ grid of dt by the exact step map of the linear ODEs (_circuit_kernels).
 Every nonzero complex weight becomes one synapse with weight |W| and delay
 phase(W) * T/2pi; a nonzero bias becomes a synapse driven by a reference
 generator spiking at t = 0 each cycle. Input units are stimulus generators
-spiking at their encoded phase times every cycle. With default parameters the
-synapse oscillator resonates at exactly the cycle frequency, 1/sqrt(L*C_m) =
-2pi/T, so each dendrite reconstructs the phasor sum of its inputs and the
-soma's threshold crossing re-encodes the phase as a spike time.
+spiking at their encoded phase times every cycle. Every synapse oscillator
+resonates at exactly the cycle frequency, 2pi/T, so each dendrite
+reconstructs the phasor sum of its inputs and the soma's threshold crossing
+re-encodes the phase as a spike time.
 """
 
 from collections import namedtuple
@@ -27,41 +27,34 @@ from .spikemap import (TWO_PI, SpikeRaster, phase_to_time, raster_phases, synaps
 from .training import encode_batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitParams:
     """Integration and circuit constants. Units: ms, mV, pA, pF, nS.
 
-    tau_s = 0 denotes an undamped synapse oscillator (the damping term is
-    dropped entirely); the defaults put the oscillator resonance exactly at
-    the cycle frequency. The step map is exact at any dt, but deliveries land
-    on the dt grid and crossings are interpolated on it, so dt may be at most
-    period/100, which is its default.
+    Every synapse is an undamped oscillator resonant at exactly the cycle
+    frequency, omega = 2pi/T. The step map is exact at any dt, but deliveries
+    land on the dt grid and crossings are interpolated on it, so dt may be at
+    most period/100, which is its default. Frozen, so that the kernel can
+    cache its constants by the parameter values.
     """
 
     period: float = 10.0  # cycle period T, ms
     dt: float = None  # integration step, ms; default period/100
-    c_m: float = 10.0  # membrane capacitance, pF
-    l_res: float = None  # resonance constant; default 1/((2pi/T)^2 C_m)
-    tau_s: float = 0.0  # synapse damping time constant; 0 = undamped
     n_cycles: int = 15
-    v_l = 0.0  # leak reversal potential, mV; a constant, not a field
+    c_m = 10.0  # membrane capacitance, pF; a constant, not a field
     w_spike = 0.3  # synapse reset activation, pA; a constant, not a field
 
     def __post_init__(self):
         if self.dt is None:
-            self.dt = self.period / 100
+            object.__setattr__(self, "dt", self.period / 100)
         for name in ("period", "dt"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):  # NaN fails too
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
-        if self.l_res is None:
-            self.l_res = 1.0 / ((TWO_PI / self.period) ** 2 * self.c_m)
         if self.dt > self.period / 100:
             raise ValidationError(
                 f"period/dt ratio {self.period / self.dt:.1f} < 100; decrease dt"
             )
-        if self.tau_s < 0:
-            raise ValidationError(f"tau_s must be >= 0, got {self.tau_s}")
 
     @property
     def g_l(self):
@@ -80,12 +73,8 @@ class CircuitParams:
 
     @property
     def omega(self):
-        """Synapse oscillator angular frequency, 1/sqrt(L*C_m)."""
-        return 1.0 / np.sqrt(self.l_res * self.c_m)
-
-    @property
-    def inv_tau_s(self):
-        return 0.0 if self.tau_s == 0.0 else 1.0 / self.tau_s
+        """Synapse oscillator angular frequency, 2pi/T."""
+        return TWO_PI / self.period
 
 
 @dataclass
@@ -199,7 +188,8 @@ def stimulus_phase_offsets(circuit, image):
 def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     """Integrate the circuit over a stimulus sequence.
 
-    stimuli: list of (image, n_cycles); examples switch instantaneously.
+    stimuli: non-empty list of (image, n_cycles); examples switch
+    instantaneously.
     record_neurons: global neuron ids whose V_m trace is kept every step.
     Returns a CircuitResult whose raster contains generator volleys as layer
     0 plus every soma spike (layers 1..L), sorted by time.
@@ -223,6 +213,8 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
         starts.append(t0 + np.arange(n_cycles) * p.period)
         offsets += [stimulus_phase_offsets(circuit, image)] * n_cycles
         t0 += n_cycles * p.period
+    if not starts:
+        raise ValidationError("stimuli must hold at least one (image, n_cycles) pair")
     # every generator's spike time in every cycle, the reference generator last
     gen_times = np.concatenate(starts)[:, None] + np.array(offsets)
     total_cycles = gen_times.shape[0]
@@ -353,8 +345,12 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
     the scan stops once a candidate agrees on every image, and a candidate's
     images stop once it can no longer beat the best; the result is the full
     scan's. Returns (threshold, agreement); net and circuit are left untouched.
+    No candidate or no image is a ValidationError.
     """
     p = circuit.params
+    if n_candidates < 1 or len(images) == 0:
+        raise ValidationError(f"calibration needs at least one candidate and one image, "
+                              f"got {n_candidates} candidates and {len(images)} images")
     if n_cycles is None:
         n_cycles = p.n_cycles
     amp = observe_amplitude(circuit, images[0], n_cycles)
@@ -375,4 +371,4 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
             best_agree, best_thr = agree, float(thr)
         if best_agree == n:  # no later candidate can beat it
             break
-    return best_thr, best_agree / max(n, 1)
+    return best_thr, best_agree / n

@@ -39,13 +39,13 @@ Reference = namedtuple("Reference", "raster vm_max trace_vm deliveries")
 
 def generator(p):
     """The continuous system d/dt (V, W, V_m, Vdbar, 1) = A (V, W, V_m, Vdbar, 1):
-    the synapse oscillator C_m dv/dt = -w, L dw/dt = v - L w / tau_s, the soma
-    C_m dV_m/dt = g_l (v_l - V_m) + g_c (V - V_m - Vdbar) and the dendrite
+    the synapse oscillator C_m dv/dt = -w, dw/dt = omega^2 C_m v, the soma
+    C_m dV_m/dt = -g_l V_m + g_c (V - V_m - Vdbar) and the dendrite
     average tau_d dVdbar/dt = V - Vdbar."""
     return np.array([
         [0.0, -1.0 / p.c_m, 0.0, 0.0, 0.0],
-        [1.0 / p.l_res, -p.inv_tau_s, 0.0, 0.0, 0.0],
-        [p.g_c / p.c_m, 0.0, -(p.g_l + p.g_c) / p.c_m, -p.g_c / p.c_m, p.g_l * p.v_l / p.c_m],
+        [p.omega ** 2 * p.c_m, 0.0, 0.0, 0.0, 0.0],
+        [p.g_c / p.c_m, 0.0, -(p.g_l + p.g_c) / p.c_m, -p.g_c / p.c_m, 0.0],
         [1.0 / p.tau_d, 0.0, 0.0, -1.0 / p.tau_d, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0]])
 

@@ -21,7 +21,7 @@ from conftest import (
     needs_mnist,
 )
 from test_phasor_net import _finite_diff_check
-from phasornet._circuit_kernels import synapse_modes
+from phasornet._circuit_kernels import reset_table
 from phasornet.circuit import (
     CircuitParams,
     build_circuit,
@@ -207,10 +207,11 @@ def test_ideal_spike_round_trip(trained_fc_mnist):
 
 
 def test_synapse_resonance():
-    """Isolated undamped synapse after reset: harmonic with omega = 2pi/T,
-    within 2% amplitude and one-dt period at dt = 0.025 ms; the exact step
-    map's trace is the sinusoid to 1e-9 of its amplitude at dt = 0.025 and
-    0.1 ms, and returns to itself each cycle to 1e-12."""
+    """Isolated synapse after reset, read through the kernel's reset table:
+    harmonic with omega = 2pi/T, within 2% amplitude and one-dt period at
+    dt = 0.025 ms; the exact step map's trace is the sinusoid to 1e-9 of its
+    amplitude at dt = 0.025 and 0.1 ms, and returns to itself each cycle to
+    1e-12."""
     from test_circuit import TestSynapseResonance
 
     helper = TestSynapseResonance()
@@ -227,8 +228,10 @@ def test_synapse_resonance():
         p2, exact = helper._trace(dt=dt, n_cycles=2)
         t = np.arange(1, exact.size + 1) * p2.dt
         exact_ok &= np.abs(exact + want_amp * np.sin(p2.omega * t)).max() <= 1e-9 * want_amp
-        lam, _, _ = synapse_modes(p2)
-        exact_ok &= np.abs(lam ** int(round(p2.period / p2.dt)) - 1.0).max() <= 1e-12
+        cycle = int(round(p2.period / p2.dt))
+        table = reset_table(p2, 2 * cycle + 1)
+        exact_ok &= np.abs(table[cycle:2 * cycle + 1] - table[:cycle + 1]).max() \
+            <= 1e-12 * p2.w_spike
     report("synapse-resonance", amp_ok and period_ok and exact_ok,
            f"amplitude {got_amp:.4g} vs {want_amp:.4g}, "
            f"period {(i2 - i1) * p.dt:.4g} ms")

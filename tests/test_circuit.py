@@ -18,7 +18,7 @@ from phasornet.circuit import (
 )
 from phasornet import _circuit_kernels as ck
 from phasornet import circuit as circuit_mod
-from phasornet._circuit_kernels import BLOCK, GRID_EPS, fire, synapse_modes
+from phasornet._circuit_kernels import BLOCK, GRID_EPS, fire
 from phasornet.errors import NumericError, ValidationError
 from phasornet.phasor_net import (
     LayerSpec,
@@ -76,14 +76,29 @@ class TestParams:
         assert p.g_c == pytest.approx(60.0 * np.pi)
         assert p.tau_d == pytest.approx(8.0)
         assert p.omega == pytest.approx(2 * np.pi / p.period)
-        assert p.inv_tau_s == 0.0
 
     def test_derived_constants_are_not_settable(self):
         assert [f.name for f in dataclasses.fields(CircuitParams)] == [
-            "period", "dt", "c_m", "l_res", "tau_s", "n_cycles"]
-        p = CircuitParams(period=20.0, c_m=8.0)
-        assert (p.g_l, p.g_c, p.tau_d) == (np.pi * 8.0 / 20.0, 60.0 * np.pi * 8.0 / 20.0, 16.0)
-        assert (p.v_l, p.w_spike) == (0.0, 0.3)
+            "period", "dt", "n_cycles"]
+        p = CircuitParams(period=20.0)
+        assert (p.g_l, p.g_c, p.tau_d) == (np.pi * 10.0 / 20.0, 60.0 * np.pi * 10.0 / 20.0, 16.0)
+        assert (p.c_m, p.w_spike) == (10.0, 0.3)
+        for name in ("c_m", "l_res", "tau_s"):
+            with pytest.raises(TypeError):
+                CircuitParams(**{name: 1.0})
+
+    def test_frozen_params_share_constants(self):
+        net = tiny_net(seed=0)
+        a = build_circuit(net, CircuitParams())
+        b = build_circuit(net, CircuitParams(dt=0.1))
+        assert a.params == b.params and a.params is not b.params
+        shared = ck.constants(a.params, 1500)
+        assert all(x is y for x, y in zip(shared, ck.constants(b.params, 1500)))
+        assert not any(x.flags.writeable for x in shared)
+        other = ck.constants(CircuitParams(dt=0.05), 1500)
+        assert not any(x is y for x, y in zip(shared, other))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.params.dt = 0.05
 
     def test_default_dt_is_a_hundredth_of_the_period(self):
         assert CircuitParams().dt == 0.1
@@ -100,8 +115,6 @@ class TestParams:
             CircuitParams(dt=0.0)
         with pytest.raises(ValidationError):
             CircuitParams(dt=0.2)  # period/dt = 50 < 100
-        with pytest.raises(ValidationError):
-            CircuitParams(tau_s=-1.0)
 
 
 class TestBuild:
@@ -225,12 +238,11 @@ class TestBuild:
 class TestSynapseResonance:
     def _trace(self, dt, n_cycles=2):
         """Single synapse kicked once at t = 0: its voltage after each step,
-        evaluated through the kernel's closed form sum_j c_j lam_j^n."""
+        read from the kernel's reset table, whose real part at age n is
+        v(0) - v(n) = -v(n)."""
         p = CircuitParams(dt=dt)
-        lam, c, _ = synapse_modes(p)
         n_steps = int(round(n_cycles * p.period / dt))
-        ages = np.arange(1, n_steps + 1)[:, None]
-        return p, (c * lam ** ages).sum(axis=1).real
+        return p, -ck.reset_table(p, n_steps + 1)[1:n_steps + 1].real
 
     def test_amplitude_two_percent(self):
         # vs(t) = -(w_spike / (c_m * omega)) sin(omega t): check the first peak
@@ -251,14 +263,22 @@ class TestSynapseResonance:
 
     def test_closed_form_is_exact(self):
         # the exact step map has no discretisation error: the trace is the
-        # sinusoid at every dt, and the synapse returns to itself each cycle
+        # sinusoid at every dt, and the synapse returns to itself each cycle,
+        # both in the reset table and under the step map's synapse block
         for dt in (0.025, 0.1):
             p, trace = self._trace(dt=dt, n_cycles=2)
             t = np.arange(1, trace.size + 1) * p.dt
             amp = p.w_spike / (p.c_m * p.omega)
             np.testing.assert_allclose(trace, -amp * np.sin(p.omega * t), rtol=0, atol=1e-9 * amp)
-            lam, _, _ = synapse_modes(p)
-            np.testing.assert_allclose(lam ** int(round(p.period / p.dt)), 1.0, rtol=0, atol=1e-12)
+            cycle = int(round(p.period / p.dt))
+            table = ck.reset_table(p, 2 * cycle + 1)
+            np.testing.assert_allclose(table[cycle:2 * cycle + 1], table[:cycle + 1],
+                                       rtol=0, atol=1e-12 * p.w_spike)
+            block = ck.step_powers(p, cycle)[:, :2, :2]
+            np.testing.assert_allclose(block[-1], np.eye(2), rtol=0, atol=1e-12)
+            kicked = block[:, :, 1] * p.w_spike  # (v, w) of a synapse reset at age 0
+            np.testing.assert_allclose(-kicked[:, 0] + 1j * (p.w_spike - kicked[:, 1]),
+                                       table[:cycle + 1], rtol=0, atol=1e-12 * p.w_spike)
 
     def test_sinusoid_shape(self):
         p, trace = self._trace(dt=0.0125, n_cycles=1)
@@ -335,6 +355,11 @@ class TestRun:
         assert np.all(np.isfinite(result.trace_vm))
         assert result.trace_times[0] == pytest.approx(dt)
 
+    def test_empty_stimulus_list(self):
+        circuit = build_circuit(tiny_net(seed=0))
+        with pytest.raises(ValidationError, match="at least one"):
+            run(circuit, [], v_threshold=1e30)
+
     @pytest.mark.parametrize("which", ["past_end", "negative"])
     def test_out_of_range_recorded_neuron(self, which):
         circuit = build_circuit(tiny_net(seed=0))
@@ -383,7 +408,7 @@ def delivery_count(circuit, raster, last_step_time):
     return total
 
 
-class TestKernelMatchesEulerReference:
+class TestKernelMatchesStepReference:
     """The block kernel against the explicit step + heap loop of
     tests/step_reference.py, which steps each synapse and soma by its own
     exact map."""
@@ -450,17 +475,6 @@ class TestKernelMatchesEulerReference:
         first, second = images[0].copy(), images[1].copy()
         first[0], second[0] = 0.5001, 0.4999
         self._check(net, circuit, [(first, 3), (second, 4)], thr)
-
-    @pytest.mark.parametrize("tau_s", [20.0, 0.5], ids=["underdamped", "overdamped"])
-    def test_damped_synapses(self, tau_s):
-        net = tiny_net(seed=0)
-        net.biases[0][:3] = 0.5 + 0.5j
-        circuit = build_circuit(net, CircuitParams(tau_s=tau_s))
-        lam, _, _ = synapse_modes(circuit.params)
-        assert np.all(lam.imag == 0) == (tau_s == 0.5)
-        image = tiny_images(1)[0]
-        thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
-        self._check(net, circuit, [(image, 6)], thr)
 
     def test_step_count_off_the_block_grid(self, calibrated):
         # 4 cycles of 10 ms at dt = 0.03: 1333 steps, a fractional number per
@@ -566,12 +580,6 @@ class TestKernelMatchesEulerReference:
         assert {(width, total, chunk) for width, total, _, chunk, _, _ in seen} == \
             {(2 * BLOCK, 400, 0)}
         assert ck.BUDGET >= 2 * BLOCK * max(circuit.layer_sizes)  # so the run sets the chunk
-
-    def test_critically_damped_synapse_is_rejected(self):
-        # dt/tau_s = 2 dt / sqrt(L C_m), exact in binary: one repeated eigenvalue
-        p = CircuitParams(dt=2.0 ** -6, c_m=8.0, l_res=0.5, tau_s=1.0)
-        with pytest.raises(ValidationError, match="critically damped"):
-            synapse_modes(p)
 
 
 V_TH = 0.5
@@ -900,6 +908,14 @@ class TestCalibration:
         assert 0.03 * amp * (1 - 1e-9) <= thr <= 0.3 * amp * (1 + 1e-9)
         assert net.v_threshold is None  # calibration leaves the net as it was
         assert 0.0 <= agree <= 1.0
+
+    @pytest.mark.parametrize("n_candidates, n_images", [(0, 3), (8, 0)],
+                             ids=["no_candidate", "no_image"])
+    def test_needs_a_candidate_and_an_image(self, n_candidates, n_images):
+        net = tiny_net(seed=0)
+        with pytest.raises(ValidationError, match="at least one candidate"):
+            calibrate_threshold(net, build_circuit(net), tiny_images(n_images),
+                                n_candidates=n_candidates)
 
     def test_observe_amplitude_positive(self, calibrated):
         net, circuit, images, _, _ = calibrated
