@@ -27,6 +27,13 @@ from .spikemap import (TWO_PI, SpikeRaster, phase_to_time, raster_phases, synaps
 from .training import encode_batch
 
 
+def _check_cycles(n_cycles):
+    """Reject a cycle count that is not an integer >= 1 (a bool is not)."""
+    if isinstance(n_cycles, bool) or not isinstance(n_cycles, (int, np.integer)) \
+            or n_cycles < 1:
+        raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles!r}")
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """Integration and circuit constants. Units: ms, mV, pA, pF, nS.
@@ -51,6 +58,7 @@ class CircuitParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):  # NaN fails too
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
+        _check_cycles(self.n_cycles)
         if self.dt > self.period / 100:
             raise ValidationError(
                 f"period/dt ratio {self.period / self.dt:.1f} < 100; decrease dt"
@@ -207,9 +215,7 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
             f"recorded neuron ids must lie in [0, {circuit.n_neurons}), got {rec_ids.tolist()}")
     starts, offsets, t0 = [], [], 0.0  # each stimulus starts where the one before it ends
     for image, n_cycles in stimuli:
-        if isinstance(n_cycles, bool) or not isinstance(n_cycles, (int, np.integer)) \
-                or n_cycles < 1:
-            raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles!r}")
+        _check_cycles(n_cycles)
         starts.append(t0 + np.arange(n_cycles) * p.period)
         offsets += [stimulus_phase_offsets(circuit, image)] * n_cycles
         t0 += n_cycles * p.period

@@ -115,6 +115,9 @@ class TestParams:
             CircuitParams(dt=0.0)
         with pytest.raises(ValidationError):
             CircuitParams(dt=0.2)  # period/dt = 50 < 100
+        for n_cycles in (0, -2, 2.5, True):
+            with pytest.raises(ValidationError):
+                CircuitParams(n_cycles=n_cycles)
 
 
 class TestBuild:
@@ -582,6 +585,45 @@ class TestKernelMatchesStepReference:
         assert ck.BUDGET >= 2 * BLOCK * max(circuit.layer_sizes)  # so the run sets the chunk
 
 
+class TestNullDeliveries:
+    """A delivery whose reset adds nothing, as its reset-table entry is 0, is
+    counted but never queued."""
+
+    @pytest.mark.parametrize("params, steps_per_period", [
+        (CircuitParams(dt=0.1), 100),
+        (CircuitParams(dt=0.025), 400),
+        (CircuitParams(period=67.19948779563593), 100),  # period/dt rounds below 100
+        (CircuitParams(dt=0.03), None),  # no whole number of steps per period
+    ], ids=["dt0.1", "dt0.025", "period67.2", "dt0.03"])
+    def test_reset_table_is_zero_at_whole_periods_only(self, params, steps_per_period):
+        never = 1201
+        table = ck.reset_table(params, never)
+        age = np.arange(never)
+        null = age == 0 if steps_per_period is None else age % steps_per_period == 0
+        np.testing.assert_array_equal(table[:never] == 0, null)
+        assert np.all(table[never:] != 0)  # first kicks of synapses never reset
+
+    def test_null_deliveries_are_counted_not_queued(self, calibrated, monkeypatch):
+        net, circuit, images, thr, _ = calibrated
+        ages = []
+        original = ck.Integrator._pass
+
+        def spy(self, l, chunk, r0, r1, got, *rest):
+            ages.append(got[2])
+            return original(self, l, chunk, r0, r1, got, *rest)
+
+        monkeypatch.setattr(ck.Integrator, "_pass", spy)
+        stimuli = [(images[0], 8)]
+        result = run(circuit, stimuli, v_threshold=thr)
+        age = np.concatenate(ages)
+        steps_per_period = round(circuit.params.period / circuit.params.dt)
+        never = len(result.trace_times) + 1  # the age of a synapse's first kick is at least this
+        null = (age % steps_per_period == 0) & (age < never)
+        assert not null.any(), f"{np.count_nonzero(null)} null deliveries reached a pass"
+        assert age.size < result.deliveries
+        assert result.deliveries == step_reference.run(circuit, stimuli, thr).deliveries
+
+
 V_TH = 0.5
 LEVELS = [-1.0, -1e-12, 0.0, 0.2, np.nextafter(V_TH, 0.0), V_TH, 0.7, 1.5]
 
@@ -635,21 +677,21 @@ class TestArrivalSteps:
     or earlier."""
 
     @staticmethod
-    def integrator():
+    def integrator(dt):
         net = tiny_net(seed=2)
         net.weights[1][:, :6] = np.abs(net.weights[1][:, :6])  # zero-delay synapses
-        circuit = build_circuit(net, CircuitParams(dt=0.025))
+        circuit = build_circuit(net, CircuitParams(dt=dt))
         gen_times = np.zeros((4, 17)) + circuit.params.period * np.arange(4)[:, None]
         return circuit, ck.Integrator(circuit, 1.0, 1600, gen_times)
 
+    @pytest.mark.parametrize("dt", [0.025, 0.1])
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 11), st.integers(0, 1500), st.integers(0, 40),
            st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, -1e-10, GRID_EPS, -GRID_EPS, 0.3e-3]))
-    def test_matches_the_grid_rule(self, neuron, target, which, offset):
+    def test_matches_the_grid_rule(self, dt, neuron, target, which, offset):
         # a spike timed so that one of its deliveries lands on (or just off)
         # a grid step; zero-delay synapses put it right after its own step
-        circuit, kernel = self.integrator()
-        dt = circuit.params.dt
+        circuit, kernel = self.integrator(dt)
         pos, counts = ck.csr_rows(circuit.out_ptr, np.array([circuit.n_gen + neuron]))
         delay = circuit.syn_delay[circuit.out_syn[pos]]
         tstar = (target * dt + GRID_EPS) + offset - delay[which % delay.size]
@@ -660,14 +702,15 @@ class TestArrivalSteps:
         want = np.maximum(grid.searchsorted(tstar + delay), sent + 1)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dt", [0.025, 0.1])
     @pytest.mark.parametrize("t0", [0.0, 40.0, 150.0])
-    def test_exact_rule_on_grid_times(self, t0):
+    def test_exact_rule_on_grid_times(self, t0, dt):
         # times on a grid step and one ulp either side of it, in a window of
-        # the grid starting at t0 (step 0, 1600 or 6000), where the division
-        # alone lands a step off hundreds of times
-        _, kernel = self.integrator()
-        first = int(round(t0 / 0.025))
-        grid = np.arange(first, first + 6000) * 0.025 + GRID_EPS
+        # the grid starting at t0 (step t0 / dt), where the division alone
+        # lands a step off hundreds of times
+        _, kernel = self.integrator(dt)
+        first = int(round(t0 / dt))
+        grid = np.arange(first, first + 6000) * dt + GRID_EPS
         for t in (grid[:-2], np.nextafter(grid[:-2], np.inf), np.nextafter(grid[:-2], -np.inf)):
             np.testing.assert_array_equal(kernel._arrival(t, 0), first + grid.searchsorted(t))
 
