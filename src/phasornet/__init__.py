@@ -15,7 +15,6 @@ from .phasor_net import (
     PhasorNetwork,
     ForwardTrace,
     TargetEncoding,
-    encode_input,
     encode_target,
     tpam_activation,
     forward,

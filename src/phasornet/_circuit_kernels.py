@@ -55,17 +55,13 @@ at one period, at most 5.1e-16 over 15, against w_spike = 0.3). Such a
 delivery is counted in `deliveries` and sets its synapse's last reset, but
 _queue drops it, by the table's nonzero mask `live`, before it is queued,
 sorted, gathered or injected. On a phase-locked net most deliveries are
-null: 78% of the 364k per example of perfbench's spiking bench net at dt
-0.1. Where period/dt is not an integer, only age 0 is null, and rasters are
+null. Where period/dt is not an integer, only age 0 is null, and rasters are
 bit-identical to injecting every delivery; elsewhere spike times move in the
-last digits, with the same spike sequences: by at most 3.6e-14 ms on 24
-seeded small dense and conv runs at dt 0.025 and 0.1, and 8.2e-14 ms on 40
-runs of the bench net.
+last digits, with the same spike sequences.
 
 Summation order. The chunk's products add the same terms as one block at a
-time would, in another order, so spike times can move in the last digits:
-by at most 7.1e-13 ms over the 183k spikes of the untrained conv preset at
-15 cycles, with the same spike sequence and deliveries.
+time would, in another order, so spike times can move in the last digits,
+with the same spike sequence and deliveries.
 
 Clock. A run over a stimulus sequence has one clock: step j starts at j*dt
 and ends at (j + 1)*dt, and the run is round(total cycles * period / dt)

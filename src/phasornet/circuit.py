@@ -19,19 +19,11 @@ import numpy as np
 
 from . import _circuit_kernels as ck
 from ._kernels import im2col
-from .errors import NumericError, ValidationError
-from .phasor_net import (encode_input, apply_input_phase_shift, forward, predict,
-                         predict_batch)
+from .errors import NumericError, ValidationError, check_count, check_positive
+from .phasor_net import forward, input_phases, predict, predict_batch
 from .spikemap import (TWO_PI, SpikeRaster, phase_to_time, raster_phases, synapse_delay,
                        time_to_phase)
 from .training import encode_batch
-
-
-def _check_cycles(n_cycles):
-    """Reject a cycle count that is not an integer >= 1 (a bool is not)."""
-    if isinstance(n_cycles, bool) or not isinstance(n_cycles, (int, np.integer)) \
-            or n_cycles < 1:
-        raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles!r}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +46,9 @@ class CircuitParams:
     def __post_init__(self):
         if self.dt is None:
             object.__setattr__(self, "dt", self.period / 100)
-        for name in ("period", "dt"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):  # NaN fails too
-                raise ValidationError(f"{name} must be finite and positive, got {value}")
-        _check_cycles(self.n_cycles)
+        check_positive("period", self.period)
+        check_positive("dt", self.dt)
+        check_count("n_cycles", self.n_cycles)
         if self.dt > self.period / 100:
             raise ValidationError(
                 f"period/dt ratio {self.period / self.dt:.1f} < 100; decrease dt"
@@ -187,10 +177,10 @@ def build_circuit(net, params=None):
 
 
 def stimulus_phase_offsets(circuit, image):
-    """Spike-time offsets within a cycle for all generators (reference last)."""
-    x = encode_input(np.asarray(image).reshape(-1))
-    x = apply_input_phase_shift(x, circuit.phase_shifts)
-    return np.concatenate([phase_to_time(np.angle(x), circuit.params.period), [0.0]])
+    """Spike-time offsets within a cycle for all generators (reference last):
+    the exact float64 times of the image's input_phases."""
+    theta = input_phases(np.asarray(image)[None], circuit.phase_shifts)[0]
+    return np.concatenate([phase_to_time(theta, circuit.params.period), [0.0]])
 
 
 def run(circuit, stimuli, v_threshold=None, record_neurons=()):
@@ -207,15 +197,14 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
         raise ValidationError(
             "no spike threshold set; pass v_threshold, e.g. from calibrate_threshold"
         )
-    if not (v_threshold > 0 and np.isfinite(v_threshold)):
-        raise ValidationError(f"spike threshold must be positive and finite, got {v_threshold}")
+    check_positive("spike threshold", v_threshold)
     rec_ids = np.asarray(sorted(record_neurons), dtype=np.int64)
     if rec_ids.size and not (rec_ids[0] >= 0 and rec_ids[-1] < circuit.n_neurons):
         raise ValidationError(
             f"recorded neuron ids must lie in [0, {circuit.n_neurons}), got {rec_ids.tolist()}")
     starts, offsets, t0 = [], [], 0.0  # each stimulus starts where the one before it ends
     for image, n_cycles in stimuli:
-        _check_cycles(n_cycles)
+        check_count("n_cycles", n_cycles)
         starts.append(t0 + np.arange(n_cycles) * p.period)
         offsets += [stimulus_phase_offsets(circuit, image)] * n_cycles
         t0 += n_cycles * p.period
@@ -354,9 +343,9 @@ def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
     No candidate or no image is a ValidationError.
     """
     p = circuit.params
-    if n_candidates < 1 or len(images) == 0:
-        raise ValidationError(f"calibration needs at least one candidate and one image, "
-                              f"got {n_candidates} candidates and {len(images)} images")
+    check_count("n_candidates", n_candidates)
+    if len(images) == 0:
+        raise ValidationError("calibration needs at least one image, got 0")
     if n_cycles is None:
         n_cycles = p.n_cycles
     amp = observe_amplitude(circuit, images[0], n_cycles)

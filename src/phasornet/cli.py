@@ -19,7 +19,8 @@ import urllib.request
 import numpy as np
 
 from . import __version__
-from .errors import DataFormatError, NumericError, PhasorNetError, ValidationError
+from .errors import (DataFormatError, NumericError, PhasorNetError, ValidationError,
+                     check_count)
 from . import circuit as circuit_mod
 from .circuit import CircuitParams, build_circuit, calibrate_threshold, decode_over_time
 from .data import load_cifar10_bin, load_mnist_idx
@@ -237,8 +238,7 @@ def _spiking_run(args, backend):
 def cmd_spikes(args):
     cfg, net, ds = _spiking_run(args, "ideal")
     n_cycles = cfg["n_cycles"]
-    if n_cycles < 1:
-        raise ValidationError(f"n_cycles must be an integer >= 1, got {n_cycles}")
+    check_count("n_cycles", n_cycles)
     if n_cycles < len(net.layers) + 1:
         print(f"warning: {n_cycles} cycles < depth+1 = {len(net.layers) + 1}; "
               f"the output layer never fires", file=sys.stderr)

@@ -16,6 +16,7 @@ from .errors import (
     MagicMismatchError,
     TruncatedFileError,
     ValidationError,
+    check_count,
 )
 
 MNIST_IMAGE_MAGIC = 2051
@@ -138,8 +139,7 @@ class BatchIterator:
     """
 
     def __init__(self, dataset, batch_size, seed=0):
-        if batch_size < 1:
-            raise ValidationError(f"batch size must be >= 1, got {batch_size}")
+        check_count("batch_size", batch_size)
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.seed = int(seed)

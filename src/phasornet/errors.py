@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: usage errors -> 1, DataFormatError -> 2,
 NumericError -> 3.
 """
 
+import math
+import numbers
+
 
 class PhasorNetError(Exception):
     """Base class for all package-specific errors."""
@@ -46,3 +49,16 @@ class CorruptRecordError(DataFormatError):
 
 class NumericError(PhasorNetError):
     """A numeric computation failed (non-finite gradient, integration blowup)."""
+
+
+def check_count(name, value, minimum=1):
+    """Reject a count that is not an integer >= minimum (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_positive(name, value):
+    """Reject a value that is not a finite real number > 0 (NaN and bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")

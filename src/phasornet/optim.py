@@ -13,7 +13,7 @@ results do not depend on the block size.
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, check_positive
 
 # Real components per update block: the block's six float32 arrays (gradient,
 # m, v, parameter and two scratch buffers) take 1.5 MB, inside a 4 MB L2.
@@ -23,9 +23,8 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates; denominator guard
 
 class Adam:
     def __init__(self, params, lr=0.001):
+        check_positive("learning rate", lr)
         self.lr = float(lr)
-        if not (np.isfinite(self.lr) and self.lr > 0):  # NaN fails too
-            raise ValidationError(f"learning rate must be finite and positive, got {lr}")
         self.t = 0
         reals = [self._as_real(p) for p in params]
         self.m = [np.zeros(r.shape, dtype=r.dtype) for r in reals]

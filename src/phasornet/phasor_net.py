@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .complex_core import matvec, conv2d_valid
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_count
 
 POSITIVE_PHASE = np.pi
 NEGATIVE_PHASE = 0.0
@@ -36,9 +36,7 @@ class LayerSpec:
         if self.kind not in ("dense", "conv3x3"):
             raise ValidationError(f"unknown layer kind: {self.kind!r}")
         for name in ("fan_in", "fan_out", "in_channels", "out_channels"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-                raise ValidationError(f"{name} must be an integer >= 0, got {size!r}")
+            check_count(name, getattr(self, name), 0)
         if not (np.isfinite(self.theta) and self.theta >= 0):  # NaN fails too
             raise ValidationError(f"threshold must be finite and >= 0, got {self.theta}")
 
@@ -190,46 +188,29 @@ def interleave(weights, biases):
 # -- encoders ----------------------------------------------------------------
 
 
-def encode_input(pixels, dtype=np.complex64):
-    """Map pixel values in [0,1] to unit phasors with phase pi*(1 - p).
+def input_phases(pixels, shifts):
+    """(B, n) float64 input phases pi*(1 - p) + s of a batch of B images of
+    n pixels in [0,1], s the model's fixed per-input shifts.
 
     Large values get small phases (early spikes): phase is inversely
     proportional to pixel magnitude.
     """
     p = np.asarray(pixels, dtype=np.float64)
+    p = p.reshape(p.shape[0], -1)
     # written so that NaN, which fails every comparison, is rejected too
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValidationError(
             f"pixels must lie in [0,1]; got range [{p.min()}, {p.max()}]"
         )
-    theta = np.pi * (1.0 - p)
-    return np.exp(1j * theta).astype(dtype)
+    if p.shape[1] != len(shifts):
+        raise DimensionError(f"{len(shifts)} phase shifts do not match {p.shape[1]} pixels")
+    return np.pi * (1.0 - p) + shifts
 
 
 def make_phase_shifts(n, seed):
     """Fixed per-input random phase shifts, uniform over [0, 2*pi)."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * np.pi, n)
-
-
-def apply_input_phase_shift(x, shifts):
-    """Rotate each input phasor by its fixed shift: x_i <- x_i e^{i s_i}.
-
-    shifts is a flat vector over input components; x may carry a leading
-    batch axis and/or a (C, H, W) layout with the same number of components.
-    """
-    x = np.asarray(x)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    rot = np.exp(1j * shifts).astype(x.dtype)
-    if x.size == rot.size:
-        rot = rot.reshape(x.shape)
-    elif x.size % rot.size == 0 and int(np.prod(x.shape[1:])) == rot.size:
-        rot = rot.reshape((1,) + x.shape[1:])
-    else:
-        raise DimensionError(
-            f"phase shift vector of {rot.size} entries does not match input {x.shape}"
-        )
-    return x * rot
 
 
 def encode_target(cls, n_classes):

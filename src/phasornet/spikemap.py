@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_count, check_positive
 from .phasor_net import forward
 
 TWO_PI = 2.0 * np.pi
@@ -53,16 +53,14 @@ class SpikeRaster:
 
 def phase_to_time(theta, period):
     """t = theta * T / 2pi, theta normalized into [0, 2pi)."""
-    if not (period > 0 and np.isfinite(period)):
-        raise ValidationError(f"cycle period must be positive and finite, got {period}")
+    check_positive("cycle period", period)
     theta = np.asarray(theta, dtype=np.float64) % TWO_PI
     return theta * period / TWO_PI
 
 
 def time_to_phase(t, period):
     """theta = 2pi * (t mod T) / T."""
-    if not (period > 0 and np.isfinite(period)):
-        raise ValidationError(f"cycle period must be positive and finite, got {period}")
+    check_positive("cycle period", period)
     return TWO_PI * (np.asarray(t, dtype=np.float64) % period) / period
 
 
@@ -78,11 +76,8 @@ def unroll(net, x, period, n_cycles):
     units first spike in cycle l, then every cycle (phase-locked steady
     state). Masked-off units never spike.
     """
-    depth = len(net.layers)
-    if n_cycles < depth + 1:
-        raise ValidationError(
-            f"need at least depth+1 = {depth + 1} cycles for the output layer to emit"
-        )
+    # at least depth + 1 cycles, so that the output layer emits
+    check_count("n_cycles", n_cycles, len(net.layers) + 1)
     trace = forward(net, x)
     x = np.asarray(x).reshape(-1)
     states = [(x, np.abs(x) > 0.0)] + [(h.reshape(-1), m.reshape(-1))

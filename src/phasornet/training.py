@@ -5,14 +5,13 @@ import time
 import numpy as np
 
 from .data import BatchIterator
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .optim import Adam
 from .phasor_net import (
-    apply_input_phase_shift,
     backward,
-    encode_input,
     encode_target_phases,
     forward,
+    input_phases,
     interleave,
     loss_mse,
     predict_batch,
@@ -20,10 +19,9 @@ from .phasor_net import (
 
 
 def encode_batch(net, images):
-    """Pixels -> phasors shaped for the network, with the model's fixed
-    per-input phase shifts applied."""
-    x = encode_input(images, dtype=net.dtype)
-    x = apply_input_phase_shift(x.reshape(x.shape[0], -1), net.phase_shifts)
+    """Pixels -> phasors e^(i input_phases) in the network's dtype, shaped for
+    the network."""
+    x = np.exp(1j * input_phases(images, net.phase_shifts)).astype(net.dtype)
     return x.reshape((x.shape[0],) + net.input_shape)
 
 
@@ -31,8 +29,7 @@ def evaluate(net, dataset, batch_size=64):
     """Error rate with the phasor-domain decision rule; a missing prediction
     counts as an error. The default batch is the training batch, so that
     evaluation fits in a train step's working set."""
-    if batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
+    check_count("batch_size", batch_size)
     n = len(dataset)
     if n < 1:
         raise ValidationError(f"nothing to evaluate: {n} examples")
@@ -69,10 +66,9 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
     loss). train_err is the running mean of batch errors within the epoch.
     on_epoch(rec, net), if given, runs after each epoch's record.
     """
-    if epochs < 0:
-        raise ValidationError(f"epochs must be >= 0, got {epochs}")
-    if limit_train is not None and limit_train < 1:
-        raise ValidationError(f"limit_train must be >= 1, got {limit_train}")
+    check_count("epochs", epochs, 0)
+    if limit_train is not None:
+        check_count("limit_train", limit_train)
     optimizer = Adam(net.parameters(), lr=lr)
     if limit_train is not None and limit_train < len(train_set):
         from .data import Dataset

@@ -23,9 +23,8 @@ from phasornet.errors import NumericError, ValidationError
 from phasornet.phasor_net import (
     LayerSpec,
     PhasorNetwork,
-    apply_input_phase_shift,
-    encode_input,
     forward,
+    input_phases,
     predict,
 )
 from phasornet.spikemap import SpikeRaster, phase_to_time, synapse_delay, unroll
@@ -234,8 +233,18 @@ class TestBuild:
         assert offsets.shape == (17,)
         assert offsets[-1] == 0.0  # reference generator fires at cycle start
         assert np.all(offsets >= 0.0) and np.all(offsets < 10.0)
-        x = apply_input_phase_shift(encode_input(tiny_images(1)[0]), circuit.phase_shifts)
-        np.testing.assert_array_equal(offsets[:-1], phase_to_time(np.angle(x), 10.0))
+        theta = input_phases(tiny_images(1)[0][None], circuit.phase_shifts)[0]
+        np.testing.assert_array_equal(offsets[:-1], phase_to_time(theta, 10.0))
+
+    def test_stimulus_offsets_are_the_exact_phase_times(self):
+        # generators spike at the float64 phases pi*(1 - p) + s that the
+        # phasor net encodes, not at the angle of a rounded phasor, in any dtype
+        net = PhasorNetwork.create((16,), [LayerSpec("dense", fan_in=16, fan_out=10)],
+                                   seed=5, dtype=np.complex128, use_phase_shifts=True)
+        image = tiny_images(1)[0]
+        theta = np.pi * (1.0 - image.astype(np.float64)) + net.phase_shifts
+        np.testing.assert_array_equal(stimulus_phase_offsets(build_circuit(net), image),
+                                      np.append(phase_to_time(theta, 10.0), 0.0))
 
 
 class TestSynapseResonance:
@@ -894,8 +903,7 @@ class TestDecodeIdealRaster:
     def test_decode_matches_predict(self, kind, seed):
         net = small_fc_net(seed=seed) if kind == "dense" else self.conv_net(seed)
         rng = np.random.default_rng(seed)
-        x = apply_input_phase_shift(encode_input(rng.uniform(size=net.input_shape)),
-                                    net.phase_shifts).astype(net.dtype)
+        x = encode_batch(net, rng.uniform(size=(1,) + net.input_shape))[0]
         want = predict(forward(net, x).output)
         depth = len(net.layers)
         for n_cycles in (depth + 1, depth + 2, depth + 5):
@@ -952,11 +960,12 @@ class TestCalibration:
         assert net.v_threshold is None  # calibration leaves the net as it was
         assert 0.0 <= agree <= 1.0
 
-    @pytest.mark.parametrize("n_candidates, n_images", [(0, 3), (8, 0)],
-                             ids=["no_candidate", "no_image"])
-    def test_needs_a_candidate_and_an_image(self, n_candidates, n_images):
+    @pytest.mark.parametrize("n_candidates, n_images, match", [
+        (0, 3, "n_candidates must be an integer >= 1"), (8, 0, "at least one image")],
+        ids=["no_candidate", "no_image"])
+    def test_needs_a_candidate_and_an_image(self, n_candidates, n_images, match):
         net = tiny_net(seed=0)
-        with pytest.raises(ValidationError, match="at least one candidate"):
+        with pytest.raises(ValidationError, match=match):
             calibrate_threshold(net, build_circuit(net), tiny_images(n_images),
                                 n_candidates=n_candidates)
 
@@ -1027,9 +1036,7 @@ class TestCalibration:
 
 class TestEndToEnd:
     def _phasor_prediction(self, net, image):
-        x = encode_input(np.asarray(image).reshape(net.input_shape))
-        x = apply_input_phase_shift(x, net.phase_shifts)
-        return forward(net, x)
+        return forward(net, encode_batch(net, np.asarray(image)[None])[0])
 
     def test_circuit_agrees_with_phasor_network(self, calibrated):
         net, circuit, images, thr, _ = calibrated

@@ -187,7 +187,7 @@ class TestEval:
         rc = main(["eval", str(out / "model.phzn"), "--data-dir", str(root / "data"),
                    "--out-dir", str(tmp_path), "--config", str(cfg)])
         assert rc == 1
-        assert "batch size" in capsys.readouterr().err
+        assert "batch_size must be an integer >= 1" in capsys.readouterr().err
 
 
 class TestSpikes:
@@ -430,11 +430,11 @@ REJECTED = [
     pytest.param(_model_cmd("spikes", "--n-cycles", "0"), 1,
                  "n_cycles must be an integer >= 1", id="ideal_n_cycles_zero"),
     pytest.param(_model_cmd("spikes", "--period", "nan"), 1,
-                 "period must be positive", id="spikes_period_nan"),
+                 "period must be finite and positive", id="spikes_period_nan"),
     pytest.param(_model_cmd("spikes", "--period", "inf"), 1,
-                 "period must be positive and finite", id="spikes_period_inf"),
+                 "period must be finite and positive", id="spikes_period_inf"),
     pytest.param(_model_cmd("simulate", "--v-threshold", "inf", "--n-cycles", "3"), 1,
-                 "spike threshold must be positive and finite", id="simulate_threshold_inf"),
+                 "spike threshold must be finite and positive", id="simulate_threshold_inf"),
     pytest.param(_model_cmd("spikes", "--second-example", "1"), 1,
                  "unrecognized arguments: --second-example 1", id="ideal_second_example"),
     pytest.param(_model_cmd("spikes", "--record-output-unit", "0"), 1,
@@ -446,11 +446,12 @@ REJECTED = [
                  id="train_config_lr_nan"),
     pytest.param(_train("--theta", "nan"), 1, "threshold must be finite",
                  id="train_theta_nan"),
-    pytest.param(_train("--epochs", "-1"), 1, "epochs must be >= 0", id="train_epochs_negative"),
+    pytest.param(_train("--epochs", "-1"), 1, "epochs must be an integer >= 0",
+                 id="train_epochs_negative"),
     pytest.param(_train("--seed", "-2"), 1, "seed must be >= 0", id="train_seed_negative"),
-    pytest.param(_train("--limit-train", "0"), 1, "limit_train must be >= 1",
+    pytest.param(_train("--limit-train", "0"), 1, "limit_train must be an integer >= 1",
                  id="train_limit_zero"),
-    pytest.param(_train("--limit-train", "-3"), 1, "limit_train must be >= 1",
+    pytest.param(_train("--limit-train", "-3"), 1, "limit_train must be an integer >= 1",
                  id="train_limit_negative"),
     pytest.param(["eval", "{nan_theta_model}", "--data-dir", "{data}", "--out-dir", "{out}"],
                  2, "malformed header", id="model_theta_nan"),

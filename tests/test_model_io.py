@@ -12,7 +12,8 @@ from phasornet.cli import main
 from phasornet.errors import DataFormatError, ValidationError
 from phasornet.model_io import MAGIC, load_model, save_model
 from phasornet.optim import Adam
-from phasornet.phasor_net import LayerSpec, PhasorNetwork, encode_input, forward
+from phasornet.phasor_net import LayerSpec, PhasorNetwork, forward
+from phasornet.training import encode_batch
 
 
 def conv_net(seed=0, dtype=np.complex64):
@@ -124,7 +125,7 @@ class TestRoundTrip:
     def test_same_predictions_after_reload(self, tmp_path):
         net = small_fc_net(seed=5)
         rng = np.random.default_rng(0)
-        x = encode_input(rng.uniform(size=(8, 64)).astype(np.float32)).astype(net.dtype)
+        x = encode_batch(net, rng.uniform(size=(8, 64)).astype(np.float32))
         path = tmp_path / "m.phzn"
         save_model(net, path)
         back = load_model(path)

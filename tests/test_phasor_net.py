@@ -6,12 +6,11 @@ from phasornet.phasor_net import (
     LayerSpec,
     PhasorNetwork,
     _activation_pullback,
-    apply_input_phase_shift,
     backward,
-    encode_input,
     encode_target,
     encode_target_phases,
     forward,
+    input_phases,
     loss_cosine,
     loss_mse,
     make_phase_shifts,
@@ -21,6 +20,7 @@ from phasornet.phasor_net import (
 )
 
 from phasornet import cli
+from phasornet.training import encode_batch
 
 from conftest import small_fc_net
 from create_reference import reference_weights
@@ -75,40 +75,64 @@ class TestLayerSpecShapes:
 
 class TestEncodeInput:
     def test_endpoints(self):
-        x = encode_input(np.array([1.0, 0.0]), dtype=np.complex128)
-        assert abs(x[0] - 1.0) < 1e-12  # p=1 -> phase 0
-        assert abs(x[1] - (-1.0)) < 1e-12  # p=0 -> phase pi
+        # p=1 -> phase 0, p=0 -> phase pi
+        np.testing.assert_array_equal(input_phases(np.array([[1.0, 0.0]]), np.zeros(2)),
+                                      [[0.0, np.pi]])
 
     def test_midpoint(self):
-        x = encode_input(np.array([0.5]), dtype=np.complex128)
-        assert abs(x[0] - 1j) < 1e-12  # phase pi/2
+        assert input_phases(np.array([[0.5]]), np.zeros(1))[0, 0] == np.pi / 2
 
     def test_unit_magnitude(self):
         rng = np.random.default_rng(0)
-        x = encode_input(rng.uniform(0, 1, 100), dtype=np.complex128)
+        net = PhasorNetwork.create((100,), [LayerSpec("dense", fan_in=100, fan_out=2)],
+                                   dtype=np.complex128, use_phase_shifts=True)
+        x = encode_batch(net, rng.uniform(0, 1, (3, 100)))
         np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
-            encode_input(np.array([1.2]))
+            input_phases(np.array([[1.2]]), np.zeros(1))
         with pytest.raises(ValidationError):
-            encode_input(np.array([-0.1]))
+            input_phases(np.array([[-0.1]]), np.zeros(1))
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            encode_input(np.array([0.5, np.nan]))
+            input_phases(np.array([[0.5, np.nan]]), np.zeros(2))
+
+    def test_rejects_a_shift_count_that_does_not_match(self):
+        with pytest.raises(DimensionError, match="3 phase shifts do not match 4 pixels"):
+            input_phases(np.zeros((2, 2, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    @pytest.mark.parametrize("shifts", [False, True], ids=["no_shifts", "shifts"])
+    def test_encode_batch_rounds_once(self, kind, dtype, shifts):
+        # e^(i theta) of the exact float64 phase, rounded once to the model's
+        # dtype; without shifts, e^(i pi (1 - p)) itself
+        if kind == "dense":
+            shape, specs = (64,), [LayerSpec("dense", fan_in=64, fan_out=10)]
+        else:
+            shape, specs = (1, 28, 28), [LayerSpec("conv3x3", in_channels=1, out_channels=2)]
+        net = PhasorNetwork.create(shape, specs, seed=3, dtype=dtype, use_phase_shifts=shifts)
+        p = np.random.default_rng(4).uniform(size=(5,) + shape)
+        want = np.exp(1j * np.pi * (1 - p)).astype(dtype)
+        if shifts:
+            s = net.phase_shifts.reshape(shape)
+            want = np.exp(1j * (np.pi * (1 - p) + s)).astype(dtype)
+        got = encode_batch(net, p)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPhaseShifts:
     def test_zero_shift_is_identity(self):
-        rng = np.random.default_rng(1)
-        x = encode_input(rng.uniform(0, 1, 16), dtype=np.complex128)
-        np.testing.assert_array_equal(apply_input_phase_shift(x, np.zeros(16)), x)
+        p = np.random.default_rng(1).uniform(0, 1, (2, 16))
+        np.testing.assert_array_equal(input_phases(p, np.zeros(16)), np.pi * (1.0 - p))
 
     def test_pi_shift_flips(self):
-        x = np.array([1.0 + 0j])
-        out = apply_input_phase_shift(x, np.array([np.pi]))
-        assert abs(out[0] + 1.0) < 1e-12
+        theta = input_phases(np.array([[1.0]]), np.array([np.pi]))
+        assert theta[0, 0] == np.pi
+        assert abs(np.exp(1j * theta[0, 0]) + 1.0) < 1e-12
 
     def test_reproducible_from_seed(self):
         np.testing.assert_array_equal(make_phase_shifts(32, 5), make_phase_shifts(32, 5))

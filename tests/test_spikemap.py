@@ -5,13 +5,8 @@ from hypothesis import given, settings, strategies as st
 import decode_reference
 from conftest import small_fc_net
 from phasornet.errors import DataFormatError, ValidationError
-from phasornet.phasor_net import (
-    apply_input_phase_shift,
-    encode_input,
-    forward,
-    predict,
-    predict_batch,
-)
+from phasornet.phasor_net import forward, predict, predict_batch
+from phasornet.training import encode_batch
 from phasornet.spikemap import (
     SpikeRaster,
     phase_to_time,
@@ -97,13 +92,13 @@ class TestSynapseDelay:
 
 class TestUnroll:
     def _raster(self, net, p, period=10.0, n_cycles=6):
-        x = apply_input_phase_shift(encode_input(p), net.phase_shifts).astype(net.dtype)
+        x = encode_batch(net, p[None])[0]
         return unroll(net, x, period, n_cycles), x
 
     def test_too_few_cycles(self):
         net = small_fc_net()
         p = np.full(64, 0.5, dtype=np.float32)
-        x = encode_input(p).astype(net.dtype)
+        x = encode_batch(net, p[None])[0]
         with pytest.raises(ValidationError):
             unroll(net, x, 10.0, len(net.layers))
 
@@ -159,7 +154,7 @@ class TestRasterCsv:
         net = small_fc_net(seed=5)
         rng = np.random.default_rng(7)
         p = rng.uniform(size=64).astype(np.float32)
-        x = apply_input_phase_shift(encode_input(p), net.phase_shifts).astype(net.dtype)
+        x = encode_batch(net, p[None])[0]
         raster = unroll(net, x, 10.0, 5)
         path = tmp_path / "raster.csv"
         write_raster_csv(raster, path)
@@ -175,7 +170,7 @@ class TestRasterCsv:
 
         net = small_fc_net(seed=5)
         p = np.random.default_rng(8).uniform(size=64).astype(np.float32)
-        x = apply_input_phase_shift(encode_input(p), net.phase_shifts).astype(net.dtype)
+        x = encode_batch(net, p[None])[0]
         raster = unroll(net, x, 10.0, 6)
         path = tmp_path / "raster.csv"
         write_raster_csv(raster, path)
