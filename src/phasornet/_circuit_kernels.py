@@ -35,29 +35,44 @@ in one product, fires, and sends the spikes' deliveries.
 
 Deliveries. Each is queued, in a bucket per (layer, chunk), as its owner's
 row * chunk + step in the chunk, its synapse and its reset age, all int32.
-The age is fixed when the delivery is sent. Synapses are numbered as the
-circuit stores them, in sending order (by source, then by owner), so a
-spike's deliveries are one contiguous run, and a synapse has one source.
-fire returns spikes in (neuron, step) order, so the delivery before a
-spike's to a synapse is the one at the same position of the run of the
-previous spike, when that came from the same neuron, or else the last one
-sent to it (last). Generator spikes are read from the run's timetable, one
-row of spike times per cycle with the reference generator last. A cycle's
-row is queued when the chunk its cycle starts in comes up; the rows queued
-together form a (cycle, synapse) grid whose rows age from the row before.
+A run is the synapses one source sends through to one layer: an input
+generator's, the reference generator's to each layer, a neuron's. Synapses
+are numbered as the circuit stores them, in sending order: by run, then
+delays below one step first, then by grid phase frac(delay / dt), then by
+owner, so a spike's deliveries are one contiguous run, and a synapse has one
+source. Generator volleys and soma spikes take one send path (_send): a
+generator volley is a spike of each generator run at its timetable time, one
+timetable row per cycle with the reference generator last, queued when the
+chunk its cycle starts in comes up. A synapse's previous delivery came from
+its run's previous spike, whose time and earliest step the kernel keeps for
+every run, so a delivery's age is arrival(t + d) - arrival(t_prev + d),
+fixed when it is sent.
 
 Null deliveries. A delivery whose reset-table entry is exactly 0 adds
 nothing: a second arrival in the step of a reset (age 0) and, when a period
-is a whole number P of steps (the default dt = period/100 always is), an
-arrival k * P steps after the synapse's last reset, which swaps the synapse's
-trajectory for itself (as computed, the entry would be rounding: 3.1e-17
-at one period, at most 5.1e-16 over 15, against w_spike = 0.3). Such a
-delivery is counted in `deliveries` and sets its synapse's last reset, but
-_queue drops it, by the table's nonzero mask `live`, before it is queued,
-sorted, gathered or injected. On a phase-locked net most deliveries are
-null. Where period/dt is not an integer, only age 0 is null, and rasters are
-bit-identical to injecting every delivery; elsewhere spike times move in the
-last digits, with the same spike sequences.
+is a whole number P of steps (steps_per_period; the default dt = period/100
+always is), an arrival k * P steps after the synapse's last reset, which
+swaps the synapse's trajectory for itself (as computed, the entry would be
+rounding: 3.1e-17 at one period, at most 5.1e-16 over 15, against
+w_spike = 0.3). A null delivery is counted in `deliveries`, but never
+queued, sorted, gathered or injected. On a phase-locked net most deliveries
+are null, and most of those are never computed either (the band rule): when
+a spike comes m >= 1 whole periods after its run's previous one, give or
+take a drift |delta| < 1 step, a synapse's arrival moves by exactly m * P
+steps unless its arrival cell boundary lies between the two spikes' arrival
+positions. Those synapses form one or two slices of the run's grid phases,
+found by searchsorted and widened by MARGIN steps on each side against
+rounding; only they and the sub-step delays (which the send-step clamp can
+move) are computed, and _queue drops the null ones among them by the table's
+nonzero mask `live`. Of the others, a delivery due after the run's last
+step is not one: within a period of the run's end, they are counted by
+comparing each due time with the last step's (_past). Where period/dt is
+not whole, every spike computes its whole run and only age 0 is null. The
+band rule changes no raster: what it skips is null, and one spike's
+deliveries go to distinct owners, so the order of the synapses within a run
+changes no summation order. Dropping null deliveries does, where period/dt
+is whole: against injecting every delivery, spike times move in the last
+digits, with the same spike sequences.
 
 Summation order. The chunk's products add the same terms as one block at a
 time would, in another order, so spike times can move in the last digits,
@@ -85,6 +100,7 @@ GRID_EPS = 1e-9
 BLOCK = 256  # steps per block of the block propagator, a power of two
 SUB = 32  # steps per diagonal block of the block's propagator, a power of two
 BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
+MARGIN = 1e-6  # steps the band rule widens its grid-phase window by on each side
 
 
 def csr_rows(ptr, rows):
@@ -93,6 +109,21 @@ def csr_rows(ptr, rows):
     counts = hi - lo
     starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
     return starts + np.arange(starts.size), counts
+
+
+def steps_per_period(params):
+    """P when a period is a whole number P of steps, up to 4 ulp of rounding
+    in period/dt, else None."""
+    ratio = params.period / params.dt
+    cycle = round(ratio)
+    return cycle if abs(ratio - cycle) <= 4 * np.spacing(ratio) else None
+
+
+def grid_phase(delay, dt):
+    """Each delay's position in its grid cell, frac(delay / dt), and whether
+    the delay is below one step."""
+    x = delay / dt
+    return x - np.floor(x), x < 1.0
 
 
 def reset_table(params, never):
@@ -108,9 +139,8 @@ def reset_table(params, never):
     table[:never] = p.w_spike / (p.c_m * p.omega) * np.sin(phase)
     table[:never] += 1j * p.w_spike * (1.0 - np.cos(phase))
     table[0] = 0.0  # a second arrival in the step of a reset resets nothing
-    ratio = p.period / p.dt
-    cycle = round(ratio)
-    if abs(ratio - cycle) <= 4 * np.spacing(ratio):  # a period is whole steps, up to rounding
+    cycle = steps_per_period(p)
+    if cycle:
         table[cycle:never:cycle] = 0.0  # whole periods on, a reset swaps a trajectory for itself
     return table
 
@@ -261,7 +291,6 @@ class Integrator:
         # 2**31 (neuron, step) entries of a chunk, and a run fewer steps.
         self.key = ((owner - first[layer]) * self.chunk).astype(np.int32)  # owner's row
         self.out_delay = circuit.syn_delay
-        self.last = np.full(owner.size, -(n_steps + 1), dtype=np.int32)  # never reset
         self.state = np.zeros((n, 4))  # V, W, V_m, Vdbar
         self.armed = np.ones(n, dtype=bool)  # not refractory
         self.vm_max = np.zeros(n)
@@ -271,13 +300,33 @@ class Integrator:
         self.x = np.zeros(rows * self.chunk, dtype=np.complex128)
         self.sub = np.empty((rows * self.chunk // SUB, SUB + 4))
         self.cin = np.empty((rows, nb, 4 * BLOCK // SUB + 4))
-        # The generator synapses come first, grouped by the layer they feed:
-        # the input generators feed layer 0 only, and the reference generator
-        # comes last with its bias synapses in owner order.
-        self.gen_src = np.repeat(np.arange(circuit.n_gen),
-                                 np.diff(circuit.out_ptr[:circuit.n_gen + 1]))
-        self.gen_bounds = np.searchsorted(layer[:self.gen_src.size],
-                                          np.arange(len(sizes) + 1))
+        # Runs: input generator g is run g, the reference generator's run to
+        # layer l is run n_gen - 1 + l, so layer 0's generator runs are
+        # 0 .. n_gen - 1, and neuron k's run follows them all.
+        ptr, ref = circuit.out_ptr, circuit.n_gen - 1
+        bias = ptr[ref] + np.searchsorted(layer[ptr[ref]:ptr[ref + 1]], np.arange(len(sizes)))
+        self.run_ptr = np.concatenate((ptr[:ref], bias, ptr[ref + 1:]))
+        self.neuron_run = ref + len(sizes)
+        n_runs = self.run_ptr.size - 1
+        # Search key, ascending: 2 run for a sub-step delay, 2 run + 1 + grid
+        # phase for the rest
+        phase, below = grid_phase(self.out_delay, p.dt)
+        phase += 1.0
+        phase[below] = 0.0
+        phase += np.repeat(2.0 * np.arange(n_runs), np.diff(self.run_ptr))
+        self.phase_key = phase
+        self.run_sub = phase.searchsorted(2.0 * np.arange(n_runs) + 1.0)  # end of sub-step delays
+        self.period_steps = steps_per_period(p)
+        self.never = n_steps + 1
+        # a spike after `horizon` can have deliveries due after `last_step`,
+        # the last step's time plus GRID_EPS, so past the run's end
+        self.horizon = (n_steps - 2) * p.dt - p.period
+        self.last_step = (n_steps - 1) * p.dt + GRID_EPS
+        # Each run's previous spike time and earliest arrival step. A run that
+        # has not spiked has its spike 2 never steps back and reset on step
+        # -never, so its first deliveries have ages of never or more.
+        self.prev_t = np.full(n_runs, -2.0 * self.never * p.dt)
+        self.prev_floor = np.full(n_runs, -float(self.never))
         self.gen_times = gen_times
         self.gen_sent = 0  # cycles whose volleys are queued
         self.pending = {}  # (layer, chunk) -> (key, synapse, age) arrays
@@ -288,10 +337,16 @@ class Integrator:
         """Step on which a delivery due at time t lands: the first step whose
         time plus GRID_EPS reaches t, and not before step `earliest`."""
         dt = self.circuit.params.dt
-        j = np.ceil((t - GRID_EPS) / dt)  # whole numbers in float64, exact up to 2**53
-        j += j * dt + GRID_EPS < t  # the division can land one step short
-        j -= (j - 1) * dt + GRID_EPS >= t  # or one step long
-        return np.maximum(j, earliest).astype(np.int32)
+        j = np.ceil((t - GRID_EPS) * (1.0 / dt))  # whole numbers in float64, exact up to 2**53
+        g = j * dt
+        g += GRID_EPS
+        j[np.flatnonzero(g < t)] += 1.0  # the estimate can land one step short
+        np.subtract(j, 1.0, out=g)
+        g *= dt
+        g += GRID_EPS
+        j[np.flatnonzero(g >= t)] -= 1.0  # or one step long
+        np.maximum(j, earliest, out=j)  # a float `earliest` saves a cast per element
+        return j.astype(np.int32)
 
     def _queue(self, layer, steps, syn, age):
         """Queue deliveries to `layer`'s synapses on the given steps, with the
@@ -319,23 +374,19 @@ class Integrator:
                 (key, s.astype(np.int32, copy=False), a.astype(np.int32, copy=False)))
 
     def _send_generators(self, until):
-        """Queue the generator volleys of every cycle that starts before time
-        `until`, as a (cycle, synapse) grid; each delivery's age counts from
-        the row before."""
+        """Send the generator volleys of every cycle that starts before time
+        `until`: each generator run spikes once a cycle, at its timetable
+        time."""
         start, self.gen_sent = self.gen_sent, int(np.searchsorted(self.gen_times[:, -1], until))
         if self.gen_sent <= start:
             return
-        n = self.gen_src.size
-        times = self.gen_times[start:self.gen_sent].take(self.gen_src, axis=1)
-        times += self.out_delay[:n]
-        steps = self._arrival(times, 0)
-        age = np.diff(steps, axis=0, prepend=self.last[None, :n])
-        self.last[:n] = steps[-1]
-        for l, (lo, hi) in enumerate(zip(self.gen_bounds[:-1], self.gen_bounds[1:])):
-            if hi > lo:
-                self._queue(l, steps[:, lo:hi].ravel(),
-                            np.tile(np.arange(lo, hi, dtype=np.int32), len(steps)),
-                            age[:, lo:hi].ravel())
+        times = self.gen_times[start:self.gen_sent]
+        k, n_gen = times.shape
+        self._send(0, np.tile(np.arange(n_gen), k), times.reshape(-1), np.zeros(times.size))
+        for l in range(1, len(self.circuit.layer_sizes)):
+            run = n_gen - 1 + l
+            if self.run_ptr[run + 1] > self.run_ptr[run]:
+                self._send(l, np.full(k, run), times[:, -1], np.zeros(k))
 
     def _deliveries(self, layer, chunk):
         """The (key, synapse, age) deliveries to each row slice of `layer` in
@@ -415,33 +466,98 @@ class Integrator:
         self.spike_t.append(tstar)
         self.spike_n.append(neurons)
         if l + 1 < len(c.layer_sizes):
-            self._send(l + 1, neurons, sent, tstar)
+            self._send(l + 1, self.neuron_run + neurons, tstar, sent + 1.0)
         return None
 
-    def _send(self, layer, neurons, sent, tstar):
-        """Queue to `layer` the deliveries of spikes in (neuron, time) order,
-        sent on the given steps at times tstar."""
-        c = self.circuit
-        pos, counts = csr_rows(c.out_ptr, c.n_gen + neurons)
+    def _send(self, layer, runs, t, floor):
+        """Queue to `layer` the deliveries of spikes of the given runs at times
+        t, landing on step `floor` (a float) or later; a run's spikes come in
+        time order. Only the deliveries _computed names are computed; the
+        others are null, and counted unless they land past the run's end."""
+        # each spike's run's previous spike: earlier in this call, or kept
+        order = np.argsort(runs, kind="stable")
+        r, ts, fs = runs.take(order), t.take(order), floor.take(order)
+        again = r[1:] == r[:-1]
+        tp, fp = self.prev_t.take(r), self.prev_floor.take(r)
+        tp[1:][again], fp[1:][again] = ts[:-1][again], fs[:-1][again]
+        final = np.append(~again, True)
+        self.prev_t[r[final]], self.prev_floor[r[final]] = ts[final], fs[final]
+        t_prev, floor_prev = np.empty_like(tp), np.empty_like(fp)
+        t_prev[order], floor_prev[order] = tp, fp
+
+        pos, per, past = self._computed(runs, t, t_prev)
+        sent = self.run_ptr.take(runs + 1) - self.run_ptr.take(runs)
+        self.deliveries += int(sent.sum()) - pos.size - past  # null, never computed
         if not pos.size:
             return
-        steps = self._arrival(np.repeat(tstar, counts) + self.out_delay.take(pos),
-                              np.repeat(sent + 1, counts))
-        # A neuron's spikes send through the same run of synapses: the
-        # delivery before one of a later spike's is at the same position of
-        # the run before it; that of a neuron's first spike here is `last`.
-        age = steps - self.last.take(pos)
-        same = np.zeros(neurons.size, dtype=bool)
-        np.equal(neurons[1:], neurons[:-1], out=same[1:])
-        if same.any():
-            later = np.flatnonzero(np.repeat(same, counts))
-            back = later - np.repeat(counts[same], counts[same])
-            age[later] = steps.take(later) - steps.take(back)
-            final = np.flatnonzero(np.repeat(np.append(~same[1:], True), counts))
-            self.last[pos.take(final)] = steps.take(final)
-        else:
-            self.last[pos] = steps
+        delay = self.out_delay.take(pos)
+        steps = self._arrival(np.repeat(t, per) + delay, np.repeat(floor, per))
+        age = steps - self._arrival(np.repeat(t_prev, per) + delay, np.repeat(floor_prev, per))
         self._queue(layer, steps, pos, age)
+
+    def _computed(self, runs, t, t_prev):
+        """(positions, count per spike, past) of the deliveries to compute for
+        spikes of the given runs at times t, whose runs spiked before at
+        t_prev: a band spike's sub-step delays and band slices, every other
+        spike's whole run. `past` counts the others that land past the run's
+        end, which are not deliveries."""
+        lo, hi = self.run_ptr.take(runs), self.run_ptr.take(runs + 1)
+        cut, wrap_end, start, end = hi.copy(), hi.copy(), hi.copy(), hi.copy()
+        band = self._band(t, t_prev)
+        if band is not None:
+            # The arrival-cell positions whose cell boundary the drift
+            # crosses, [min(drift, 0), max(drift, 0)] widened by MARGIN, as
+            # grid phases: [a, z] mod 1, one slice or two
+            b, drift = band
+            cell = (t.take(b) - GRID_EPS) / self.circuit.params.dt
+            a = np.minimum(drift, 0.0) - MARGIN - (cell - np.floor(cell))
+            a -= np.floor(a)
+            z = a + (np.abs(drift) + 2 * MARGIN)
+            base = 2.0 * runs.take(b) + 1.0
+            s = self.phase_key.searchsorted(base + a)
+            e = self.phase_key.searchsorted(base + np.minimum(z, 1.0), side="right")
+            cut[b] = wrap_end[b] = self.run_sub.take(runs.take(b))
+            start[b], end[b] = s, np.minimum(e, hi.take(b))
+            wrap = np.flatnonzero(z > 1.0)
+            if wrap.size:
+                w = self.phase_key.searchsorted(base.take(wrap) + (z.take(wrap) - 1.0), side="right")
+                wrap_end[b.take(wrap)] = np.minimum(w, s.take(wrap))
+        # per spike: [lo, cut) is its whole run, or a band spike's sub-step
+        # delays, then the band's slices [cut, wrap_end) and [start, end)
+        bounds = np.stack((lo, cut, cut, wrap_end, start, end), axis=1).reshape(-1)
+        pos, counts = csr_rows(bounds, np.arange(0, bounds.size, 2))
+        return pos, counts.reshape(-1, 3).sum(axis=1), \
+            0 if band is None else self._past(band[0], t, wrap_end, start, end, hi)
+
+    def _past(self, b, t, wrap_end, start, end, hi):
+        """How many of band spikes b's uncomputed deliveries, [wrap_end,
+        start) and [end, hi) of each run, land past the run's end: those due
+        after the last step's time plus GRID_EPS, as _arrival compares it."""
+        late = b.compress(t.take(b) > self.horizon)
+        if not late.size:
+            return 0
+        rest = np.stack((wrap_end, start, end, hi), axis=1).take(late, axis=0).reshape(-1)
+        pos, counts = csr_rows(rest, np.arange(0, rest.size, 2))
+        due = np.repeat(t.take(late), counts.reshape(-1, 2).sum(axis=1))
+        due += self.out_delay.take(pos)
+        return int(np.count_nonzero(due > self.last_step))
+
+    def _band(self, t, t_prev):
+        """(spikes, drift) of the spikes the band rule applies to: each comes
+        m >= 1 whole periods after its run's previous spike, give or take a
+        drift |delta| < 1 - 2 MARGIN steps, with m * P a null age (so not a
+        run's first spike). A synapse's delivery then lands m * P steps
+        after its last, a null one, unless its arrival cell boundary lies
+        between the two spikes' arrival positions. None where there is no
+        such spike, as where a period is not whole steps."""
+        P = self.period_steps
+        if not P:
+            return None
+        span = (t - t_prev) / self.circuit.params.dt
+        m = np.rint(span / P)
+        drift = span - m * P
+        band = np.flatnonzero((m >= 1) & (m * P < self.never) & (np.abs(drift) < 1.0 - 2 * MARGIN))
+        return (band, drift.take(band)) if band.size else None
 
     def spikes(self):
         """Soma spikes: (times, global neuron ids)."""

@@ -78,7 +78,9 @@ class CircuitParams:
 @dataclass
 class CircuitModel:
     """Flattened synapse/neuron topology ready for the integration kernel;
-    the syn_* arrays are in sending order (see build_circuit)."""
+    the syn_* arrays are in sending order for params.dt: by source and the
+    layer it feeds, then sub-step delays first, then by grid phase, then by
+    owner (see build_circuit)."""
 
     params: CircuitParams
     n_gen: int  # input generators + 1 reference generator
@@ -125,7 +127,9 @@ def build_circuit(net, params=None):
     for the reference generator, so the bias is that generator's weight.
     Synapses are stored once, in sending order, the one order the kernel
     reads: by source (input generators, the reference generator, then
-    neurons), then by owning neuron. Source s sends through synapses
+    neurons), then by the layer they feed, which splits only the reference
+    generator's, then delays below one step first, then by grid phase
+    frac(delay / dt), then by owning neuron. Source s sends through synapses
     out_ptr[s]:out_ptr[s + 1].
     """
     if params is None:
@@ -157,8 +161,11 @@ def build_circuit(net, params=None):
         srcs.append(cols[r].reshape(-1))
         coeffs.append(np.repeat(coeff[f, r], positions))
     owner, src = np.concatenate(owners), np.concatenate(srcs)
-    order = np.lexsort((owner, src))  # sending order: by source, then by owner
-    mag, delay = synapse_delay(np.concatenate(coeffs)[order], params.period)
+    mag, delay = synapse_delay(np.concatenate(coeffs), params.period)
+    phase, below = ck.grid_phase(delay, params.dt)
+    # sending order: by run (source, then the layer it feeds), then sub-step
+    # delays first, then by grid phase, then by owner
+    order = np.lexsort((owner, phase, ~below, src * len(layer_sizes) + neuron_layer[owner]))
     out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_gen + n_neurons))])
 
     return CircuitModel(
@@ -168,8 +175,8 @@ def build_circuit(net, params=None):
         neuron_layer=neuron_layer,
         layer_offsets=layer_offsets,
         layer_sizes=layer_sizes,
-        syn_w=mag,
-        syn_delay=delay,
+        syn_w=mag[order],
+        syn_delay=delay[order],
         syn_owner=owner[order],
         out_ptr=out_ptr,
         phase_shifts=net.phase_shifts.copy(),

@@ -121,16 +121,21 @@ def _read_model(src, path):
             param_shapes += [wshape, bshape]
         v_threshold = header["v_threshold"]
         # json gives exact int/float types, so a bool fails the type test
-        if not (v_threshold is None or type(v_threshold) is int
-                or type(v_threshold) is float and math.isfinite(v_threshold)):
-            raise ValueError(f"v_threshold {v_threshold!r} is not a finite number")
+        if not (v_threshold is None
+                or type(v_threshold) in (int, float) and 0 < v_threshold < math.inf):
+            raise ValueError(f"v_threshold {v_threshold!r} is not a finite positive number")
         has_optimizer_state = header["has_optimizer_state"]
         if type(has_optimizer_state) is not bool:
             raise ValueError(f"has_optimizer_state {has_optimizer_state!r} is not true or false")
     except (ValueError, KeyError, TypeError) as e:
         raise DataFormatError(f"malformed header: {type(e).__name__}: {e}",
                               path=path, offset=12) from None
+    at = src[0].tell()
     shifts = _take(src, "<f8", int(np.prod(input_shape)), path, "phase shifts")
+    bad = np.flatnonzero(~np.isfinite(shifts))
+    if bad.size:
+        raise DataFormatError(f"phase shift {shifts[bad[0]]} of input {bad[0]} is not finite",
+                              path=path, offset=at + 8 * int(bad[0]))
     params = [_take(src, wide, int(np.prod(shape)), path, "parameters")
               .reshape(shape).astype(dtype, copy=False) for shape in param_shapes]
 

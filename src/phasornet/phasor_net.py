@@ -115,6 +115,10 @@ class PhasorNetwork:
             raise DimensionError(
                 f"phase shift vector has shape {self.phase_shifts.shape}, expected ({n_in},)"
             )
+        bad = np.flatnonzero(~np.isfinite(self.phase_shifts))
+        if bad.size:
+            raise ValidationError(
+                f"phase shifts must be finite, got {self.phase_shifts[bad[0]]} at input {bad[0]}")
         self.v_threshold = v_threshold
         self._check_shapes()
 

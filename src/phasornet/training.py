@@ -67,6 +67,7 @@ def train(net, train_set, test_set=None, epochs=10, batch_size=64, lr=0.001,
     on_epoch(rec, net), if given, runs after each epoch's record.
     """
     check_count("epochs", epochs, 0)
+    check_count("training set size", len(train_set))
     if limit_train is not None:
         check_count("limit_train", limit_train)
     optimizer = Adam(net.parameters(), lr=lr)

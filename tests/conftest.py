@@ -3,10 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phasornet.data import Dataset
 from phasornet.phasor_net import LayerSpec, PhasorNetwork
 from phasornet.training import train
+
+
+# `pytest --hypothesis-profile=ci` prints a failing property test's
+# @reproduce_failure blob, so that the log alone replays the failure.
+settings.register_profile("ci", print_blob=True)
 
 
 def data_dir():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import small_fc_net, synthetic_dataset
 from phasornet.circuit import CircuitParams, build_circuit, calibrate_threshold, run
-from phasornet.data import BatchIterator
+from phasornet.data import BatchIterator, Dataset
 from phasornet.errors import ValidationError
 from phasornet.optim import Adam
 from phasornet.phasor_net import LayerSpec
@@ -57,6 +57,8 @@ COUNTS = {
     "train_epochs_bool": lambda: _train(epochs=True),
     "train_limit_train_float": lambda: _train(epochs=1, limit_train=2.5),
     "train_batch_size_float": lambda: _train(epochs=1, batch_size=2.5),
+    "train_empty_set": lambda: train(small_fc_net(seed=1), Dataset(
+        np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, np.int64)), epochs=1),
     "evaluate_batch_size_float": lambda: evaluate(*_net_and_data(), batch_size=2.5),
     "evaluate_batch_size_zero": lambda: evaluate(*_net_and_data(), batch_size=0),
     "batch_iterator_float": lambda: BatchIterator(_net_and_data()[1], 2.5),

@@ -166,7 +166,9 @@ class TestBuild:
 
     def test_csr_consistency(self):
         # synapses in sending order: each one's weight is the coefficient from
-        # its out_ptr source to its owner, and owners ascend within a source
+        # its out_ptr source to its owner, and within a source and the layer
+        # it feeds, sub-step delays come first, then grid phases, then owners
+        # ascend
         dense = tiny_net(seed=4)
         dense.biases[1][::3] = 0.2 - 0.1j
         specs = [LayerSpec("conv3x3", in_channels=2, out_channels=3),
@@ -216,7 +218,9 @@ class TestBuild:
         want_w, want_delay = synapse_delay(np.array(coeff), circuit.params.period)
         np.testing.assert_array_equal(circuit.syn_w, want_w)
         np.testing.assert_array_equal(circuit.syn_delay, want_delay)
-        assert np.all(np.diff(owner)[np.diff(src) == 0] > 0)
+        phase, below = ck.grid_phase(circuit.syn_delay, circuit.params.dt)
+        np.testing.assert_array_equal(np.lexsort((owner, phase, ~below, layer, src)),
+                                      np.arange(circuit.n_synapses))
         # each (source, owner) pair names one tap, so with every coefficient
         # nonzero, the count says each nonzero tap appears exactly once
         assert np.all(np.array(coeff) != 0)
@@ -631,6 +635,110 @@ class TestNullDeliveries:
         assert not null.any(), f"{np.count_nonzero(null)} null deliveries reached a pass"
         assert age.size < result.deliveries
         assert result.deliveries == step_reference.run(circuit, stimuli, thr).deliveries
+
+
+@st.composite
+def band_cases(draw):
+    """(params, delays, t_prev, t, m, n_steps): a period of P whole steps,
+    synapse delays, two spike times m * P steps apart, give or take a drift
+    below one step, often placed so that arrivals land on or next to a grid
+    time, and a run that ends up to a period after t."""
+    near = st.sampled_from([0.0, GRID_EPS, -GRID_EPS, 1e-13, -1e-13, 1e-7, -1e-7])
+    period = draw(st.sampled_from([10.0, 2.5, 67.19948779563593]))
+    steps = draw(st.integers(100, 400))
+    params = CircuitParams(period=period, dt=period / steps)
+    assume(ck.steps_per_period(params) == steps)
+    dt = params.dt
+    cells = draw(st.lists(st.integers(0, steps - 1), min_size=1, max_size=30))
+    delays = [(k + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))) * dt + draw(near)
+              for k in cells]
+    t_prev = draw(st.integers(0, 3 * steps)) * dt + draw(near)
+    m = draw(st.integers(1, 3))
+    drift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 0.5, -0.5, 0.99999, -0.99999])
+                 | st.floats(-0.99999, 0.99999))
+    t = t_prev + (m * steps + drift) * dt
+    return (params, np.clip(delays, 0.0, period * (1 - 1e-12)), t_prev, t, m,
+            int(t / dt) + draw(st.integers(2, steps + 4)))
+
+
+class TestBandRule:
+    """A spike m whole periods after its run's previous one, give or take a
+    drift below one step, computes only its sub-step delays and the grid-phase
+    slices its drift can move; every other delivery lands exactly m * P steps
+    after the synapse's last, a null one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_cases())
+    def test_deliveries_outside_the_band_land_whole_periods_on(self, case):
+        params, delays, t_prev, t, m, n_steps = case
+        net = PhasorNetwork.create((1,), [LayerSpec("dense", fan_in=1, fan_out=len(delays))],
+                                   seed=0, dtype=np.complex128)
+        net.weights[0][:, 0] = np.exp(2j * np.pi * delays / params.period)
+        circuit = build_circuit(net, params)
+        kernel = ck.Integrator(circuit, 1.0, n_steps, np.zeros((1, circuit.n_gen)))
+        runs, t, t_prev = np.array([0]), np.array([t]), np.array([t_prev])
+        assert kernel._band(t, t_prev) is not None
+        pos, per, past = kernel._computed(runs, t, t_prev)
+        assert per.tolist() == [pos.size]
+        out = np.setdiff1d(np.arange(circuit.out_ptr[0], circuit.out_ptr[1]), pos)
+        d = circuit.syn_delay[out]
+        steps = kernel._arrival(t + d, 0)
+        np.testing.assert_array_equal(steps - kernel._arrival(t_prev + d, 0),
+                                      m * ck.steps_per_period(params))
+        assert past == np.count_nonzero(steps >= n_steps)  # not deliveries
+
+    @staticmethod
+    def computed_run(monkeypatch, circuit, stimuli, thr, full):
+        """run(), and the deliveries it computed; full: every spike computes
+        its whole run."""
+        computed = []
+        original = ck.Integrator._queue
+
+        def spy(self, layer, steps, syn, age):
+            computed.append(steps.size)
+            return original(self, layer, steps, syn, age)
+
+        with monkeypatch.context() as m:
+            m.setattr(ck.Integrator, "_queue", spy)
+            if full:
+                m.setattr(ck.Integrator, "_band", lambda self, t, t_prev: None)
+            return run(circuit, stimuli, v_threshold=thr), sum(computed)
+
+    def _check(self, monkeypatch, circuit, stimuli, thr, skips=True):
+        band, n_band = self.computed_run(monkeypatch, circuit, stimuli, thr, False)
+        full, n_full = self.computed_run(monkeypatch, circuit, stimuli, thr, True)
+        assert (band.raster.layer > 0).any(), "no soma spiked; the case checks nothing"
+        for name in ("layer", "neuron", "time"):
+            np.testing.assert_array_equal(getattr(band.raster, name), getattr(full.raster, name))
+        np.testing.assert_array_equal(band.vm_max, full.vm_max)
+        assert band.deliveries == full.deliveries
+        assert n_band < n_full if skips else n_band == n_full
+
+    def test_dense_tiny_net(self, calibrated, monkeypatch):
+        _, circuit, images, thr, _ = calibrated
+        self._check(monkeypatch, circuit, [(images[0], 8)], thr)
+
+    def test_stimulus_switch(self, calibrated, monkeypatch):
+        _, circuit, images, thr, _ = calibrated
+        self._check(monkeypatch, circuit, [(images[0], 3), (images[1], 4)], thr)
+
+    def test_conv_net_with_biases(self, monkeypatch):
+        specs = [LayerSpec("conv3x3", in_channels=1, out_channels=2),
+                 LayerSpec("dense", fan_in=2 * 4 * 4, fan_out=4)]
+        net = PhasorNetwork.create((1, 6, 6), specs, seed=2, dtype=np.complex64)
+        net.biases[0][:] = 0.1 + 0.1j
+        net.biases[1][:] = 0.1 - 0.1j
+        circuit = build_circuit(net)
+        image = np.random.default_rng(3).uniform(size=36)
+        thr = 0.1 * observe_amplitude(circuit, image, n_cycles=4)
+        self._check(monkeypatch, circuit, [(image, 8)], thr)
+
+    def test_period_not_whole_steps(self, calibrated, monkeypatch):
+        # at dt = 0.03 no spike is a band spike: every one computes its run
+        net, _, images, _, _ = calibrated
+        circuit = build_circuit(net, CircuitParams(dt=0.03))
+        thr = 0.1 * observe_amplitude(circuit, images[0], n_cycles=4)
+        self._check(monkeypatch, circuit, [(images[0], 3), (images[1], 4)], thr, skips=False)
 
 
 V_TH = 0.5

@@ -455,6 +455,11 @@ REJECTED = [
                  id="train_limit_negative"),
     pytest.param(["eval", "{nan_theta_model}", "--data-dir", "{data}", "--out-dir", "{out}"],
                  2, "malformed header", id="model_theta_nan"),
+    pytest.param(["eval", "{nan_shift_model}", "--data-dir", "{data}", "--out-dir", "{out}"],
+                 2, "is not finite", id="eval_shift_nan"),
+    pytest.param(["simulate", "{nan_shift_model}", "--data-dir", "{data}", "--out-dir", "{out}",
+                  "--v-threshold", "0.02", "--n-cycles", "3"], 2, "is not finite",
+                 id="simulate_shift_nan"),
     pytest.param(["train", "--data-dir", "{empty_test_data}", "--out-dir", "{out}"], 2,
                  "{empty_test_images}", id="train_empty_test_split"),
     pytest.param(["eval", "{model}", "--data-dir", "{empty_test_data}", "--out-dir", "{out}"],
@@ -475,6 +480,9 @@ class TestRejectedInputs:
         assert b'"theta":0.0' in model
         nan_theta = tmp_path / "nan_theta.phzn"  # same header length: 0.0 -> NaN
         nan_theta.write_bytes(model.replace(b'"theta":0.0', b'"theta":NaN', 1))
+        nan_shift = tmp_path / "nan_shift.phzn"  # input 0's phase shift -> NaN
+        at = 12 + int(np.frombuffer(model[8:12], "<u4")[0])
+        nan_shift.write_bytes(model[:at] + np.float64(np.nan).tobytes() + model[at + 8:])
         config = tmp_path / "nan_lr.json"
         config.write_text(json.dumps({"lr": float("nan")}))
         not_utf8 = tmp_path / "latin1.csv"
@@ -485,7 +493,8 @@ class TestRejectedInputs:
         shutil.copytree(root / "data" / "mnist", empty_test)
         write_idx(empty_test, ("t10k", "t10k"), np.zeros((0, 8, 8)), np.zeros(0))
         return {"model": out / "model.phzn", "data": root / "data", "out": tmp_path / "run",
-                "nan_theta_model": nan_theta, "nan_lr_config": config,
+                "nan_theta_model": nan_theta, "nan_shift_model": nan_shift,
+                "nan_lr_config": config,
                 "not_utf8": not_utf8, "a_dir": a_dir, "empty_test_data": empty_test.parent,
                 "empty_test_images": empty_test / "t10k-images-idx3-ubyte"}
 

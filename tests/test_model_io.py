@@ -47,7 +47,8 @@ def networks(draw):
         shape, specs, seed=draw(st.integers(0, 2 ** 32 - 1)),
         dtype=draw(st.sampled_from([np.complex64, np.complex128])),
         use_phase_shifts=draw(st.booleans()))
-    net.v_threshold = draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
+    net.v_threshold = draw(st.none() | st.floats(min_value=0.0, exclude_min=True,
+                                                  allow_infinity=False))
     return net
 
 
@@ -190,6 +191,22 @@ class TestFormatErrors:
         with pytest.raises(DataFormatError, match="ended inside"):
             load_model(path)
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_phase_shift(self, tmp_path, capsys, shift):
+        """A non-finite phase shift is a data error at its offset, and exit
+        code 2 from the CLI."""
+        path = tmp_path / "m.phzn"
+        save_model(small_fc_net(seed=13), path)
+        raw = path.read_bytes()
+        at = 12 + int(np.frombuffer(raw[8:12], "<u4")[0]) + 8 * 5  # input 5's shift
+        path.write_bytes(raw[:at] + np.float64(shift).tobytes() + raw[at + 8:])
+        with pytest.raises(DataFormatError, match="phase shift .* of input 5 is not finite") as e:
+            load_model(path)
+        assert e.value.offset == at
+        assert main(["eval", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+
     def test_trailing_garbage(self, tmp_path):
         net = small_fc_net(seed=10)
         path = tmp_path / "m.phzn"
@@ -212,11 +229,15 @@ class TestFormatErrors:
         lambda h: {**h, "v_threshold": True},
         lambda h: {**h, "v_threshold": float("nan")},
         lambda h: {**h, "v_threshold": float("inf")},
+        lambda h: {**h, "v_threshold": 0.0},
+        lambda h: {**h, "v_threshold": -0.02},
+        lambda h: {**h, "v_threshold": -1},
         lambda h: {**h, "has_optimizer_state": "no"},
         lambda h: {k: v for k, v in h.items() if k != "has_optimizer_state"},
     ], ids=["not_json", "not_utf8", "not_object", "no_dtype", "negative_input",
             "unknown_kind", "inconsistent_fan_in", "float_fan_in", "no_layers",
             "string_threshold", "bool_threshold", "nan_threshold", "inf_threshold",
+            "zero_threshold", "negative_threshold", "negative_int_threshold",
             "string_optimizer_flag", "no_optimizer_flag"])
     def test_malformed_header(self, tmp_path, capsys, edit):
         """A header that cannot be interpreted is a data error at its offset,

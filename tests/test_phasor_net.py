@@ -99,6 +99,15 @@ class TestEncodeInput:
         with pytest.raises(ValidationError):
             input_phases(np.array([[0.5, np.nan]]), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_network_rejects_a_non_finite_shift(self, bad):
+        net = PhasorNetwork.create((4,), [LayerSpec("dense", fan_in=4, fan_out=2)], seed=0)
+        shifts = np.zeros(4)
+        shifts[2] = bad
+        with pytest.raises(ValidationError, match="phase shifts must be finite, got .* at input 2"):
+            PhasorNetwork(net.input_shape, net.layers, net.weights, net.biases,
+                          phase_shifts=shifts)
+
     def test_rejects_a_shift_count_that_does_not_match(self):
         with pytest.raises(DimensionError, match="3 phase shifts do not match 4 pixels"):
             input_phases(np.zeros((2, 2, 2)), np.zeros(3))
