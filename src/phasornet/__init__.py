@@ -14,12 +14,9 @@ from .phasor_net import (
     LayerSpec,
     PhasorNetwork,
     ForwardTrace,
-    TargetEncoding,
-    encode_target,
     tpam_activation,
     forward,
     backward,
-    loss_cosine,
     loss_mse,
     predict,
 )

@@ -37,16 +37,15 @@ Deliveries. Each is queued, in a bucket per (layer, chunk), as its owner's
 row * chunk + step in the chunk, its synapse and its reset age, all int32.
 A run is the synapses one source sends through to one layer: an input
 generator's, the reference generator's to each layer, a neuron's. Synapses
-are numbered as the circuit stores them, in sending order: by run, then
-delays below one step first, then by grid phase frac(delay / dt), then by
-owner, so a spike's deliveries are one contiguous run, and a synapse has one
-source. Generator volleys and soma spikes take one send path (_send): a
-generator volley is a spike of each generator run at its timetable time, one
-timetable row per cycle with the reference generator last, queued when the
-chunk its cycle starts in comes up. A synapse's previous delivery came from
-its run's previous spike, whose time and earliest step the kernel keeps for
-every run, so a delivery's age is arrival(t + d) - arrival(t_prev + d),
-fixed when it is sent.
+are numbered as the circuit stores them, in sending order: by run, then by
+grid phase frac(delay / dt), then by owner, so a spike's deliveries are one
+contiguous run, and a synapse has one source. Generator volleys and soma
+spikes take one send path (_send): a generator volley is a spike of each
+generator run at its timetable time, one timetable row per cycle with the
+reference generator last, queued when the chunk its cycle starts in comes
+up. A synapse's previous delivery came from its run's previous spike, whose
+time and earliest step the kernel keeps for every run, so a delivery's age
+is arrival(t + d) - arrival(t_prev + d), fixed when it is sent.
 
 Null deliveries. A delivery whose reset-table entry is exactly 0 adds
 nothing: a second arrival in the step of a reset (age 0) and, when a period
@@ -61,18 +60,21 @@ a spike comes m >= 1 whole periods after its run's previous one, give or
 take a drift |delta| < 1 step, a synapse's arrival moves by exactly m * P
 steps unless its arrival cell boundary lies between the two spikes' arrival
 positions. Those synapses form one or two slices of the run's grid phases,
-found by searchsorted and widened by MARGIN steps on each side against
-rounding; only they and the sub-step delays (which the send-step clamp can
-move) are computed, and _queue drops the null ones among them by the table's
-nonzero mask `live`. Of the others, a delivery due after the run's last
-step is not one: within a period of the run's end, they are counted by
-comparing each due time with the last step's (_past). Where period/dt is
-not whole, every spike computes its whole run and only age 0 is null. The
-band rule changes no raster: what it skips is null, and one spike's
-deliveries go to distinct owners, so the order of the synapses within a run
-changes no summation order. Dropping null deliveries does, where period/dt
-is whole: against injecting every delivery, spike times move in the last
-digits, with the same spike sequences.
+found by searchsorted and widened on each side by MARGIN steps against
+rounding and by GRID_EPS / dt steps for the send-step clamp: a soma spike
+lies in (sent dt, (sent + 1) dt], so the clamp to step sent + 1 moves only a
+delay below GRID_EPS from a spike within GRID_EPS of its step's start, whose
+arrival lies within GRID_EPS / dt steps of the spike's own cell boundary.
+Only those slices are computed, and _queue drops the null ones among them by
+the table's nonzero mask `live`. Of the others, a delivery due after the
+run's last step is not one: within a period of the run's end, they are
+counted by comparing each due time with the last step's (_past). Where
+period/dt is not whole, every spike computes its whole run and only age 0 is
+null. The band rule changes no raster: what it skips is null, and one
+spike's deliveries go to distinct owners, so the order of the synapses
+within a run changes no summation order. Dropping null deliveries does,
+where period/dt is whole: against injecting every delivery, spike times move
+in the last digits, with the same spike sequences.
 
 Summation order. The chunk's products add the same terms as one block at a
 time would, in another order, so spike times can move in the last digits,
@@ -100,7 +102,7 @@ GRID_EPS = 1e-9
 BLOCK = 256  # steps per block of the block propagator, a power of two
 SUB = 32  # steps per diagonal block of the block's propagator, a power of two
 BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
-MARGIN = 1e-6  # steps the band rule widens its grid-phase window by on each side
+MARGIN = 1e-6  # steps the band rule widens its window by on each side against rounding
 
 
 def csr_rows(ptr, rows):
@@ -120,10 +122,9 @@ def steps_per_period(params):
 
 
 def grid_phase(delay, dt):
-    """Each delay's position in its grid cell, frac(delay / dt), and whether
-    the delay is below one step."""
+    """Each delay's position in its grid cell, frac(delay / dt)."""
     x = delay / dt
-    return x - np.floor(x), x < 1.0
+    return x - np.floor(x)
 
 
 def reset_table(params, never):
@@ -308,14 +309,13 @@ class Integrator:
         self.run_ptr = np.concatenate((ptr[:ref], bias, ptr[ref + 1:]))
         self.neuron_run = ref + len(sizes)
         n_runs = self.run_ptr.size - 1
-        # Search key, ascending: 2 run for a sub-step delay, 2 run + 1 + grid
-        # phase for the rest
-        phase, below = grid_phase(self.out_delay, p.dt)
-        phase += 1.0
-        phase[below] = 0.0
-        phase += np.repeat(2.0 * np.arange(n_runs), np.diff(self.run_ptr))
-        self.phase_key = phase
-        self.run_sub = phase.searchsorted(2.0 * np.arange(n_runs) + 1.0)  # end of sub-step delays
+        # Search key, ascending: 2 run + grid phase, so that a key rounded up
+        # to a whole number stays below the next run's keys
+        self.phase_key = grid_phase(self.out_delay, p.dt)
+        self.phase_key += np.repeat(2.0 * np.arange(n_runs), np.diff(self.run_ptr))
+        # steps the band rule widens its window by on each side: MARGIN
+        # against rounding, and GRID_EPS / dt for the send-step clamp
+        self.margin = MARGIN + GRID_EPS / p.dt
         self.period_steps = steps_per_period(p)
         self.never = n_steps + 1
         # a spike after `horizon` can have deliveries due after `last_step`,
@@ -498,35 +498,34 @@ class Integrator:
     def _computed(self, runs, t, t_prev):
         """(positions, count per spike, past) of the deliveries to compute for
         spikes of the given runs at times t, whose runs spiked before at
-        t_prev: a band spike's sub-step delays and band slices, every other
-        spike's whole run. `past` counts the others that land past the run's
-        end, which are not deliveries."""
+        t_prev: a band spike's band slices, every other spike's whole run.
+        `past` counts the others that land past the run's end, which are not
+        deliveries."""
         lo, hi = self.run_ptr.take(runs), self.run_ptr.take(runs + 1)
-        cut, wrap_end, start, end = hi.copy(), hi.copy(), hi.copy(), hi.copy()
+        wrap_end, start, end = hi.copy(), hi.copy(), hi.copy()
         band = self._band(t, t_prev)
         if band is not None:
             # The arrival-cell positions whose cell boundary the drift
-            # crosses, [min(drift, 0), max(drift, 0)] widened by MARGIN, as
-            # grid phases: [a, z] mod 1, one slice or two
+            # crosses, [min(drift, 0), max(drift, 0)] widened by the margin,
+            # as grid phases: [a, z] mod 1, one slice or two
             b, drift = band
             cell = (t.take(b) - GRID_EPS) / self.circuit.params.dt
-            a = np.minimum(drift, 0.0) - MARGIN - (cell - np.floor(cell))
+            a = np.minimum(drift, 0.0) - self.margin - (cell - np.floor(cell))
             a -= np.floor(a)
-            z = a + (np.abs(drift) + 2 * MARGIN)
-            base = 2.0 * runs.take(b) + 1.0
+            z = a + (np.abs(drift) + 2 * self.margin)
+            base = 2.0 * runs.take(b)
             s = self.phase_key.searchsorted(base + a)
-            e = self.phase_key.searchsorted(base + np.minimum(z, 1.0), side="right")
-            cut[b] = wrap_end[b] = self.run_sub.take(runs.take(b))
-            start[b], end[b] = s, np.minimum(e, hi.take(b))
+            wrap_end[b], start[b] = lo.take(b), s
+            end[b] = self.phase_key.searchsorted(base + np.minimum(z, 1.0), side="right")
             wrap = np.flatnonzero(z > 1.0)
             if wrap.size:
                 w = self.phase_key.searchsorted(base.take(wrap) + (z.take(wrap) - 1.0), side="right")
                 wrap_end[b.take(wrap)] = np.minimum(w, s.take(wrap))
-        # per spike: [lo, cut) is its whole run, or a band spike's sub-step
-        # delays, then the band's slices [cut, wrap_end) and [start, end)
-        bounds = np.stack((lo, cut, cut, wrap_end, start, end), axis=1).reshape(-1)
+        # per spike: [lo, wrap_end) is its whole run, or a band spike's
+        # wrapped slice, and [start, end) its main slice
+        bounds = np.stack((lo, wrap_end, start, end), axis=1).reshape(-1)
         pos, counts = csr_rows(bounds, np.arange(0, bounds.size, 2))
-        return pos, counts.reshape(-1, 3).sum(axis=1), \
+        return pos, counts.reshape(-1, 2).sum(axis=1), \
             0 if band is None else self._past(band[0], t, wrap_end, start, end, hi)
 
     def _past(self, b, t, wrap_end, start, end, hi):
@@ -545,7 +544,7 @@ class Integrator:
     def _band(self, t, t_prev):
         """(spikes, drift) of the spikes the band rule applies to: each comes
         m >= 1 whole periods after its run's previous spike, give or take a
-        drift |delta| < 1 - 2 MARGIN steps, with m * P a null age (so not a
+        drift |delta| < 1 - 2 margin steps, with m * P a null age (so not a
         run's first spike). A synapse's delivery then lands m * P steps
         after its last, a null one, unless its arrival cell boundary lies
         between the two spikes' arrival positions. None where there is no
@@ -556,7 +555,8 @@ class Integrator:
         span = (t - t_prev) / self.circuit.params.dt
         m = np.rint(span / P)
         drift = span - m * P
-        band = np.flatnonzero((m >= 1) & (m * P < self.never) & (np.abs(drift) < 1.0 - 2 * MARGIN))
+        band = np.flatnonzero((m >= 1) & (m * P < self.never)
+                              & (np.abs(drift) < 1.0 - 2 * self.margin))
         return (band, drift.take(band)) if band.size else None
 
     def spikes(self):

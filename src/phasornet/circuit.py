@@ -79,8 +79,7 @@ class CircuitParams:
 class CircuitModel:
     """Flattened synapse/neuron topology ready for the integration kernel;
     the syn_* arrays are in sending order for params.dt: by source and the
-    layer it feeds, then sub-step delays first, then by grid phase, then by
-    owner (see build_circuit)."""
+    layer it feeds, then by grid phase, then by owner (see build_circuit)."""
 
     params: CircuitParams
     n_gen: int  # input generators + 1 reference generator
@@ -128,9 +127,8 @@ def build_circuit(net, params=None):
     Synapses are stored once, in sending order, the one order the kernel
     reads: by source (input generators, the reference generator, then
     neurons), then by the layer they feed, which splits only the reference
-    generator's, then delays below one step first, then by grid phase
-    frac(delay / dt), then by owning neuron. Source s sends through synapses
-    out_ptr[s]:out_ptr[s + 1].
+    generator's, then by grid phase frac(delay / dt), then by owning
+    neuron. Source s sends through synapses out_ptr[s]:out_ptr[s + 1].
     """
     if params is None:
         params = CircuitParams()
@@ -162,10 +160,10 @@ def build_circuit(net, params=None):
         coeffs.append(np.repeat(coeff[f, r], positions))
     owner, src = np.concatenate(owners), np.concatenate(srcs)
     mag, delay = synapse_delay(np.concatenate(coeffs), params.period)
-    phase, below = ck.grid_phase(delay, params.dt)
-    # sending order: by run (source, then the layer it feeds), then sub-step
-    # delays first, then by grid phase, then by owner
-    order = np.lexsort((owner, phase, ~below, src * len(layer_sizes) + neuron_layer[owner]))
+    # sending order: by run (source, then the layer it feeds), then by grid
+    # phase, then by owner
+    order = np.lexsort((owner, ck.grid_phase(delay, params.dt),
+                        src * len(layer_sizes) + neuron_layer[owner]))
     out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_gen + n_neurons))])
 
     return CircuitModel(
@@ -279,12 +277,6 @@ def decode_output(raster, n_outputs, output_layer, now):
 def decode_over_time(raster, n_outputs, output_layer, times):
     """decode_output at each sample time; -1 where no output spiked."""
     return predict_batch(_window_phasors(raster, n_outputs, output_layer, times))
-
-
-def output_spike_phases(raster, n_outputs, output_layer, now):
-    """Mean phase (circular) per output unit over the decode window."""
-    acc = _window_phasors(raster, n_outputs, output_layer, [now])[0]
-    return np.where(acc != 0, np.angle(acc), np.nan)
 
 
 Fidelity = namedtuple("Fidelity", "residual active_spiking inactive_spiking")

@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_positive
 from .phasor_net import LayerSpec, PhasorNetwork
 
 MAGIC = b"PHZN"
@@ -48,6 +48,8 @@ def save_model(net, path, optimizer=None):
     if dtype_name not in _WIRE:
         raise ValidationError(f"cannot save {dtype_name} parameters; "
                               f"the format holds {' or '.join(_WIRE)}")
+    if net.v_threshold is not None:  # the threshold load_model accepts
+        check_positive("v_threshold", net.v_threshold)
     wide, real = _WIRE[dtype_name]
     header = {
         "dtype": dtype_name,

@@ -66,13 +66,6 @@ class LayerSpec:
 
 
 @dataclass
-class TargetEncoding:
-    """Class phases: the positive class sits pi out of phase with the rest."""
-
-    phases: np.ndarray
-
-
-@dataclass
 class ForwardTrace:
     """Per-layer activations, active masks and reciprocal magnitudes from
     forward(), plus each conv layer's im2col input columns (None for dense
@@ -217,13 +210,9 @@ def make_phase_shifts(n, seed):
     return rng.uniform(0.0, 2.0 * np.pi, n)
 
 
-def encode_target(cls, n_classes):
-    """Binary-phase-keyed target: positive class at pi, the rest at 0."""
-    return TargetEncoding(encode_target_phases(np.array([cls]), n_classes)[0])
-
-
 def encode_target_phases(labels, n_classes):
-    """Batched variant: (B,) int labels -> (B, n_classes) phase array."""
+    """Binary-phase-keyed targets: (B,) int labels -> (B, n_classes) phases,
+    each label's class at pi, the rest at 0."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValidationError(f"labels out of range [0, {n_classes})")
@@ -307,12 +296,6 @@ def forward(net, x):
         masks = [m[0] for m in masks]
         invs = [r[0] for r in invs]
     return ForwardTrace(x=x, h=hs, masks=masks, inv=invs, cols=cols)
-
-
-def loss_cosine(output_phases, target_phases):
-    """L = N_y - sum_i cos(theta_i - thetahat_i) (all outputs active)."""
-    d = np.asarray(target_phases, dtype=np.float64) - np.asarray(output_phases, dtype=np.float64)
-    return d.shape[-1] - np.cos(d).sum(axis=-1)
 
 
 def loss_mse(output, target_phases):

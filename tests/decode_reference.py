@@ -10,10 +10,11 @@ active units. A sole active unit wins.
 import cmath
 import math
 
+import numpy as np
 
-def window_scores(raster, n_outputs, output_layer, now, window_cycles=3):
-    """Per-unit scores (-inf for a unit silent in [now - window, now]) and
-    resultant lengths |sum of phasors| / spike count (nan when silent)."""
+
+def window_sums(raster, n_outputs, output_layer, now, window_cycles=3):
+    """Per-unit sums of spike phasors and spike counts in [now - window, now]."""
     lo = now - window_cycles * raster.period
     sums = [0j] * n_outputs
     counts = [0] * n_outputs
@@ -22,9 +23,23 @@ def window_scores(raster, n_outputs, output_layer, now, window_cycles=3):
         if layer == output_layer and lo <= t <= now:
             sums[neuron] += cmath.exp(2j * math.pi * (t % raster.period) / raster.period)
             counts[neuron] += 1
+    return sums, counts
+
+
+def window_scores(raster, n_outputs, output_layer, now, window_cycles=3):
+    """Per-unit scores (-inf for a unit silent in [now - window, now]) and
+    resultant lengths |sum of phasors| / spike count (nan when silent)."""
+    sums, counts = window_sums(raster, n_outputs, output_layer, now, window_cycles)
     resultants = [abs(sums[i]) / counts[i] if counts[i] else math.nan
                   for i in range(n_outputs)]
     return phasor_scores(sums), resultants
+
+
+def output_spike_phases(raster, n_outputs, output_layer, now):
+    """Each output unit's circular-mean spike phase over the 3-cycle decode
+    window, the phases the decoder compares; nan for a silent unit."""
+    sums, counts = window_sums(raster, n_outputs, output_layer, now)
+    return np.array([cmath.phase(s) if c else math.nan for s, c in zip(sums, counts)])
 
 
 def phasor_scores(phasors):

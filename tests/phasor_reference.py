@@ -1,9 +1,9 @@
-"""Closed-form derivatives of the phasor network, tests only.
+"""Closed forms of the phasor network's loss and derivatives, tests only.
 
-backward() forms neither: it pulls each cotangent through z -> z/|z| as a
-tangent projection and differentiates 0.5 ||y - yhat||^2 in the complex
-domain. The per-unit real 2x2 Jacobian and the phase-form loss gradient here
-are the closed forms the tests check that against.
+backward() forms none of them: it pulls each cotangent through z -> z/|z| as
+a tangent projection and differentiates 0.5 ||y - yhat||^2 in the complex
+domain. The per-unit real 2x2 Jacobian, the phase-form loss and its gradient
+here are the closed forms the tests check that against.
 """
 
 import numpy as np
@@ -22,6 +22,13 @@ def activation_jacobian(z):
         raise ValidationError("activation Jacobian is singular at z = 0")
     r3 = r ** 3
     return np.array([[b * b / r3, -a * b / r3], [-a * b / r3, a * a / r3]])
+
+
+def loss_cosine(output_phases, target_phases):
+    """L = N_y - sum_i cos(theta_i - thetahat_i), the phase form of loss_mse
+    when every output is active."""
+    d = np.asarray(target_phases, dtype=np.float64) - np.asarray(output_phases, dtype=np.float64)
+    return d.shape[-1] - np.cos(d).sum(axis=-1)
 
 
 def loss_phase_gradient(theta, theta_hat):

@@ -20,6 +20,7 @@ from conftest import (
     needs_cifar,
     needs_mnist,
 )
+from phasor_reference import loss_cosine
 from test_phasor_net import _finite_diff_check
 from phasornet._circuit_kernels import reset_table
 from phasornet.circuit import (
@@ -34,9 +35,8 @@ from phasornet.errors import CorruptRecordError, MagicMismatchError, TruncatedFi
 from phasornet.phasor_net import (
     LayerSpec,
     PhasorNetwork,
-    encode_target,
+    encode_target_phases,
     forward,
-    loss_cosine,
     loss_mse,
     predict,
 )
@@ -116,7 +116,7 @@ def test_gradient_correctness():
         net = PhasorNetwork.create((n_in,), specs, seed=1000 + trial,
                                    dtype=np.complex128)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n_in))
-        tgt = encode_target(int(rng.integers(0, 2)), 2).phases
+        tgt = encode_target_phases([int(rng.integers(0, 2))], 2)[0]
         _finite_diff_check(net, x, tgt, rel_tol=1e-6, abs_floor=1e-8, step=1e-5)
     for trial in range(5):
         c = int(rng.integers(1, 3))
@@ -127,7 +127,7 @@ def test_gradient_correctness():
         net = PhasorNetwork.create((c, 8, 8), specs, seed=2000 + trial,
                                    dtype=np.complex128)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (c, 8, 8)))
-        tgt = encode_target(int(rng.integers(0, 2)), 2).phases
+        tgt = encode_target_phases([int(rng.integers(0, 2))], 2)[0]
         _finite_diff_check(net, x, tgt, rel_tol=1e-6, abs_floor=1e-8, step=1e-5)
     elapsed = time.time() - t0
     report("gradient-correctness", elapsed < 60.0,

@@ -12,7 +12,6 @@ from phasornet.circuit import (
     decode_over_time,
     fidelity,
     observe_amplitude,
-    output_spike_phases,
     run,
     stimulus_phase_offsets,
 )
@@ -167,8 +166,7 @@ class TestBuild:
     def test_csr_consistency(self):
         # synapses in sending order: each one's weight is the coefficient from
         # its out_ptr source to its owner, and within a source and the layer
-        # it feeds, sub-step delays come first, then grid phases, then owners
-        # ascend
+        # it feeds, grid phases, then owners ascend
         dense = tiny_net(seed=4)
         dense.biases[1][::3] = 0.2 - 0.1j
         specs = [LayerSpec("conv3x3", in_channels=2, out_channels=3),
@@ -218,8 +216,8 @@ class TestBuild:
         want_w, want_delay = synapse_delay(np.array(coeff), circuit.params.period)
         np.testing.assert_array_equal(circuit.syn_w, want_w)
         np.testing.assert_array_equal(circuit.syn_delay, want_delay)
-        phase, below = ck.grid_phase(circuit.syn_delay, circuit.params.dt)
-        np.testing.assert_array_equal(np.lexsort((owner, phase, ~below, layer, src)),
+        phase = ck.grid_phase(circuit.syn_delay, circuit.params.dt)
+        np.testing.assert_array_equal(np.lexsort((owner, phase, layer, src)),
                                       np.arange(circuit.n_synapses))
         # each (source, owner) pair names one tap, so with every coefficient
         # nonzero, the count says each nonzero tap appears exactly once
@@ -639,38 +637,52 @@ class TestNullDeliveries:
 
 @st.composite
 def band_cases(draw):
-    """(params, delays, t_prev, t, m, n_steps): a period of P whole steps,
-    synapse delays, two spike times m * P steps apart, give or take a drift
-    below one step, often placed so that arrivals land on or next to a grid
-    time, and a run that ends up to a period after t."""
+    """(params, delays, (sent_prev, t_prev), (sent, t), m, n_steps): a period
+    of P whole steps, synapse delays (zero and below GRID_EPS among them),
+    two soma spikes m * P steps apart, give or take a drift below one step,
+    and a run that ends up to a period after the second. A spike fired on
+    step `sent` lies at sent * dt + frac * dt, frac in (0, 1], as _pass puts
+    it, often within GRID_EPS / dt steps of its step's start, and its
+    deliveries land on step sent + 1 or later; delays often place arrivals on
+    or next to a grid time."""
     near = st.sampled_from([0.0, GRID_EPS, -GRID_EPS, 1e-13, -1e-13, 1e-7, -1e-7])
-    period = draw(st.sampled_from([10.0, 2.5, 67.19948779563593]))
-    steps = draw(st.integers(100, 400))
+    period = draw(st.sampled_from([10.0, 2.5, 67.19948779563593, 0.1, 1e-3]))
+    steps = draw(st.sampled_from([100, 101]) | st.integers(100, 400))
     params = CircuitParams(period=period, dt=period / steps)
     assume(ck.steps_per_period(params) == steps)
-    dt = params.dt
-    cells = draw(st.lists(st.integers(0, steps - 1), min_size=1, max_size=30))
+    dt, eps = params.dt, GRID_EPS / params.dt
+    cells = draw(st.lists(st.integers(0, steps - 1), max_size=30))
     delays = [(k + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))) * dt + draw(near)
               for k in cells]
-    t_prev = draw(st.integers(0, 3 * steps)) * dt + draw(near)
+    delays += draw(st.lists(st.sampled_from([0.0, 1e-13, 0.5 * GRID_EPS, 0.999999 * GRID_EPS]),
+                            min_size=1 if not delays else 0, max_size=3))
+    frac = st.sampled_from([1e-12, 1e-5, 0.5 * eps, eps, 2 * eps, 0.5, 1.0 - eps, 1.0]) \
+        | st.floats(0.0, 1.0, exclude_min=True)
     m = draw(st.integers(1, 3))
-    drift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 0.5, -0.5, 0.99999, -0.99999])
-                 | st.floats(-0.99999, 0.99999))
-    t = t_prev + (m * steps + drift) * dt
-    return (params, np.clip(delays, 0.0, period * (1 - 1e-12)), t_prev, t, m,
-            int(t / dt) + draw(st.integers(2, steps + 4)))
+    sent_prev, frac_prev = draw(st.integers(0, 3 * steps)), draw(frac)
+    frac_now = draw(frac)
+    # the second spike on the step m * P after the first's, or on the
+    # neighbouring step that keeps the drift below one step
+    sent = sent_prev + m * steps + draw(st.sampled_from([0, 1 if frac_now < frac_prev else -1]))
+    # a band spike's drift stays 2 margins short of a step, the kernel's
+    # margin being MARGIN + GRID_EPS / dt
+    assume(abs(sent + frac_now - sent_prev - frac_prev - m * steps) < 1.0 - 2 * (ck.MARGIN + eps))
+    return (params, np.clip(delays, 0.0, period * (1 - 1e-12)),
+            (sent_prev, sent_prev * dt + dt * frac_prev), (sent, sent * dt + dt * frac_now),
+            m, sent + draw(st.integers(2, steps + 4)))
 
 
 class TestBandRule:
     """A spike m whole periods after its run's previous one, give or take a
-    drift below one step, computes only its sub-step delays and the grid-phase
-    slices its drift can move; every other delivery lands exactly m * P steps
+    drift below one step, computes only the grid-phase slices its drift can
+    move, widened by GRID_EPS / dt steps for the send-step clamp; every other
+    delivery, clamped to the step after its spike, lands exactly m * P steps
     after the synapse's last, a null one."""
 
     @settings(max_examples=300, deadline=None)
     @given(band_cases())
     def test_deliveries_outside_the_band_land_whole_periods_on(self, case):
-        params, delays, t_prev, t, m, n_steps = case
+        params, delays, (sent_prev, t_prev), (sent, t), m, n_steps = case
         net = PhasorNetwork.create((1,), [LayerSpec("dense", fan_in=1, fan_out=len(delays))],
                                    seed=0, dtype=np.complex128)
         net.weights[0][:, 0] = np.exp(2j * np.pi * delays / params.period)
@@ -682,8 +694,8 @@ class TestBandRule:
         assert per.tolist() == [pos.size]
         out = np.setdiff1d(np.arange(circuit.out_ptr[0], circuit.out_ptr[1]), pos)
         d = circuit.syn_delay[out]
-        steps = kernel._arrival(t + d, 0)
-        np.testing.assert_array_equal(steps - kernel._arrival(t_prev + d, 0),
+        steps = kernel._arrival(t + d, sent + 1.0)
+        np.testing.assert_array_equal(steps - kernel._arrival(t_prev + d, sent_prev + 1.0),
                                       m * ck.steps_per_period(params))
         assert past == np.count_nonzero(steps >= n_steps)  # not deliveries
 
@@ -878,7 +890,7 @@ class TestDecode:
 
     def test_output_spike_phases(self):
         spikes = [(0, 5.0), (0, 15.0), (1, 0.0), (1, 10.0)]
-        phases = output_spike_phases(make_raster(spikes), 3, 1, now=20.0)
+        phases = decode_reference.output_spike_phases(make_raster(spikes), 3, 1, now=20.0)
         assert phases[0] == pytest.approx(np.pi)
         assert abs(phases[1]) < 1e-9
         assert np.isnan(phases[2])
@@ -1172,7 +1184,8 @@ class TestEndToEnd:
         # code lives in phase differences, so compare after removing it
         net, circuit, images, thr, _ = calibrated
         result = run(circuit, [(images[0], 15)], v_threshold=thr)
-        got = output_spike_phases(result.raster, 10, len(net.layers), now=150.0)
+        got = decode_reference.output_spike_phases(result.raster, 10, len(net.layers),
+                                                   now=150.0)
         trace = self._phasor_prediction(net, images[0])
         want = np.angle(trace.output)
         ok = np.isfinite(got) & trace.masks[-1]

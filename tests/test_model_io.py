@@ -116,6 +116,24 @@ class TestRoundTrip:
             save_model(net, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("v_threshold", [-0.5, 0, float("nan"), float("inf"), True])
+    def test_unloadable_threshold_is_refused(self, tmp_path, v_threshold):
+        """A threshold load_model would reject is refused before any byte
+        is written."""
+        net = small_fc_net(seed=3)
+        net.v_threshold = v_threshold
+        path = tmp_path / "m.phzn"
+        with pytest.raises(ValidationError, match="v_threshold must be finite and positive"):
+            save_model(net, path)
+        assert not path.exists()
+
+    def test_threshold_round_trips(self, tmp_path):
+        net = small_fc_net(seed=3)
+        net.v_threshold = 0.5
+        path = tmp_path / "m.phzn"
+        save_model(net, path)
+        assert load_model(path).v_threshold == 0.5
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         net = small_fc_net(seed=4)
         p1, p2 = tmp_path / "a.phzn", tmp_path / "b.phzn"

@@ -7,11 +7,9 @@ from phasornet.phasor_net import (
     PhasorNetwork,
     _activation_pullback,
     backward,
-    encode_target,
     encode_target_phases,
     forward,
     input_phases,
-    loss_cosine,
     loss_mse,
     make_phase_shifts,
     predict,
@@ -24,7 +22,7 @@ from phasornet.training import encode_batch
 
 from conftest import small_fc_net
 from create_reference import reference_weights
-from phasor_reference import activation_jacobian, loss_phase_gradient
+from phasor_reference import activation_jacobian, loss_cosine, loss_phase_gradient
 
 
 class TestCreate:
@@ -150,25 +148,23 @@ class TestPhaseShifts:
 
 class TestEncodeTarget:
     def test_two_classes(self):
-        enc = encode_target(0, 2)
-        np.testing.assert_array_equal(enc.phases, [np.pi, 0.0])
+        np.testing.assert_array_equal(encode_target_phases([0, 1], 2),
+                                      [[np.pi, 0.0], [0.0, np.pi]])
 
     def test_ten_classes(self):
-        enc = encode_target(3, 10)
-        assert enc.phases[3] == np.pi
-        assert np.all(np.delete(enc.phases, 3) == 0.0)
+        phases = encode_target_phases([3], 10)[0]
+        assert phases[3] == np.pi
+        assert np.all(np.delete(phases, 3) == 0.0)
 
     def test_gap_is_pi(self):
-        for c in range(10):
-            enc = encode_target(c, 10)
-            others = np.delete(enc.phases, c)
-            np.testing.assert_allclose(np.abs(enc.phases[c] - others), np.pi)
+        for c, phases in enumerate(encode_target_phases(np.arange(10), 10)):
+            others = np.delete(phases, c)
+            np.testing.assert_allclose(np.abs(phases[c] - others), np.pi)
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            encode_target(10, 10)
-        with pytest.raises(ValidationError):
-            encode_target_phases(np.array([0, 11]), 10)
+        for labels in ([10], [0, 11], [-1]):
+            with pytest.raises(ValidationError):
+                encode_target_phases(np.array(labels), 10)
 
 
 class TestActivation:
@@ -410,7 +406,7 @@ class TestBackward:
         net = PhasorNetwork.create((6,), specs, seed=21, dtype=np.complex128)
         rng = np.random.default_rng(21)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-        _finite_diff_check(net, x, encode_target(1, 2).phases)
+        _finite_diff_check(net, x, encode_target_phases([1], 2)[0])
 
     def test_gradient_matches_finite_differences_conv_conv(self):
         # a conv layer after a conv layer is the one place the conv input
@@ -421,7 +417,7 @@ class TestBackward:
         net = PhasorNetwork.create((2, 8, 8), specs, seed=25, dtype=np.complex128)
         rng = np.random.default_rng(25)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 2, 8, 8)))
-        _finite_diff_check(net, x[0], encode_target(0, 2).phases)
+        _finite_diff_check(net, x[0], encode_target_phases([0], 2)[0])
         _finite_diff_check(net, x, encode_target_phases(np.array([1, 0, 1]), 2))
 
     def test_zero_gradient_at_target(self):
@@ -429,7 +425,7 @@ class TestBackward:
         specs = [LayerSpec("dense", fan_in=2, fan_out=2)]
         net = PhasorNetwork((2,), specs, [np.eye(2, dtype=np.complex128)],
                             [np.zeros(2, dtype=np.complex128)])
-        tgt = encode_target(0, 2).phases
+        tgt = encode_target_phases([0], 2)[0]
         x = np.exp(1j * tgt)
         trace = forward(net, x)
         grads = backward(net, trace, tgt)
@@ -447,7 +443,7 @@ class TestBackward:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         trace = forward(net, x)
         assert trace.masks[0][0] and not trace.masks[0][1]
-        grads = backward(net, trace, encode_target(0, 2).phases)
+        grads = backward(net, trace, encode_target_phases([0], 2)[0])
         np.testing.assert_array_equal(grads.weights[0][1, :], 0.0)
         np.testing.assert_array_equal(grads.biases[0][1], 0.0)
 
@@ -458,7 +454,7 @@ class TestBackward:
         net.weights[0][1, :] *= 1e-3
         rng = np.random.default_rng(23)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        tgt = encode_target(1, 2).phases
+        tgt = encode_target_phases([1], 2)[0]
         base = float(loss_mse(forward(net, x).output, tgt))
         net.weights[0][1, 0] += 1e-4  # stays below threshold: mask unchanged
         after = float(loss_mse(forward(net, x).output, tgt))
