@@ -20,7 +20,7 @@ import numpy as np
 from . import _circuit_kernels as ck
 from ._kernels import im2col
 from .errors import NumericError, ValidationError, check_count, check_positive
-from .phasor_net import forward, input_phases, predict, predict_batch
+from .phasor_net import forward, input_phases, preactivation, predict, predict_batch
 from .spikemap import (TWO_PI, SpikeRaster, phase_to_time, raster_phases, synapse_delay,
                        time_to_phase)
 from .training import encode_batch
@@ -311,7 +311,51 @@ def fidelity(net, raster, image):
     return Fidelity(*out)
 
 
-# -- threshold calibration ---------------------------------------------------
+# -- steady state and threshold calibration ----------------------------------
+
+
+def soma_response(params):
+    """(G, lag) of a locked unit, in closed form.
+
+    Every input spikes once per cycle into a synapse resonant at omega, so a
+    unit whose phasor-net pre-activation is z sees a dendrite sinusoid of
+    amplitude |z| w_spike / (C_m omega), and its V_m, the dendrite filtered by
+    H(s) = (g_c/C_m) s tau_d / ((1 + s tau_d)(s + (g_l + g_c)/C_m)), is a
+    sinusoid of amplitude G |z| with G = |H(i omega)| w_spike / (C_m omega),
+    peaking at phase arg z + 3pi/2 - arg H(i omega). lag is that peak's offset,
+    plus omega dt / 2, the mean half step that landing on the grid adds to
+    every delivery.
+    """
+    p = params
+    s = 1j * p.omega
+    h = p.g_c / p.c_m * s * p.tau_d / ((1 + s * p.tau_d) * (s + (p.g_l + p.g_c) / p.c_m))
+    gain = abs(h) * p.w_spike / (p.c_m * p.omega)
+    return gain, 1.5 * np.pi - np.angle(h) + p.omega * p.dt / 2
+
+
+def steady_state(net, x, v_threshold, params):
+    """Per layer, the spike phasors of the locked circuit at v_threshold for
+    an encoded input batch x (B, *net.input_shape): e^(i spike phase) where a
+    unit fires, exactly 0 where it stays silent. No circuit is run.
+
+    A unit fires iff G |z| > v_threshold, i.e. |z| > theta_eff = v_threshold
+    / G, crossing the threshold on its V_m's rising edge, arccos(theta_eff /
+    |z|) before the peak; z is the layer's pre-activation over these spike
+    phasors, with the bias at phase 0, where the reference generator sends
+    it (see soma_response).
+    """
+    gain, lag = soma_response(params)
+    theta_eff = v_threshold / gain
+    h, out = np.asarray(x, dtype=net.dtype), []
+    for spec, w, b in zip(net.layers, net.weights, net.biases):
+        z = preactivation(spec, w, b, h)[0]
+        mag = np.abs(z)
+        active = mag > theta_eff
+        ratio = np.divide(theta_eff, mag, out=np.ones_like(mag), where=active)
+        phase = np.angle(z) - np.arccos(ratio) + lag
+        h = np.where(active, np.exp(1j * phase), 0).astype(net.dtype)
+        out.append(h)
+    return out
 
 
 def observe_amplitude(circuit, image, n_cycles=None):
@@ -331,38 +375,42 @@ def observe_amplitude(circuit, image, n_cycles=None):
 
 
 def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):
-    """Coarse scan over a decade around the observed subthreshold amplitude,
-    maximizing agreement between circuit decoding and phasor prediction.
+    """Scan thresholds over a decade around the first hidden layer's locked
+    V_m amplitude, G median|z| over images[0]'s nonzero first-layer
+    pre-activations, and keep the one whose steady state decodes the phasor
+    network's class on the most images. No candidate runs the circuit: each
+    is scored by predict() over steady_state's output layer.
 
-    Ties break toward the smaller threshold (smaller phase distortion). The
-    candidates ascend and only a strictly better score replaces the best, so
-    the scan stops once a candidate agrees on every image, and a candidate's
-    images stop once it can no longer beat the best; the result is the full
-    scan's. Returns (threshold, agreement); net and circuit are left untouched.
-    No candidate or no image is a ValidationError.
+    Ties break toward the smaller threshold (smaller phase distortion): the
+    candidates ascend, only a strictly better score replaces the best, and
+    the scan stops once a candidate agrees on every image. Returns
+    (threshold, agreement), the agreement being the model's; net and circuit
+    are left untouched. No candidate or no image is a ValidationError, and
+    all-zero first-layer pre-activations a NumericError. n_cycles is unused:
+    perfbench/ still passes it, so it stays until the benchmark's next change.
     """
-    p = circuit.params
     check_count("n_candidates", n_candidates)
     if len(images) == 0:
         raise ValidationError("calibration needs at least one image, got 0")
-    if n_cycles is None:
-        n_cycles = p.n_cycles
-    amp = observe_amplitude(circuit, images[0], n_cycles)
-    candidates = amp * np.logspace(np.log10(0.03), np.log10(0.3), n_candidates)
     x = encode_batch(net, np.stack([np.asarray(im).reshape(-1) for im in images]))
-    wants = predict_batch(forward(net, x).output.reshape(len(images), -1)).tolist()
-    best_thr, best_agree = None, -1
-    out_layer, n = len(net.layers), len(images)
+    first = np.abs(preactivation(net.layers[0], net.weights[0], net.biases[0], x[:1])[0])
+    first = first[first > 0]
+    if first.size == 0:
+        raise NumericError("no first-layer pre-activation is nonzero; check the circuit")
+    amp = soma_response(circuit.params)[0] * float(np.median(first))
+    candidates = amp * np.logspace(np.log10(0.03), np.log10(0.3), n_candidates)
+    wants = predict_batch(forward(net, x).output.reshape(len(images), -1))
+    best_thr, best_agree, n = None, -1, len(images)
     for thr in candidates:
-        agree = 0
-        for i, (image, want) in enumerate(zip(images, wants)):
-            if agree + n - i <= best_agree:  # cannot beat the best any more
-                break
-            result = run(circuit, [(image, n_cycles)], v_threshold=float(thr))
-            agree += want == decode_output(result.raster, circuit.n_outputs, out_layer,
-                                           now=n_cycles * p.period)
+        agree = _model_agreement(net, x, float(thr), circuit.params, wants)
         if agree > best_agree:
             best_agree, best_thr = agree, float(thr)
         if best_agree == n:  # no later candidate can beat it
             break
     return best_thr, best_agree / n
+
+
+def _model_agreement(net, x, v_threshold, params, wants):
+    """Images on which steady_state's output decodes to wants' class."""
+    got = predict_batch(steady_state(net, x, v_threshold, params)[-1].reshape(len(x), -1))
+    return int(((got == wants) & (got >= 0)).sum())

@@ -218,9 +218,9 @@ def cmd_eval(args):
     return 0
 
 
-def _spiking_run(args, backend):
+def _spiking_run(args):
     """Config, model and split of a spikes or simulate run, with its indices
-    checked and its manifest written."""
+    checked."""
     cfg = _load_config(args)
     net = load_model(args.model)
     ds = _load_split(cfg, args.split)
@@ -230,13 +230,13 @@ def _spiking_run(args, backend):
             ("record output unit", getattr(args, "record_output_unit", None), net.n_outputs)):
         if value is not None and not 0 <= value < bound:
             raise ValidationError(f"{flag} index {value} out of range [0, {bound})")
-    _write_manifest(args.out_dir, "spikes", cfg,
-                    {"model": args.model, "backend": backend, "example": args.example})
     return cfg, net, ds
 
 
 def cmd_spikes(args):
-    cfg, net, ds = _spiking_run(args, "ideal")
+    cfg, net, ds = _spiking_run(args)
+    _write_manifest(args.out_dir, "spikes", cfg,
+                    {"model": args.model, "backend": "ideal", "example": args.example})
     n_cycles = cfg["n_cycles"]
     check_count("n_cycles", n_cycles)
     if n_cycles < len(net.layers) + 1:
@@ -252,20 +252,32 @@ def cmd_spikes(args):
 
 
 def cmd_simulate(args):
-    cfg, net, ds = _spiking_run(args, "circuit")
+    cfg, net, ds = _spiking_run(args)
     out_dir, n_cycles = args.out_dir, cfg["n_cycles"]
     circ = build_circuit(net, CircuitParams(period=cfg["period"], dt=cfg["dt"],
                                             n_cycles=n_cycles))
-    v_th = cfg["v_threshold"] if cfg["v_threshold"] is not None else net.v_threshold
+    # where the threshold came from: --v-threshold or the config file ("flag"),
+    # the model file ("model"), or calibration ("calibrated")
+    v_th, source = cfg["v_threshold"], "flag"
+    if v_th is None:
+        v_th, source = net.v_threshold, "model"
+    calibration = {}
     if v_th is None:
         print("calibrating spike threshold...", file=sys.stderr)
         picks = [(args.example + i) % len(ds) for i in range(min(CALIBRATION_IMAGES, len(ds)))]
         v_th, agree = calibrate_threshold(net, circ, [ds.images[i] for i in picks])
-        print(f"calibrated threshold {v_th:.4g} mV (agreement {agree:.0%} on "
+        source, calibration["model_agreement"] = "calibrated", agree
+        print(f"calibrated threshold {v_th:.4g} mV (model agreement {agree:.0%} on "
               f"{len(picks)} images)", file=sys.stderr)
         if agree == 0:
             print("warning: no threshold candidate decoded the phasor network's class "
-                  "on any calibration image; using the smallest candidate", file=sys.stderr)
+                  "on any calibration image (model agreement 0%); using the smallest "
+                  "candidate", file=sys.stderr)
+    _write_manifest(out_dir, "spikes", cfg, {
+        "model": args.model, "backend": "circuit", "example": args.example,
+        "v_threshold": v_th, "v_threshold_source": source,
+        "theta_eff": v_th / circuit_mod.soma_response(circ.params)[0], **calibration})
+    if source == "calibrated":
         net.v_threshold = v_th
         save_model(net, os.path.join(out_dir, "model_calibrated.phzn"))
     stimuli = [(ds.images[i], n_cycles) for i in (args.example, args.second_example)

@@ -260,6 +260,14 @@ def _activation_pullback(g, h, inv):
 # -- forward / loss / backward -----------------------------------------------
 
 
+def preactivation(spec, w, b, h):
+    """One layer's z = W h + b over a batch h, and its im2col columns of h
+    (None for a dense layer)."""
+    if spec.kind == "dense":
+        return matvec(w, h.reshape(h.shape[0], -1), b), None
+    return conv2d_valid(h, w, b, return_cols=True)
+
+
 def forward(net, x):
     """Run inference, retaining activations, masks, reciprocal magnitudes
     and conv columns (see ForwardTrace).
@@ -278,13 +286,7 @@ def forward(net, x):
     h = x
     hs, masks, invs, cols = [], [], [], []
     for spec, w, b in zip(net.layers, net.weights, net.biases):
-        c = None
-        if spec.kind == "dense":
-            if h.ndim > 2:
-                h = h.reshape(h.shape[0], -1)
-            z = matvec(w, h, b)
-        else:
-            z, c = conv2d_valid(h, w, b, return_cols=True)
+        z, c = preactivation(spec, w, b, h)
         h, mask, inv = tpam_activation(z, spec.theta)
         hs.append(h)
         masks.append(mask)

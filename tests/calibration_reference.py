@@ -1,8 +1,10 @@
-"""Full-scan threshold calibration, tests only.
+"""Full-scan threshold calibration by circuit runs, tests only.
 
 The scan runs every candidate on every image and keeps the first candidate
-with the highest agreement. calibrate_threshold stops early where no later
-run can change that result, and is checked against this loop.
+with the highest circuit agreement, as calibrate_threshold did before it
+scored candidates on the circuit's steady state. The circuit must decode
+the net's class at least as often at calibrate_threshold's result as at
+this scan's.
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from phasornet.circuit import (
     fidelity,
     observe_amplitude,
     run,
+    soma_response,
+    steady_state,
     stimulus_phase_offsets,
 )
 from phasornet import _circuit_kernels as ck
@@ -24,9 +27,11 @@ from phasornet.phasor_net import (
     PhasorNetwork,
     forward,
     input_phases,
+    preactivation,
     predict,
 )
-from phasornet.spikemap import SpikeRaster, phase_to_time, synapse_delay, unroll
+from phasornet.spikemap import (SpikeRaster, phase_to_time, raster_phases, synapse_delay,
+                               unroll)
 from phasornet.training import encode_batch
 
 import calibration_reference
@@ -1074,8 +1079,12 @@ class TestFidelity:
 
 class TestCalibration:
     def test_threshold_in_scan_range(self, calibrated):
+        # the scan's decade is relative to the locked layer-1 amplitude
+        # G median|z| over images[0]'s nonzero first-layer pre-activations
         net, circuit, images, thr, agree = calibrated
-        amp = observe_amplitude(circuit, images[0])
+        x = encode_batch(net, images[0][None])
+        z = np.abs(preactivation(net.layers[0], net.weights[0], net.biases[0], x)[0])
+        amp = soma_response(circuit.params)[0] * np.median(z[z > 0])
         assert 0.03 * amp * (1 - 1e-9) <= thr <= 0.3 * amp * (1 + 1e-9)
         assert net.v_threshold is None  # calibration leaves the net as it was
         assert 0.0 <= agree <= 1.0
@@ -1095,43 +1104,88 @@ class TestCalibration:
         assert amp > 0.0
 
     def test_scan_stops_once_no_candidate_can_win(self, monkeypatch):
-        # candidate x image agreement: candidate 1 cannot beat candidate 0
-        # after two misses, candidate 2 agrees on every image, candidate 3
-        # is never run
-        table = [[1, 0, 0], [0, 0, 1], [1, 1, 1], [1, 1, 1]]
-        candidates = np.logspace(np.log10(0.03), np.log10(0.3), len(table))
-        runs = []
+        # images agreed per candidate, scored in ascending order: candidate 1
+        # ties candidate 0 and does not replace it, candidate 2 agrees on
+        # every image, candidate 3 is never scored
+        table = [2, 2, 3, 3]
+        scored = []
 
-        def fake_run(circuit, stimuli, v_threshold):
-            cand = int(np.argmin(np.abs(candidates - v_threshold)))
-            runs.append(cand)
-            return circuit_mod.CircuitResult(raster=(cand, None), vm_max=None)
+        def fake_score(net, x, v_threshold, params, wants):
+            scored.append(v_threshold)
+            return table[len(scored) - 1]
 
-        def fake_decode(raster, n_outputs, output_layer, now):
-            cand = raster[0]
-            image = runs.count(cand) - 1  # the candidate's images run in order
-            return image if table[cand][image] else None
-
-        monkeypatch.setattr(circuit_mod, "observe_amplitude", lambda *a: 1.0)
-        monkeypatch.setattr(circuit_mod, "predict_batch", lambda out: np.arange(len(out)))
-        monkeypatch.setattr(circuit_mod, "run", fake_run)
-        monkeypatch.setattr(circuit_mod, "decode_output", fake_decode)
+        monkeypatch.setattr(circuit_mod, "_model_agreement", fake_score)
         net = tiny_net()
         thr, agree = calibrate_threshold(net, build_circuit(net), tiny_images(3),
-                                         n_candidates=len(table), n_cycles=3)
-        assert thr == candidates[2] and agree == 1.0
-        assert runs == [0, 0, 0, 1, 1, 2, 2, 2]  # the full scan makes 12 runs
+                                         n_candidates=len(table))
+        assert len(scored) == 3 and thr == scored[2] and agree == 1.0
+        np.testing.assert_allclose(np.diff(np.log10(scored)), 1 / 3)  # the decade in thirds
+        # with no candidate agreeing on every image the first of the best wins
+        table[:] = [1, 2, 2, 1]
+        scored.clear()
+        thr, agree = calibrate_threshold(net, build_circuit(net), tiny_images(3),
+                                         n_candidates=len(table))
+        assert len(scored) == 4 and thr == scored[1] and agree == 2 / 3
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_result_equals_the_full_scan(self, seed):
+        # Named for the full circuit scan it is checked against: the settled
+        # circuit (15 cycles) decodes the net's class on the calibration
+        # images at least as often at the model's threshold as at the scan's
+        # (5-cycle runs, as perfbench calibrates). Over tiny-net seeds 1-12
+        # the model's threshold agreed on as many images or more on every
+        # seed; on seed 2 it is the third candidate, not the first, because
+        # image 0 is a near tie in the net (predict scores 1.205 / 1.204)
+        # that the model, like the circuit, decodes as the runner-up at the
+        # two smaller candidates.
         net = tiny_net(seed=seed)
         net.biases[0][:] = 0.2 + 0.1j
         circuit = build_circuit(net)
         images = tiny_images(3, seed=seed)
-        want_thr, want_agree, _ = calibration_reference.full_scan(
+        scan_thr, _, _ = calibration_reference.full_scan(
             net, circuit, images, n_candidates=4, n_cycles=5)
-        assert calibrate_threshold(net, circuit, images, n_candidates=4,
-                                   n_cycles=5) == (want_thr, want_agree)
+        thr, _ = calibrate_threshold(net, circuit, images, n_candidates=4)
+        x = encode_batch(net, np.stack(images))
+        wants = [predict(h) for h in forward(net, x).output]
+
+        def settled_agreement(v_threshold):
+            return sum(want == decode_output(
+                run(circuit, [(image, 15)], v_threshold=v_threshold).raster,
+                circuit.n_outputs, len(net.layers), now=150.0)
+                for image, want in zip(images, wants))
+
+        assert settled_agreement(thr) >= settled_agreement(scan_thr)
+
+    def test_never_integrates(self, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("calibration integrated the circuit")
+
+        monkeypatch.setattr(circuit_mod, "run", no_integration)
+        monkeypatch.setattr(ck, "Integrator", no_integration)
+        for net in (tiny_net(seed=1), TestDecodeIdealRaster.conv_net(1)):
+            net.biases[0][:] = 0.2 + 0.1j
+            images = list(np.random.default_rng(1).uniform(size=(3,) + net.input_shape))
+            thr, agree = calibrate_threshold(net, build_circuit(net), images)
+            assert thr > 0.0 and 0.0 <= agree <= 1.0
+
+    def test_silent_units_warn_of_nothing(self):
+        # |z| = 0 units and candidates above some |z| take no reciprocal of 0
+        # and no arccos above 1; a threshold above every |z| silences the net
+        net = tiny_net(seed=0)
+        net.weights[0][::2] = 0.0
+        images = tiny_images(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calibrate_threshold(net, build_circuit(net), images)
+            x = encode_batch(net, np.stack(images))
+            out = steady_state(net, x, 1e30, CircuitParams())
+        assert all(np.all(h == 0) for h in out)
+
+    def test_silent_first_layer_is_a_numeric_error(self):
+        net = tiny_net(seed=0)
+        net.weights[0][:] = 0.0
+        with pytest.raises(NumericError, match="pre-activation"):
+            calibrate_threshold(net, build_circuit(net), tiny_images(2))
 
     def test_reference_classes_use_the_nets_encoding(self, monkeypatch):
         # the phasors that eval and predict feed forward(): encoded in the
@@ -1152,6 +1206,63 @@ class TestCalibration:
         calibrate_threshold(net, build_circuit(net), images, n_candidates=2, n_cycles=3)
         assert len(seen) == 1 and seen[0].dtype == np.complex128
         np.testing.assert_array_equal(seen[0], encode_batch(net, np.stack(images)))
+
+
+class TestSteadyState:
+    """soma_response's closed form against the circuit, on layer 1 of five
+    seeded dense nets and one conv net, first-layer biases 0.2+0.1j, the
+    last of 8 cycles read. Tolerances from dense and conv nets seeds 0-7:
+    the median of amplitude / (G |z|) was 0.9957-1.0032; at theta_eff 0.05 /
+    0.3 / 0.8 x median|z| the mean spike-phase residual against arg z -
+    arccos(theta_eff / |z|) + lag was within 0.018 rad of 0 and its mean
+    magnitude at most 0.036 rad, and every unit whose spiking differed from
+    |z| > theta_eff had |z| within 6.7% of theta_eff."""
+
+    CASES = [("dense", seed) for seed in range(5)] + [("conv", 0)]
+    N_CYCLES = 8
+
+    @staticmethod
+    def case(kind, seed):
+        """(net, circuit, image, layer-1 pre-activation z flattened)."""
+        net = tiny_net(seed) if kind == "dense" else TestDecodeIdealRaster.conv_net(seed)
+        net.biases[0][:] = 0.2 + 0.1j
+        image = np.random.default_rng(seed).uniform(size=int(np.prod(net.input_shape)))
+        x = encode_batch(net, image[None])
+        z = preactivation(net.layers[0], net.weights[0], net.biases[0], x)[0].reshape(-1)
+        return net, build_circuit(net), image, z
+
+    def test_closed_form_at_the_defaults(self):
+        gain, lag = soma_response(CircuitParams())
+        assert gain == pytest.approx(0.046036, abs=5e-7)
+        assert lag == pytest.approx(4.5802, abs=5e-5)
+
+    @pytest.mark.parametrize("kind, seed", CASES)
+    def test_locked_amplitude_is_gain_times_z(self, kind, seed):
+        net, circuit, image, z = self.case(kind, seed)
+        result = run(circuit, [(image, self.N_CYCLES)], v_threshold=1e30,
+                     record_neurons=range(z.size))
+        last = result.trace_vm[-int(round(circuit.params.period / circuit.params.dt)):]
+        amp = (last.max(axis=0) - last.min(axis=0)) / 2
+        gain = soma_response(circuit.params)[0]
+        assert np.median(amp / (gain * np.abs(z))) == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("kind, seed", CASES)
+    def test_spike_phase_is_the_lagged_rising_edge(self, kind, seed):
+        net, circuit, image, z = self.case(kind, seed)
+        gain, lag = soma_response(circuit.params)
+        x = encode_batch(net, image[None])
+        for frac in (0.05, 0.3, 0.8):
+            theta_eff = frac * np.median(np.abs(z))
+            result = run(circuit, [(image, self.N_CYCLES)], v_threshold=gain * theta_eff)
+            phases = raster_phases(result.raster, 1, z.size, self.N_CYCLES - 1)
+            spiking, active = ~np.isnan(phases), np.abs(z) > theta_eff
+            near = np.abs(np.abs(z) / theta_eff - 1) < 0.1
+            assert np.array_equal(spiking[~near], active[~near])
+            model = steady_state(net, x, gain * theta_eff, circuit.params)[0].reshape(-1)
+            np.testing.assert_array_equal(model != 0, active)
+            both = spiking & active
+            residual = np.angle(np.exp(1j * phases[both]) * np.conj(model[both]))
+            assert abs(residual.mean()) < 0.03 and np.abs(residual).mean() < 0.05
 
 
 class TestEndToEnd:

@@ -245,6 +245,30 @@ class TestSpikes:
         assert load_model(out / "model.phzn").v_threshold is None
         assert load_model(tmp_path / "model_calibrated.phzn").v_threshold > 0.0
 
+    def test_simulate_manifest_records_its_threshold(self, workdir, tmp_path, capsys):
+        root, out = workdir
+        gain = cli.circuit_mod.soma_response(cli.CircuitParams())[0]
+        common = ["--data-dir", str(root / "data"), "--n-cycles", "3"]
+
+        def simulate(model, run_dir, *flags):
+            assert main(["simulate", str(model), "--out-dir", str(run_dir), *common,
+                         *flags]) == 0
+            return json.loads((run_dir / "spikes_manifest.json").read_text())
+
+        calibrated = simulate(out / "model.phzn", tmp_path / "a")
+        v_th = load_model(tmp_path / "a" / "model_calibrated.phzn").v_threshold
+        assert calibrated["v_threshold"] == v_th
+        assert calibrated["v_threshold_source"] == "calibrated"
+        assert calibrated["theta_eff"] == pytest.approx(v_th / gain)
+        assert f"model agreement {calibrated['model_agreement']:.0%}" in capsys.readouterr().err
+        from_model = simulate(tmp_path / "a" / "model_calibrated.phzn", tmp_path / "b")
+        assert (from_model["v_threshold"], from_model["v_threshold_source"]) == (v_th, "model")
+        flagged = simulate(out / "model.phzn", tmp_path / "c", "--v-threshold", "0.02")
+        assert (flagged["v_threshold"], flagged["v_threshold_source"]) == (0.02, "flag")
+        assert flagged["theta_eff"] == pytest.approx(0.02 / gain)
+        assert "model_agreement" not in from_model and "model_agreement" not in flagged
+        assert flagged["backend"] == "circuit" and flagged["command"] == "spikes"
+
     @staticmethod
     def calibration_spy(monkeypatch, agreement=None):
         """Record the images each calibration scores; optionally force its agreement."""
