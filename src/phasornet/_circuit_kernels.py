@@ -24,14 +24,16 @@ the step count, and are built once for each (constants).
 Chunks. The circuit is feed-forward, and a delivery never lands on the step
 that sent it. A run is cut into the fewest chunks of equal whole-block
 sizes that the largest layer fits in BUDGET (neuron, step) entries (a
-6-block run under a 4-block budget is two chunks of 3), and within a chunk
+6-block run under a 4-block budget is two chunks of 3; a layer of up to 170
+neurons takes a 1500-step run in one chunk), and within a chunk
 the layers are integrated in order: when layer l starts, every delivery it gets
 in the chunk is known, from the generators, from earlier chunks, and from
 the spikes layer l-1 fired in this chunk. A layer too large for one block
 within the budget is integrated in row slices. One pass over a slice injects
-its deliveries, takes the sub-block products of every block at once, carries
-the 4-wide entering state from block to block, takes V_m of the whole chunk
-in one product, fires, and sends the spikes' deliveries.
+its deliveries into the sub-blocks they land in and takes those sub-blocks'
+products only (a sub-block without a delivery adds exactly 0), carries the
+4-wide entering state from block to block, takes V_m of the whole chunk in
+one product, fires, and sends the spikes' deliveries.
 
 Deliveries. Each is queued, in a bucket per (layer, chunk), as its owner's
 row * chunk + step in the chunk, its synapse and its reset age, all int32.
@@ -39,13 +41,16 @@ A run is the synapses one source sends through to one layer: an input
 generator's, the reference generator's to each layer, a neuron's. Synapses
 are numbered as the circuit stores them, in sending order: by run, then by
 grid phase frac(delay / dt), then by owner, so a spike's deliveries are one
-contiguous run, and a synapse has one source. Generator volleys and soma
-spikes take one send path (_send): a generator volley is a spike of each
-generator run at its timetable time, one timetable row per cycle with the
-reference generator last, queued when the chunk its cycle starts in comes
-up. A synapse's previous delivery came from its run's previous spike, whose
-time and earliest step the kernel keeps for every run, so a delivery's age
-is arrival(t + d) - arrival(t_prev + d), fixed when it is sent.
+contiguous run, and a synapse has one source. The circuit carries the send
+plan, built once with it (send_plan): each run's bounds and a float32
+search key, 2 run + grid phase. Generator volleys and soma spikes take one
+send path (_send): a generator volley is a spike of each generator run at
+its timetable time, one timetable row per cycle with the reference generator
+last, and every layer's generator runs are sent together, when the chunk
+their cycle starts in comes up. A synapse's previous delivery came from its
+run's previous spike, whose time and earliest step the kernel keeps for
+every run, so a delivery's age is arrival(t + d) - arrival(t_prev + d),
+fixed when it is sent.
 
 Null deliveries. A delivery whose reset-table entry is exactly 0 adds
 nothing: a second arrival in the step of a reset (age 0) and, when a period
@@ -65,12 +70,15 @@ rounding and by GRID_EPS / dt steps for the send-step clamp: a soma spike
 lies in (sent dt, (sent + 1) dt], so the clamp to step sent + 1 moves only a
 delay below GRID_EPS from a spike within GRID_EPS of its step's start, whose
 arrival lies within GRID_EPS / dt steps of the spike's own cell boundary.
-Only those slices are computed, and _queue drops the null ones among them by
-the table's nonzero mask `live`. Of the others, a delivery due after the
-run's last step is not one: within a period of the run's end, they are
-counted by comparing each due time with the last step's (_past). Where
-period/dt is not whole, every spike computes its whole run and only age 0 is
-null. The band rule changes no raster: what it skips is null, and one
+The search key is float32, and the window's ends are rounded to float32
+too, so rounding, which keeps order, can only widen a slice, by up to a
+float32 spacing of the key (6e-5 steps on a net of a few hundred runs): it
+computes more deliveries, never fewer. Only those slices are computed, and
+_queue drops the null ones among them by the table's nonzero mask `live`.
+Of the others, a delivery due after the run's last step is not one: within
+a period of the run's end, they are counted by comparing each due time with
+the last step's (_past). Where period/dt is not whole, every spike computes
+its whole run and only age 0 is null. The band rule changes no raster: what it skips is null, and one
 spike's deliveries go to distinct owners, so the order of the synapses
 within a run changes no summation order. Dropping null deliveries does,
 where period/dt is whole: against injecting every delivery, spike times move
@@ -78,7 +86,9 @@ in the last digits, with the same spike sequences.
 
 Summation order. The chunk's products add the same terms as one block at a
 time would, in another order, so spike times can move in the last digits,
-with the same spike sequence and deliveries.
+with the same spike sequence and deliveries. So can the sub-block product,
+whose row count varies with the deliveries and so may change the BLAS
+kernel that computes a row.
 
 Clock. A run over a stimulus sequence has one clock: step j starts at j*dt
 and ends at (j + 1)*dt, and the run is round(total cycles * period / dt)
@@ -101,7 +111,7 @@ import numpy as np
 GRID_EPS = 1e-9
 BLOCK = 256  # steps per block of the block propagator, a power of two
 SUB = 32  # steps per diagonal block of the block's propagator, a power of two
-BUDGET = 1 << 17  # (neuron, step) entries integrated in one pass
+BUDGET = 1 << 18  # (neuron, step) entries integrated in one pass
 MARGIN = 1e-6  # steps the band rule widens its window by on each side against rounding
 
 
@@ -125,6 +135,28 @@ def grid_phase(delay, dt):
     """Each delay's position in its grid cell, frac(delay / dt)."""
     x = delay / dt
     return x - np.floor(x)
+
+
+def send_plan(circuit):
+    """(order, run_ptr, phase_key) of a circuit whose synapses are grouped by
+    run. order puts each run in sending order, by grid phase; synapses of
+    equal phase keep the order they came in, which build_circuit makes by
+    owner. Run r's synapses are run_ptr[r]:run_ptr[r + 1]. phase_key is
+    2 run + grid phase in sending order, ascending, as float32; a key
+    rounded up to a whole number stays below the next run's keys.
+
+    Runs: input generator g is run g, the reference generator's run to
+    layer l is run n_gen - 1 + l, so layer 0's generator runs are
+    0 .. n_gen - 1, and neuron k's run follows them all."""
+    ptr, ref = circuit.out_ptr, circuit.n_gen - 1
+    layer = circuit.neuron_layer[circuit.syn_owner[ptr[ref]:ptr[ref + 1]]]
+    bias = ptr[ref] + np.searchsorted(layer, np.arange(1, len(circuit.layer_sizes) + 1))
+    run_ptr = np.concatenate((ptr[:ref], bias, ptr[ref + 1:]))
+    run = np.repeat(np.arange(run_ptr.size - 1), np.diff(run_ptr))
+    key = grid_phase(circuit.syn_delay, circuit.params.dt)
+    key += 2.0 * run
+    order = np.argsort(key, kind="stable")
+    return order, run_ptr, key.take(order).astype(np.float32)
 
 
 def reset_table(params, never):
@@ -256,7 +288,7 @@ def fire(vm, vm_prev, armed, v_th):
     starts = np.arange(n) * m
     cuts = np.concatenate((starts, ups[step > 0]))  # an upcrossing at step 0 starts its row
     cuts.sort(kind="stable")  # a merge of two sorted runs
-    dips = np.minimum.reduceat(np.ascontiguousarray(vm).reshape(-1), cuts) < 0.0
+    dips = np.logical_or.reduceat((vm < 0.0).reshape(-1), cuts)
     last = np.searchsorted(cuts, starts + m) - 1  # each row's last stretch
     entered = armed.copy()
     quiet = np.ones(n, dtype=bool)  # rows without an upcrossing
@@ -274,45 +306,30 @@ class Integrator:
     def __init__(self, circuit, v_threshold, n_steps, gen_times):
         """gen_times: (cycles, generators) spike time of every generator in
         every cycle, the reference generator last, so its column holds the
-        cycle starts."""
+        cycle starts. The circuit carries its send plan (send_plan), so
+        nothing here is per synapse."""
         p = circuit.params
         self.circuit, self.v_th, self.total = circuit, v_threshold, n_steps
         self.table, self.live, self.local, self.carry_vm, self.carry_end = constants(p, n_steps)
-        n, first = circuit.n_neurons, np.asarray(circuit.layer_offsets)
-        sizes = circuit.layer_sizes
+        n, sizes = circuit.n_neurons, circuit.layer_sizes
         # the fewest chunks the budget allows, of equal whole-block sizes
         blocks, nb = -(-n_steps // BLOCK), max(1, BUDGET // (BLOCK * max(sizes)))
         nb = -(-blocks // -(-blocks // nb))
         self.chunk = nb * BLOCK  # steps per chunk
+        self.n_chunks = -(-n_steps // self.chunk)
         self.rows = max(1, BUDGET // self.chunk)  # rows per slice of a layer
-        owner = circuit.syn_owner
-        layer = circuit.neuron_layer[owner] - 1
-        self.weight = circuit.syn_w
-        # Delivery keys, steps and ages are int32: a layer holds fewer than
-        # 2**31 (neuron, step) entries of a chunk, and a run fewer steps.
-        self.key = ((owner - first[layer]) * self.chunk).astype(np.int32)  # owner's row
-        self.out_delay = circuit.syn_delay
+        self.weight, self.out_delay = circuit.syn_w, circuit.syn_delay
+        self.owner = circuit.syn_owner
+        self.run_ptr, self.phase_key = circuit.run_ptr, circuit.phase_key
+        self.neuron_run = circuit.n_gen - 1 + len(sizes)
+        n_runs = self.run_ptr.size - 1
         self.state = np.zeros((n, 4))  # V, W, V_m, Vdbar
         self.armed = np.ones(n, dtype=bool)  # not refractory
         self.vm_max = np.zeros(n)
-        # one slice's work arrays, reused by every pass; x holds V_m once the
-        # sub-block products have read it
+        # one slice's V_m and carry input, reused by every pass
         rows = min(self.rows, max(sizes))
-        self.x = np.zeros(rows * self.chunk, dtype=np.complex128)
-        self.sub = np.empty((rows * self.chunk // SUB, SUB + 4))
+        self.vm = np.empty(rows * self.chunk)
         self.cin = np.empty((rows, nb, 4 * BLOCK // SUB + 4))
-        # Runs: input generator g is run g, the reference generator's run to
-        # layer l is run n_gen - 1 + l, so layer 0's generator runs are
-        # 0 .. n_gen - 1, and neuron k's run follows them all.
-        ptr, ref = circuit.out_ptr, circuit.n_gen - 1
-        bias = ptr[ref] + np.searchsorted(layer[ptr[ref]:ptr[ref + 1]], np.arange(len(sizes)))
-        self.run_ptr = np.concatenate((ptr[:ref], bias, ptr[ref + 1:]))
-        self.neuron_run = ref + len(sizes)
-        n_runs = self.run_ptr.size - 1
-        # Search key, ascending: 2 run + grid phase, so that a key rounded up
-        # to a whole number stays below the next run's keys
-        self.phase_key = grid_phase(self.out_delay, p.dt)
-        self.phase_key += np.repeat(2.0 * np.arange(n_runs), np.diff(self.run_ptr))
         # steps the band rule widens its window by on each side: MARGIN
         # against rounding, and GRID_EPS / dt for the send-step clamp
         self.margin = MARGIN + GRID_EPS / p.dt
@@ -349,7 +366,8 @@ class Integrator:
         return j.astype(np.int32)
 
     def _queue(self, layer, steps, syn, age):
-        """Queue deliveries to `layer`'s synapses on the given steps, with the
+        """Queue deliveries on the given steps to the given synapses, owned
+        by neurons of `layer` (one for all, or one per delivery), with the
         reset age of each. Those past the run's end are dropped; null ones,
         whose reset adds nothing, are counted and then dropped too."""
         keep = steps < self.total
@@ -360,33 +378,45 @@ class Integrator:
             return
         if keep.size < steps.size:
             steps, syn, age = steps.take(keep), syn.take(keep), age.take(keep)
-        lo, hi = int(steps.min()) // self.chunk, int(steps.max()) // self.chunk
-        chunk = steps // self.chunk if hi > lo else None
-        for k in range(lo, hi + 1):
+            if np.ndim(layer):
+                layer = layer.take(keep)
+        bucket = steps // self.chunk  # (layer, chunk) as layer * chunks + chunk
+        bucket += layer * self.n_chunks
+        lo, hi = int(bucket.min()), int(bucket.max())
+        for b in range(lo, hi + 1):
             s, st, a = syn, steps, age
-            if chunk is not None:
-                at = np.flatnonzero(chunk == k)
+            if hi > lo:
+                at = np.flatnonzero(bucket == b)
+                if not at.size:
+                    continue
                 s, st, a = syn.take(at), steps.take(at), age.take(at)
-            key = self.key.take(s)
+            l, k = divmod(b, self.n_chunks)
+            # Delivery keys, steps and ages are int32: a layer holds fewer
+            # than 2**31 (neuron, step) entries of a chunk, and a run fewer
+            # steps.
+            key = self.owner.take(s)  # the owner's row, then its entry
+            key -= self.circuit.layer_offsets[l]
+            key *= self.chunk
             key += st
             key -= k * self.chunk
-            self.pending.setdefault((layer, k), []).append(
+            self.pending.setdefault((l, k), []).append(
                 (key, s.astype(np.int32, copy=False), a.astype(np.int32, copy=False)))
 
     def _send_generators(self, until):
         """Send the generator volleys of every cycle that starts before time
         `until`: each generator run spikes once a cycle, at its timetable
-        time."""
+        time. Runs 0 .. n_gen - 1 feed layer 0; the reference generator's
+        run n_gen - 1 + l feeds layer l, at the reference generator's time."""
         start, self.gen_sent = self.gen_sent, int(np.searchsorted(self.gen_times[:, -1], until))
         if self.gen_sent <= start:
             return
         times = self.gen_times[start:self.gen_sent]
         k, n_gen = times.shape
-        self._send(0, np.tile(np.arange(n_gen), k), times.reshape(-1), np.zeros(times.size))
-        for l in range(1, len(self.circuit.layer_sizes)):
-            run = n_gen - 1 + l
-            if self.run_ptr[run + 1] > self.run_ptr[run]:
-                self._send(l, np.full(k, run), times[:, -1], np.zeros(k))
+        n_layers = len(self.circuit.layer_sizes)
+        col = np.r_[np.arange(n_gen), np.full(n_layers - 1, n_gen - 1)]  # each run's time column
+        layer = np.r_[np.zeros(n_gen, dtype=np.intp), np.arange(1, n_layers)]
+        self._send(np.tile(layer, k), np.tile(np.arange(col.size), k),
+                   times[:, col].reshape(-1), np.zeros(k * col.size))
 
     def _deliveries(self, layer, chunk):
         """The (key, synapse, age) deliveries to each row slice of `layer` in
@@ -407,7 +437,7 @@ class Integrator:
     def run(self, rec_ids, rec_vm):
         """Integrate every step; returns (failing neuron or -1, step)."""
         c, p = self.circuit, self.circuit.params
-        for chunk in range(-(-self.total // self.chunk)):
+        for chunk in range(self.n_chunks):
             self._send_generators(((chunk + 1) * self.chunk + 1) * p.dt)
             bad = []
             for l, size in enumerate(c.layer_sizes):
@@ -430,20 +460,18 @@ class Integrator:
         first = c.layer_offsets[l] + r0
         state = self.state[first:first + rows]
         vm_prev = state[:, 2].copy()
-        x, cin = self.x[:rows * width], self.cin[:rows]
-        key, syn, age = got
-        x.fill(0.0)
-        np.add.at(x, key, self.table.take(age) * self.weight.take(syn))
-        sub = np.matmul(x.view(np.float64).reshape(-1, 2 * SUB), self.local,
-                        out=self.sub[:rows * width // SUB])
-        cin[:, :, :-4] = sub[:, SUB:].reshape(rows, nb, -1)
+        cin = self.cin[:rows]
+        subs, local = self._inject(got, rows * width // SUB)
+        ends = cin.reshape(rows * nb, -1)[:, :-4].reshape(rows * nb, -1, 4)  # a view
+        ends.fill(0.0)
+        ends[np.divmod(subs, ends.shape[1])] = local[:, SUB:]
         for b in range(nb):  # the state entering each block
             cin[:, b, -4:] = state
             np.matmul(cin[:, b], self.carry_end, out=state)
         vm = np.matmul(cin.reshape(rows * nb, -1), self.carry_vm,
-                       out=x.view(np.float64)[:rows * width].reshape(rows * nb, BLOCK))
+                       out=self.vm[:rows * width].reshape(rows * nb, BLOCK))
         by_sub = vm.reshape(-1, SUB)
-        np.add(by_sub, sub[:, :SUB], out=by_sub)
+        by_sub[subs] += local[:, :SUB]
         vm = vm.reshape(rows, width)[:, :m]
         top = vm.max(axis=1)
         if not (np.isfinite(top).all() and np.isfinite(vm[:, -1]).all()):
@@ -469,11 +497,38 @@ class Integrator:
             self._send(l + 1, self.neuron_run + neurons, tstar, sent + 1.0)
         return None
 
+    def _inject(self, got, n_sub):
+        """(sub-blocks, their products) of a pass's deliveries `got`: the
+        sub-blocks of its n_sub that a delivery lands in, ascending, and
+        `local` times their injected (V, W), whose (SUB + 4) columns are V_m
+        after each of their steps and the state they leave at their end.
+        Every other sub-block adds exactly 0, so it is not injected or
+        multiplied."""
+        key, syn, age = got
+        at = key.astype(np.intp)  # indexing by int32 casts on every use
+        at //= SUB  # each delivery's sub-block
+        hit = np.zeros(n_sub, dtype=bool)
+        hit[at] = True
+        # a delivery's place among the hit sub-blocks' entries is its key,
+        # moved down SUB entries for each sub-block without a delivery
+        # before its own
+        shift = np.cumsum(hit) - 1 - np.arange(n_sub)
+        shift *= SUB
+        np.take(shift, at, out=at)
+        at += key
+        subs = np.flatnonzero(hit)
+        x = np.zeros((subs.size, SUB), dtype=np.complex128)
+        add = self.table.take(age)
+        add *= self.weight.take(syn)
+        np.add.at(x.reshape(-1), at, add)
+        return subs, x.view(np.float64).reshape(-1, 2 * SUB) @ self.local
+
     def _send(self, layer, runs, t, floor):
-        """Queue to `layer` the deliveries of spikes of the given runs at times
-        t, landing on step `floor` (a float) or later; a run's spikes come in
-        time order. Only the deliveries _computed names are computed; the
-        others are null, and counted unless they land past the run's end."""
+        """Queue to `layer` (one for all, or one per spike) the deliveries of
+        spikes of the given runs at times t, landing on step `floor` (a
+        float) or later; a run's spikes come in time order. Only the
+        deliveries _computed names are computed; the others are null, and
+        counted unless they land past the run's end."""
         # each spike's run's previous spike: earlier in this call, or kept
         order = np.argsort(runs, kind="stable")
         r, ts, fs = runs.take(order), t.take(order), floor.take(order)
@@ -493,7 +548,7 @@ class Integrator:
         delay = self.out_delay.take(pos)
         steps = self._arrival(np.repeat(t, per) + delay, np.repeat(floor, per))
         age = steps - self._arrival(np.repeat(t_prev, per) + delay, np.repeat(floor_prev, per))
-        self._queue(layer, steps, pos, age)
+        self._queue(np.repeat(layer, per) if np.ndim(layer) else layer, steps, pos, age)
 
     def _computed(self, runs, t, t_prev):
         """(positions, count per spike, past) of the deliveries to compute for
@@ -514,12 +569,12 @@ class Integrator:
             a -= np.floor(a)
             z = a + (np.abs(drift) + 2 * self.margin)
             base = 2.0 * runs.take(b)
-            s = self.phase_key.searchsorted(base + a)
+            s = self._search(base + a, "left")
             wrap_end[b], start[b] = lo.take(b), s
-            end[b] = self.phase_key.searchsorted(base + np.minimum(z, 1.0), side="right")
+            end[b] = self._search(base + np.minimum(z, 1.0), "right")
             wrap = np.flatnonzero(z > 1.0)
             if wrap.size:
-                w = self.phase_key.searchsorted(base.take(wrap) + (z.take(wrap) - 1.0), side="right")
+                w = self._search(base.take(wrap) + (z.take(wrap) - 1.0), "right")
                 wrap_end[b.take(wrap)] = np.minimum(w, s.take(wrap))
         # per spike: [lo, wrap_end) is its whole run, or a band spike's
         # wrapped slice, and [start, end) its main slice
@@ -527,6 +582,14 @@ class Integrator:
         pos, counts = csr_rows(bounds, np.arange(0, bounds.size, 2))
         return pos, counts.reshape(-1, 2).sum(axis=1), \
             0 if band is None else self._past(band[0], t, wrap_end, start, end, hi)
+
+    def _search(self, keys, side):
+        """Positions of float64 keys in the float32 search key. A key is
+        rounded to float32 as the search key was, and rounding keeps order,
+        so a synapse whose 2 run + grid phase lies in a searched range stays
+        in it; searching unrounded keys could miss one. It also keeps numpy
+        from casting the whole search key up."""
+        return self.phase_key.searchsorted(keys.astype(np.float32), side=side)
 
     def _past(self, b, t, wrap_end, start, end, hi):
         """How many of band spikes b's uncomputed deliveries, [wrap_end,

@@ -12,7 +12,7 @@ re-encodes the phase as a spike time.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,9 +77,17 @@ class CircuitParams:
 
 @dataclass
 class CircuitModel:
-    """Flattened synapse/neuron topology ready for the integration kernel;
-    the syn_* arrays are in sending order for params.dt: by source and the
-    layer it feeds, then by grid phase, then by owner (see build_circuit)."""
+    """Flattened synapse/neuron topology ready for the integration kernel.
+
+    The syn_* arrays come grouped by run: by source, whose synapses are
+    out_ptr[s]:out_ptr[s + 1], then by the layer it feeds. Construction puts
+    each run in sending order for params.dt, by grid phase (synapses of
+    equal phase keep their order, which build_circuit makes by owner), and
+    builds the kernel's send plan (run_ptr, phase_key; see
+    _circuit_kernels.send_plan). The synapse arrays and the plan are
+    read-only, so an edit cannot leave the plan stale: dataclasses.replace
+    makes a new circuit, with its own plan.
+    """
 
     params: CircuitParams
     n_gen: int  # input generators + 1 reference generator
@@ -92,6 +100,15 @@ class CircuitModel:
     syn_owner: np.ndarray
     out_ptr: np.ndarray
     phase_shifts: np.ndarray
+    run_ptr: np.ndarray = field(init=False, repr=False)
+    phase_key: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        order, self.run_ptr, self.phase_key = ck.send_plan(self)
+        self.syn_w, self.syn_delay, self.syn_owner = (
+            a.take(order) for a in (self.syn_w, self.syn_delay, self.syn_owner))
+        for a in (self.syn_w, self.syn_delay, self.syn_owner, self.run_ptr, self.phase_key):
+            a.flags.writeable = False
 
     @property
     def n_synapses(self):
@@ -129,6 +146,8 @@ def build_circuit(net, params=None):
     neurons), then by the layer they feed, which splits only the reference
     generator's, then by grid phase frac(delay / dt), then by owning
     neuron. Source s sends through synapses out_ptr[s]:out_ptr[s + 1].
+    This groups them by run; CircuitModel orders each run and builds the
+    send plan.
     """
     if params is None:
         params = CircuitParams()
@@ -138,7 +157,9 @@ def build_circuit(net, params=None):
     n_gen = n_in + 1  # inputs + reference generator (drives biases, phase 0)
     ref_gen = n_in
     n_neurons = sum(layer_sizes)
-    layer_offsets = list(np.cumsum([0] + layer_sizes[:-1]))
+    # Python ints: the kernel shifts int32 arrays by them in place, which a
+    # numpy int64 scalar makes a casting loop, 4-5x slower
+    layer_offsets = np.cumsum([0] + layer_sizes[:-1]).tolist()
     neuron_layer = np.repeat(np.arange(1, len(layer_sizes) + 1), layer_sizes)
 
     owners, srcs, coeffs = [], [], []
@@ -160,10 +181,9 @@ def build_circuit(net, params=None):
         coeffs.append(np.repeat(coeff[f, r], positions))
     owner, src = np.concatenate(owners), np.concatenate(srcs)
     mag, delay = synapse_delay(np.concatenate(coeffs), params.period)
-    # sending order: by run (source, then the layer it feeds), then by grid
-    # phase, then by owner
-    order = np.lexsort((owner, ck.grid_phase(delay, params.dt),
-                        src * len(layer_sizes) + neuron_layer[owner]))
+    # grouped by run (source, then the layer it feeds), then by owner; a
+    # (source, owner) pair is one synapse
+    order = np.argsort((src * len(layer_sizes) + neuron_layer[owner]) * n_neurons + owner)
     out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_gen + n_neurons))])
 
     return CircuitModel(
@@ -175,7 +195,7 @@ def build_circuit(net, params=None):
         layer_sizes=layer_sizes,
         syn_w=mag[order],
         syn_delay=delay[order],
-        syn_owner=owner[order],
+        syn_owner=owner[order].astype(np.int32),
         out_ptr=out_ptr,
         phase_shifts=net.phase_shifts.copy(),
     )
@@ -231,11 +251,14 @@ def run(circuit, stimuli, v_threshold=None, record_neurons=()):
     times, neurons = kernel.spikes()
     layers = circuit.neuron_layer[neurons]
     local = neurons - np.asarray(circuit.layer_offsets, dtype=np.int64)[layers - 1]
-    raster = SpikeRaster.sorted(
-        np.concatenate([np.zeros(total_cycles * n_in, dtype=np.int64), layers]),
-        np.concatenate([np.tile(np.arange(n_in), total_cycles), local]),
-        np.concatenate([gen_times[:, :-1].reshape(-1), times]),
-        p.period, total_cycles)
+    # Among equal times the columns are already in (layer, neuron) order:
+    # generators first, then the kernel's passes, layer by layer, row-major
+    time = np.concatenate([gen_times[:, :-1].reshape(-1), times])
+    order = np.argsort(time, kind="stable")
+    raster = SpikeRaster(
+        np.concatenate([np.zeros(total_cycles * n_in, dtype=np.int64), layers]).take(order),
+        np.concatenate([np.tile(np.arange(n_in), total_cycles), local]).take(order),
+        time.take(order), p.period, total_cycles)
     return CircuitResult(
         raster=raster,
         vm_max=kernel.vm_max,

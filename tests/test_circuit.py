@@ -758,6 +758,110 @@ class TestBandRule:
         self._check(monkeypatch, circuit, [(images[0], 3), (images[1], 4)], thr, skips=False)
 
 
+class TestPassSchedule:
+    """How a run is cut into passes moves no spike: one pass per layer, two
+    chunks and row slices give the same spikes and deliveries."""
+
+    def test_rasters_do_not_depend_on_the_schedule(self, calibrated, monkeypatch):
+        net, circuit, images, thr, _ = calibrated
+        quiet, widths = [], set()
+        original = ck.Integrator._pass
+
+        def spy(self, l, chunk, r0, r1, got, *rest):
+            quiet.append(got[0].size == 0)
+            widths.add((self.chunk, r1 - r0))
+            return original(self, l, chunk, r0, r1, got, *rest)
+
+        monkeypatch.setattr(ck.Integrator, "_pass", spy)
+        stimuli = [(images[0], 15)]  # 1500 steps, 6 blocks
+        results, schedules = [], []
+        for budget in (ck.BUDGET, 4 * BLOCK * max(circuit.layer_sizes), 4 * BLOCK):
+            monkeypatch.setattr(ck, "BUDGET", budget)
+            widths.clear()
+            results.append(run(circuit, stimuli, v_threshold=thr))
+            schedules.append(sorted(widths))
+        # one pass per layer, two chunks of 3 blocks, slices of 4 rows of a block
+        assert schedules == [[(6 * BLOCK, 10), (6 * BLOCK, 12)],
+                             [(3 * BLOCK, 10), (3 * BLOCK, 12)],
+                             [(BLOCK, 2), (BLOCK, 4)]]
+        assert any(quiet), "every pass got a delivery; the quiet path never ran"
+        want = results[0]
+        assert (want.raster.layer > 0).any(), "no soma spiked; the case checks nothing"
+        for got in results[1:]:
+            np.testing.assert_array_equal(got.raster.layer, want.raster.layer)
+            np.testing.assert_array_equal(got.raster.neuron, want.raster.neuron)
+            np.testing.assert_allclose(got.raster.time, want.raster.time, rtol=0, atol=1e-12)
+            assert got.deliveries == want.deliveries
+
+
+class TestSendPlan:
+    """build_circuit builds the kernel's send plan once. The synapse arrays
+    and the plan are read-only, and dataclasses.replace builds a new plan."""
+
+    def test_run_builds_no_plan(self, calibrated, monkeypatch):
+        net, _, images, thr, _ = calibrated
+        circuit = build_circuit(net)
+        want = run(circuit, [(images[0], 5)], v_threshold=thr)
+
+        def no_grid_phase(*args):
+            raise AssertionError("a run computed grid phases")
+
+        monkeypatch.setattr(ck, "grid_phase", no_grid_phase)
+        got = run(circuit, [(images[0], 5)], v_threshold=thr)
+        np.testing.assert_array_equal(got.raster.time, want.raster.time)
+
+    @pytest.mark.parametrize("name", ["syn_w", "syn_delay", "syn_owner", "run_ptr", "phase_key"])
+    def test_synapses_and_plan_are_read_only(self, name):
+        circuit = build_circuit(tiny_net(seed=0))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(circuit, name)[0] = 0
+
+    def test_replace_builds_its_own_plan(self, calibrated):
+        # noisy delays reorder each run's grid phases; the new circuit puts
+        # its synapses back in sending order and builds its own plan, and
+        # runs as the step reference does on the same synapses
+        net, circuit, images, thr, _ = calibrated
+        period = circuit.params.period
+        noise = np.random.default_rng(0).normal(0.0, 0.02 * period, circuit.n_synapses)
+        delay = (circuit.syn_delay + noise) % period
+        noisy = dataclasses.replace(circuit, syn_delay=delay)
+        assert delay.flags.writeable  # the caller's array is left as it was
+        assert not (noisy.syn_delay.flags.writeable or noisy.phase_key.flags.writeable)
+        assert sorted(zip(noisy.syn_w, noisy.syn_delay, noisy.syn_owner)) == \
+            sorted(zip(circuit.syn_w, delay, circuit.syn_owner))
+        np.testing.assert_array_equal(noisy.run_ptr, circuit.run_ptr)
+        assert np.all(np.diff(noisy.phase_key) >= 0)
+        assert not np.array_equal(noisy.syn_owner, circuit.syn_owner)
+        TestKernelMatchesStepReference()._check(net, noisy, [(images[0], 8)], thr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(band_cases(), st.sampled_from([2 ** 14, 2 ** 21]))
+    def test_band_search_covers_the_key_rounding(self, case, empty):
+        # the band rule's case with `empty` generators that send nothing
+        # ahead of the input, so the input's run is run `empty`, whose
+        # float32 keys 2 run + grid phase are rounded to 2**-9 or 2**-1
+        # steps, and 64 more synapses, one in every 64th of a step, so that
+        # some lie within a rounding of either end of the band
+        params, delays, (sent_prev, t_prev), (sent, t), m, n_steps = case
+        delays = np.concatenate((delays, (np.arange(64) + 0.5) / 64 * params.dt))
+        net = PhasorNetwork.create((1,), [LayerSpec("dense", fan_in=1, fan_out=len(delays))],
+                                   seed=0, dtype=np.complex128)
+        net.weights[0][:, 0] = np.exp(2j * np.pi * delays / params.period)
+        circuit = build_circuit(net, params)
+        circuit = dataclasses.replace(circuit, n_gen=circuit.n_gen + empty, out_ptr=np.concatenate(
+            (np.zeros(empty, dtype=np.int64), circuit.out_ptr)))
+        kernel = ck.Integrator(circuit, 1.0, n_steps, np.zeros((1, circuit.n_gen)))
+        runs, t, t_prev = np.array([empty]), np.array([t]), np.array([t_prev])
+        assert kernel._band(t, t_prev) is not None
+        pos, per, past = kernel._computed(runs, t, t_prev)
+        out = np.setdiff1d(np.arange(circuit.out_ptr[empty], circuit.out_ptr[empty + 1]), pos)
+        d = circuit.syn_delay[out]
+        steps = kernel._arrival(t + d, sent + 1.0)
+        np.testing.assert_array_equal(steps - kernel._arrival(t_prev + d, sent_prev + 1.0),
+                                      m * ck.steps_per_period(params))
+        assert past == np.count_nonzero(steps >= n_steps)
+
+
 V_TH = 0.5
 LEVELS = [-1.0, -1e-12, 0.0, 0.2, np.nextafter(V_TH, 0.0), V_TH, 0.7, 1.5]
 

@@ -60,3 +60,19 @@ def test_built_circuit_holds_at_most_25_bytes_per_synapse():
     finally:
         tracemalloc.stop()
     assert held <= 25 * circ.n_synapses
+
+
+def test_built_circuit_holds_at_most_25_bytes_per_synapse_after_a_run():
+    # the kernel's send plan is built with the circuit; a run adds nothing
+    # to what the circuit holds
+    net = cli._build_net(CONV, SHAPE)
+    image = np.random.default_rng(0).uniform(size=SHAPE)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        circ = circuit.build_circuit(net)
+        circuit.run(circ, [(image, 2)], v_threshold=1e30)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= 25 * circ.n_synapses
