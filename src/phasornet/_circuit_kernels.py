@@ -22,35 +22,43 @@ The propagators and the reset table depend only on the parameter values and
 the step count, and are built once for each (constants).
 
 Chunks. The circuit is feed-forward, and a delivery never lands on the step
-that sent it. A run is cut into the fewest chunks of equal whole-block
-sizes that the largest layer fits in BUDGET (neuron, step) entries (a
-6-block run under a 4-block budget is two chunks of 3; a layer of up to 170
-neurons takes a 1500-step run in one chunk), and within a chunk
-the layers are integrated in order: when layer l starts, every delivery it gets
-in the chunk is known, from the generators, from earlier chunks, and from
-the spikes layer l-1 fired in this chunk. A layer too large for one block
-within the budget is integrated in row slices. One pass over a slice injects
-its deliveries into the sub-blocks they land in and takes those sub-blocks'
-products only (a sub-block without a delivery adds exactly 0), carries the
-4-wide entering state from block to block, takes V_m of the whole chunk in
-one product, fires, and sends the spikes' deliveries.
+that sent it. The steps are cut into the fewest chunks of equal whole-block
+sizes that the largest layer fits in BUDGET (neuron, step) entries (6
+blocks under a 4-block budget are two chunks of 3; a layer of up to 170
+neurons takes 1500 steps in one chunk), and within a chunk the layers are
+integrated in order: when layer l starts, every delivery it gets in the
+chunk has been sent, by the generators, by earlier chunks, and by the
+spikes layer l-1 fired in this chunk. A layer too large for one block
+within the budget is integrated in row slices. A pass integrates one slice
+over one chunk: it injects its deliveries into the sub-blocks they land in
+and takes those sub-blocks' products only (a sub-block without a delivery
+adds exactly 0), carries the 4-wide entering state from block to block,
+takes V_m of the whole chunk in one product, fires, and sends the spikes'
+deliveries. The passes are numbered chunk * slices + slice, slices counted
+layer by layer.
 
-Deliveries. Each is queued, in a bucket per (layer, chunk), as its owner's
-row * chunk + step in the chunk, its synapse and its reset age, all int32.
-A run is the synapses one source sends through to one layer: an input
-generator's, the reference generator's to each layer, a neuron's. Synapses
-are numbered as the circuit stores them, in sending order: by run, then by
-grid phase frac(delay / dt), then by owner, so a spike's deliveries are one
-contiguous run, and a synapse has one source. The circuit carries the send
-plan, built once with it (send_plan): each run's bounds and a float32
-search key, 2 run + grid phase. Generator volleys and soma spikes take one
-send path (_send): a generator volley is a spike of each generator run at
-its timetable time, one timetable row per cycle with the reference generator
-last, and every layer's generator runs are sent together, when the chunk
-their cycle starts in comes up. A synapse's previous delivery came from its
-run's previous spike, whose time and earliest step the kernel keeps for
-every run, so a delivery's age is arrival(t + d) - arrival(t_prev + d),
-fixed when it is sent.
+Deliveries. A run is the synapses of one source: input generator g is run
+g, the reference generator run n_gen - 1, and neuron k run n_gen + k.
+Synapses are numbered as the circuit stores them, in sending order: by run,
+then by grid phase frac(delay / dt), then by owner, so a spike's deliveries
+are its run's synapses, out_ptr[r]:out_ptr[r + 1], and a synapse has one
+source. The circuit carries the send plan, built once with it (send_plan):
+a float32 search key, 2 run + grid phase. Generator volleys and soma spikes
+take one send path (_send): a generator volley is a spike of each generator
+at its timetable time, one timetable row per cycle with the reference
+generator last, sent when the chunk its cycle starts in comes up. A
+synapse's previous delivery came from its run's previous spike, whose time
+and earliest step the kernel keeps for every run, so a delivery's age is
+arrival(t + d) - arrival(t_prev + d), fixed when it is sent. The synapse's
+owner and the arrival step fix the pass that integrates a delivery, so the
+sender files each delivery under its pass when it is sent (_queue): its key
+in the pass (the owner's row in the slice * chunk + the step in the chunk),
+its synapse and its reset age, all int32. Its address, pass * span + key
+with span a slice's rows * chunk, is home[owner] + step, plus a chunk term
+when there is more than one chunk; addresses are int32 while slices *
+chunks * span < 2**31, else int64. A pass adds its parts in the order they
+were sent, so it sums as one array of them all would, and frees each part
+once added.
 
 Null deliveries. A delivery whose reset-table entry is exactly 0 adds
 nothing: a second arrival in the step of a reset (age 0) and, when a period
@@ -78,11 +86,12 @@ _queue drops the null ones among them by the table's nonzero mask `live`.
 Of the others, a delivery due after the run's last step is not one: within
 a period of the run's end, they are counted by comparing each due time with
 the last step's (_past). Where period/dt is not whole, every spike computes
-its whole run and only age 0 is null. The band rule changes no raster: what it skips is null, and one
-spike's deliveries go to distinct owners, so the order of the synapses
-within a run changes no summation order. Dropping null deliveries does,
-where period/dt is whole: against injecting every delivery, spike times move
-in the last digits, with the same spike sequences.
+its whole run and only age 0 is null. The band rule changes no raster:
+what it skips is null, and one spike's deliveries go to distinct owners, so
+the order of the synapses within a run changes no summation order. Dropping
+null deliveries does, where period/dt is whole: against injecting every
+delivery, spike times move in the last digits, with the same spike
+sequences.
 
 Summation order. The chunk's products add the same terms as one block at a
 time would, in another order, so spike times can move in the last digits,
@@ -138,25 +147,18 @@ def grid_phase(delay, dt):
 
 
 def send_plan(circuit):
-    """(order, run_ptr, phase_key) of a circuit whose synapses are grouped by
-    run. order puts each run in sending order, by grid phase; synapses of
-    equal phase keep the order they came in, which build_circuit makes by
-    owner. Run r's synapses are run_ptr[r]:run_ptr[r + 1]. phase_key is
-    2 run + grid phase in sending order, ascending, as float32; a key
-    rounded up to a whole number stays below the next run's keys.
-
-    Runs: input generator g is run g, the reference generator's run to
-    layer l is run n_gen - 1 + l, so layer 0's generator runs are
-    0 .. n_gen - 1, and neuron k's run follows them all."""
-    ptr, ref = circuit.out_ptr, circuit.n_gen - 1
-    layer = circuit.neuron_layer[circuit.syn_owner[ptr[ref]:ptr[ref + 1]]]
-    bias = ptr[ref] + np.searchsorted(layer, np.arange(1, len(circuit.layer_sizes) + 1))
-    run_ptr = np.concatenate((ptr[:ref], bias, ptr[ref + 1:]))
-    run = np.repeat(np.arange(run_ptr.size - 1), np.diff(run_ptr))
+    """(order, phase_key) of a circuit whose synapses are grouped by run,
+    source r's synapses being out_ptr[r]:out_ptr[r + 1]. order puts each run
+    in sending order, by grid phase; synapses of equal phase keep the order
+    they came in, which build_circuit makes by owner. phase_key is 2 run +
+    grid phase in sending order, ascending, as float32; a key rounded up to
+    a whole number stays below the next run's keys."""
+    ptr = circuit.out_ptr
+    run = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
     key = grid_phase(circuit.syn_delay, circuit.params.dt)
     key += 2.0 * run
     order = np.argsort(key, kind="stable")
-    return order, run_ptr, key.take(order).astype(np.float32)
+    return order, key.take(order).astype(np.float32)
 
 
 def reset_table(params, never):
@@ -318,11 +320,21 @@ class Integrator:
         self.chunk = nb * BLOCK  # steps per chunk
         self.n_chunks = -(-n_steps // self.chunk)
         self.rows = max(1, BUDGET // self.chunk)  # rows per slice of a layer
+        # a chunk's passes: every layer's row slices, layer by layer
+        self.slices = [(l, r0, min(r0 + self.rows, size))
+                       for l, size in enumerate(sizes) for r0 in range(0, size, self.rows)]
+        # home[k] + step is neuron k's delivery address in the first chunk,
+        # slice * span + its key in the pass; each later chunk adds `skip`
+        self.span = self.rows * self.chunk
+        wide = len(self.slices) * self.n_chunks * self.span >= 2 ** 31
+        self.home = np.concatenate([s * self.span + np.arange(r1 - r0) * self.chunk
+                                    for s, (_, r0, r1) in enumerate(self.slices)]
+                                   ).astype(np.int64 if wide else np.int32)
+        self.skip = self.home.dtype.type(len(self.slices) * self.span - self.chunk)
         self.weight, self.out_delay = circuit.syn_w, circuit.syn_delay
-        self.owner = circuit.syn_owner
-        self.run_ptr, self.phase_key = circuit.run_ptr, circuit.phase_key
-        self.neuron_run = circuit.n_gen - 1 + len(sizes)
-        n_runs = self.run_ptr.size - 1
+        self.owner, self.out_ptr = circuit.syn_owner, circuit.out_ptr
+        self.phase_key = circuit.phase_key
+        n_runs = self.out_ptr.size - 1
         self.state = np.zeros((n, 4))  # V, W, V_m, Vdbar
         self.armed = np.ones(n, dtype=bool)  # not refractory
         self.vm_max = np.zeros(n)
@@ -346,7 +358,7 @@ class Integrator:
         self.prev_floor = np.full(n_runs, -float(self.never))
         self.gen_times = gen_times
         self.gen_sent = 0  # cycles whose volleys are queued
-        self.pending = {}  # (layer, chunk) -> (key, synapse, age) arrays
+        self.pending = {}  # pass -> its (key, synapse, age) parts, in sending order
         self.spike_t, self.spike_n = [], []
         self.deliveries = 0
 
@@ -365,11 +377,11 @@ class Integrator:
         np.maximum(j, earliest, out=j)  # a float `earliest` saves a cast per element
         return j.astype(np.int32)
 
-    def _queue(self, layer, steps, syn, age):
-        """Queue deliveries on the given steps to the given synapses, owned
-        by neurons of `layer` (one for all, or one per delivery), with the
-        reset age of each. Those past the run's end are dropped; null ones,
-        whose reset adds nothing, are counted and then dropped too."""
+    def _queue(self, steps, syn, age):
+        """File deliveries on the given steps to the given synapses, with the
+        reset age of each, under the passes that integrate them. Those past
+        the run's end are dropped; null ones, whose reset adds nothing, are
+        counted and then dropped too."""
         keep = steps < self.total
         self.deliveries += int(np.count_nonzero(keep))
         keep &= self.live.take(age, mode="clip")  # ages past the table are past the end
@@ -378,82 +390,60 @@ class Integrator:
             return
         if keep.size < steps.size:
             steps, syn, age = steps.take(keep), syn.take(keep), age.take(keep)
-            if np.ndim(layer):
-                layer = layer.take(keep)
-        bucket = steps // self.chunk  # (layer, chunk) as layer * chunks + chunk
-        bucket += layer * self.n_chunks
-        lo, hi = int(bucket.min()), int(bucket.max())
-        for b in range(lo, hi + 1):
-            s, st, a = syn, steps, age
-            if hi > lo:
-                at = np.flatnonzero(bucket == b)
-                if not at.size:
-                    continue
-                s, st, a = syn.take(at), steps.take(at), age.take(at)
-            l, k = divmod(b, self.n_chunks)
-            # Delivery keys, steps and ages are int32: a layer holds fewer
-            # than 2**31 (neuron, step) entries of a chunk, and a run fewer
-            # steps.
-            key = self.owner.take(s)  # the owner's row, then its entry
-            key -= self.circuit.layer_offsets[l]
-            key *= self.chunk
-            key += st
-            key -= k * self.chunk
-            self.pending.setdefault((l, k), []).append(
-                (key, s.astype(np.int32, copy=False), a.astype(np.int32, copy=False)))
+        # each delivery's address, home[owner] + step, in place (numpy
+        # gathers an int32 index through an intp copy of it)
+        key = self.owner.take(syn).astype(self.home.dtype, copy=False)
+        self.home.take(key, out=key, mode="clip")
+        key += steps
+        if self.n_chunks > 1:
+            key += steps // self.chunk * self.skip
+        syn, age = syn.astype(np.int32, copy=False), age.astype(np.int32, copy=False)
+        lo, hi = int(key.min()) // self.span, int(key.max()) // self.span
+        if lo == hi:  # the whole send lands in one pass
+            key -= lo * self.span
+            self.pending.setdefault(lo, []).append((key.astype(np.int32, copy=False), syn, age))
+            return
+        at = key // self.span
+        key -= at * self.span
+        at -= lo
+        at = at.astype(np.min_scalar_type(hi - lo))
+        order = np.argsort(at, kind="stable")  # a radix sort for these small ints
+        bounds = at.take(order).searchsorted(np.arange(hi - lo + 2))
+        key = key.astype(np.int32, copy=False)
+        for p, i, j in zip(range(lo, hi + 1), bounds[:-1], bounds[1:]):
+            if j > i:  # each part its own arrays, so a pass frees what it takes
+                o = order[i:j]
+                self.pending.setdefault(p, []).append((key.take(o), syn.take(o), age.take(o)))
 
     def _send_generators(self, until):
         """Send the generator volleys of every cycle that starts before time
-        `until`: each generator run spikes once a cycle, at its timetable
-        time. Runs 0 .. n_gen - 1 feed layer 0; the reference generator's
-        run n_gen - 1 + l feeds layer l, at the reference generator's time."""
+        `until`: each generator spikes once a cycle, at its timetable time."""
         start, self.gen_sent = self.gen_sent, int(np.searchsorted(self.gen_times[:, -1], until))
         if self.gen_sent <= start:
             return
         times = self.gen_times[start:self.gen_sent]
         k, n_gen = times.shape
-        n_layers = len(self.circuit.layer_sizes)
-        col = np.r_[np.arange(n_gen), np.full(n_layers - 1, n_gen - 1)]  # each run's time column
-        layer = np.r_[np.zeros(n_gen, dtype=np.intp), np.arange(1, n_layers)]
-        self._send(np.tile(layer, k), np.tile(np.arange(col.size), k),
-                   times[:, col].reshape(-1), np.zeros(k * col.size))
-
-    def _deliveries(self, layer, chunk):
-        """The (key, synapse, age) deliveries to each row slice of `layer` in
-        the chunk, keys counted from the slice's first row."""
-        n_slices = -(-self.circuit.layer_sizes[layer] // self.rows)
-        parts = self.pending.pop((layer, chunk), [(np.zeros(0, dtype=np.int32),) * 3])
-        got = [np.concatenate(a) for a in zip(*parts)] if len(parts) > 1 else parts[0]
-        if n_slices == 1:
-            return [got]
-        span = self.rows * self.chunk
-        piece = (got[0] // span).astype(np.min_scalar_type(n_slices))
-        order = np.argsort(piece, kind="stable")  # a radix sort for these small ints
-        key, syn, age = (a.take(order) for a in got)
-        bounds = np.r_[0, np.cumsum(np.bincount(piece, minlength=n_slices))]
-        return [(key[i:j] - s * span, syn[i:j], age[i:j])
-                for s, (i, j) in enumerate(zip(bounds[:-1], bounds[1:]))]
+        self._send(np.tile(np.arange(n_gen), k), times.reshape(-1), np.zeros(times.size))
 
     def run(self, rec_ids, rec_vm):
         """Integrate every step; returns (failing neuron or -1, step)."""
-        c, p = self.circuit, self.circuit.params
+        dt, n = self.circuit.params.dt, len(self.slices)
         for chunk in range(self.n_chunks):
-            self._send_generators(((chunk + 1) * self.chunk + 1) * p.dt)
+            self._send_generators(((chunk + 1) * self.chunk + 1) * dt)
             bad = []
-            for l, size in enumerate(c.layer_sizes):
-                for r0, got in zip(range(0, size, self.rows), self._deliveries(l, chunk)):
-                    b = self._pass(l, chunk, r0, min(r0 + self.rows, size), got,
-                                   rec_ids, rec_vm)
-                    if b is not None:
-                        bad.append(b)
+            for s, (l, r0, r1) in enumerate(self.slices):
+                b = self._pass(l, chunk, r0, r1, self.pending.pop(chunk * n + s, []),
+                               rec_ids, rec_vm)
+                if b is not None:
+                    bad.append(b)
             if bad:
                 return min(bad, key=lambda b: (b[1], b[0]))
         return -1, self.total
 
-    def _pass(self, l, chunk, r0, r1, got, rec_ids, rec_vm):
-        """Integrate rows r0:r1 of layer l over the chunk, given their
-        deliveries `got`, fire their spikes and queue their deliveries;
-        returns (neuron, step) on a blow-up."""
+    def _pass(self, l, chunk, r0, r1, parts, rec_ids, rec_vm):
+        """Integrate rows r0:r1 of layer l over the chunk, given the
+        (key, synapse, age) parts filed under the pass, fire their spikes and
+        send their deliveries; returns (neuron, step) on a blow-up."""
         c = self.circuit
         v_th, width, c0 = self.v_th, self.chunk, chunk * self.chunk
         m, nb, rows = min(width, self.total - c0), width // BLOCK, r1 - r0
@@ -461,7 +451,7 @@ class Integrator:
         state = self.state[first:first + rows]
         vm_prev = state[:, 2].copy()
         cin = self.cin[:rows]
-        subs, local = self._inject(got, rows * width // SUB)
+        subs, local = self._inject(parts, rows * width // SUB)
         ends = cin.reshape(rows * nb, -1)[:, :-4].reshape(rows * nb, -1, 4)  # a view
         ends.fill(0.0)
         ends[np.divmod(subs, ends.shape[1])] = local[:, SUB:]
@@ -494,41 +484,45 @@ class Integrator:
         self.spike_t.append(tstar)
         self.spike_n.append(neurons)
         if l + 1 < len(c.layer_sizes):
-            self._send(l + 1, self.neuron_run + neurons, tstar, sent + 1.0)
+            self._send(c.n_gen + neurons, tstar, sent + 1.0)
         return None
 
-    def _inject(self, got, n_sub):
-        """(sub-blocks, their products) of a pass's deliveries `got`: the
-        sub-blocks of its n_sub that a delivery lands in, ascending, and
+    def _inject(self, parts, n_sub):
+        """(sub-blocks, their products) of a pass's (key, synapse, age) parts:
+        the sub-blocks of its n_sub that a delivery lands in, ascending, and
         `local` times their injected (V, W), whose (SUB + 4) columns are V_m
         after each of their steps and the state they leave at their end.
         Every other sub-block adds exactly 0, so it is not injected or
-        multiplied."""
-        key, syn, age = got
-        at = key.astype(np.intp)  # indexing by int32 casts on every use
-        at //= SUB  # each delivery's sub-block
-        hit = np.zeros(n_sub, dtype=bool)
-        hit[at] = True
+        multiplied. The parts are added in the order they were sent, each
+        dropped from `parts` once added."""
+        hit, ats = np.zeros(n_sub, dtype=bool), []
+        for key, _, _ in parts:
+            # each delivery's sub-block, as intp: indexing by int32 casts on
+            # every use, and int32 divides faster
+            at = (key // SUB).astype(np.intp)
+            hit[at] = True
+            ats.append(at)
         # a delivery's place among the hit sub-blocks' entries is its key,
         # moved down SUB entries for each sub-block without a delivery
         # before its own
         shift = np.cumsum(hit) - 1 - np.arange(n_sub)
         shift *= SUB
-        np.take(shift, at, out=at)
-        at += key
         subs = np.flatnonzero(hit)
         x = np.zeros((subs.size, SUB), dtype=np.complex128)
-        add = self.table.take(age)
-        add *= self.weight.take(syn)
-        np.add.at(x.reshape(-1), at, add)
+        while parts:
+            (key, syn, age), at = parts.pop(0), ats.pop(0)
+            np.take(shift, at, out=at)
+            at += key
+            add = self.table.take(age)
+            add *= self.weight.take(syn)
+            np.add.at(x.reshape(-1), at, add)
         return subs, x.view(np.float64).reshape(-1, 2 * SUB) @ self.local
 
-    def _send(self, layer, runs, t, floor):
-        """Queue to `layer` (one for all, or one per spike) the deliveries of
-        spikes of the given runs at times t, landing on step `floor` (a
-        float) or later; a run's spikes come in time order. Only the
-        deliveries _computed names are computed; the others are null, and
-        counted unless they land past the run's end."""
+    def _send(self, runs, t, floor):
+        """File the deliveries of spikes of the given runs at times t,
+        landing on step `floor` (a float) or later; a run's spikes come in
+        time order. Only the deliveries _computed names are computed; the
+        others are null, and counted unless they land past the run's end."""
         # each spike's run's previous spike: earlier in this call, or kept
         order = np.argsort(runs, kind="stable")
         r, ts, fs = runs.take(order), t.take(order), floor.take(order)
@@ -541,14 +535,14 @@ class Integrator:
         t_prev[order], floor_prev[order] = tp, fp
 
         pos, per, past = self._computed(runs, t, t_prev)
-        sent = self.run_ptr.take(runs + 1) - self.run_ptr.take(runs)
+        sent = self.out_ptr.take(runs + 1) - self.out_ptr.take(runs)
         self.deliveries += int(sent.sum()) - pos.size - past  # null, never computed
         if not pos.size:
             return
         delay = self.out_delay.take(pos)
         steps = self._arrival(np.repeat(t, per) + delay, np.repeat(floor, per))
         age = steps - self._arrival(np.repeat(t_prev, per) + delay, np.repeat(floor_prev, per))
-        self._queue(np.repeat(layer, per) if np.ndim(layer) else layer, steps, pos, age)
+        self._queue(steps, pos, age)
 
     def _computed(self, runs, t, t_prev):
         """(positions, count per spike, past) of the deliveries to compute for
@@ -556,7 +550,7 @@ class Integrator:
         t_prev: a band spike's band slices, every other spike's whole run.
         `past` counts the others that land past the run's end, which are not
         deliveries."""
-        lo, hi = self.run_ptr.take(runs), self.run_ptr.take(runs + 1)
+        lo, hi = self.out_ptr.take(runs), self.out_ptr.take(runs + 1)
         wrap_end, start, end = hi.copy(), hi.copy(), hi.copy()
         band = self._band(t, t_prev)
         if band is not None:

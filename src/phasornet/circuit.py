@@ -79,14 +79,13 @@ class CircuitParams:
 class CircuitModel:
     """Flattened synapse/neuron topology ready for the integration kernel.
 
-    The syn_* arrays come grouped by run: by source, whose synapses are
-    out_ptr[s]:out_ptr[s + 1], then by the layer it feeds. Construction puts
-    each run in sending order for params.dt, by grid phase (synapses of
-    equal phase keep their order, which build_circuit makes by owner), and
-    builds the kernel's send plan (run_ptr, phase_key; see
-    _circuit_kernels.send_plan). The synapse arrays and the plan are
-    read-only, so an edit cannot leave the plan stale: dataclasses.replace
-    makes a new circuit, with its own plan.
+    The syn_* arrays come grouped by run, a source's synapses:
+    out_ptr[s]:out_ptr[s + 1]. Construction puts each run in sending order
+    for params.dt, by grid phase (synapses of equal phase keep their order,
+    which build_circuit makes by owner), and builds the kernel's send plan
+    (phase_key; see _circuit_kernels.send_plan). The synapse arrays, out_ptr
+    and the plan are read-only, so an edit cannot leave the plan stale:
+    dataclasses.replace makes a new circuit, with its own plan.
     """
 
     params: CircuitParams
@@ -100,14 +99,14 @@ class CircuitModel:
     syn_owner: np.ndarray
     out_ptr: np.ndarray
     phase_shifts: np.ndarray
-    run_ptr: np.ndarray = field(init=False, repr=False)
     phase_key: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        order, self.run_ptr, self.phase_key = ck.send_plan(self)
+        order, self.phase_key = ck.send_plan(self)
         self.syn_w, self.syn_delay, self.syn_owner = (
             a.take(order) for a in (self.syn_w, self.syn_delay, self.syn_owner))
-        for a in (self.syn_w, self.syn_delay, self.syn_owner, self.run_ptr, self.phase_key):
+        self.out_ptr = self.out_ptr.view()  # read-only below; the caller's array is not
+        for a in (self.syn_w, self.syn_delay, self.syn_owner, self.out_ptr, self.phase_key):
             a.flags.writeable = False
 
     @property
@@ -143,9 +142,8 @@ def build_circuit(net, params=None):
     for the reference generator, so the bias is that generator's weight.
     Synapses are stored once, in sending order, the one order the kernel
     reads: by source (input generators, the reference generator, then
-    neurons), then by the layer they feed, which splits only the reference
-    generator's, then by grid phase frac(delay / dt), then by owning
-    neuron. Source s sends through synapses out_ptr[s]:out_ptr[s + 1].
+    neurons), then by grid phase frac(delay / dt), then by owning neuron.
+    Source s sends through synapses out_ptr[s]:out_ptr[s + 1], its run.
     This groups them by run; CircuitModel orders each run and builds the
     send plan.
     """
@@ -157,8 +155,6 @@ def build_circuit(net, params=None):
     n_gen = n_in + 1  # inputs + reference generator (drives biases, phase 0)
     ref_gen = n_in
     n_neurons = sum(layer_sizes)
-    # Python ints: the kernel shifts int32 arrays by them in place, which a
-    # numpy int64 scalar makes a casting loop, 4-5x slower
     layer_offsets = np.cumsum([0] + layer_sizes[:-1]).tolist()
     neuron_layer = np.repeat(np.arange(1, len(layer_sizes) + 1), layer_sizes)
 
@@ -181,9 +177,8 @@ def build_circuit(net, params=None):
         coeffs.append(np.repeat(coeff[f, r], positions))
     owner, src = np.concatenate(owners), np.concatenate(srcs)
     mag, delay = synapse_delay(np.concatenate(coeffs), params.period)
-    # grouped by run (source, then the layer it feeds), then by owner; a
-    # (source, owner) pair is one synapse
-    order = np.argsort((src * len(layer_sizes) + neuron_layer[owner]) * n_neurons + owner)
+    # grouped by run (source), then by owner; a (source, owner) pair is one synapse
+    order = np.argsort(src * n_neurons + owner)
     out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_gen + n_neurons))])
 
     return CircuitModel(
@@ -379,22 +374,6 @@ def steady_state(net, x, v_threshold, params):
         h = np.where(active, np.exp(1j * phase), 0).astype(net.dtype)
         out.append(h)
     return out
-
-
-def observe_amplitude(circuit, image, n_cycles=None):
-    """Subthreshold V_m oscillation amplitude of the first hidden layer,
-    measured with an unreachably high threshold (nothing spikes)."""
-    p = circuit.params
-    if n_cycles is None:
-        n_cycles = p.n_cycles
-    result = run(circuit, [(image, n_cycles)], v_threshold=1e30)
-    first = circuit.layer_offsets[0]
-    size = circuit.layer_sizes[0]
-    amps = result.vm_max[first:first + size]
-    amps = amps[amps > 0]
-    if amps.size == 0:
-        raise NumericError("no subthreshold activity observed; check the circuit")
-    return float(np.median(amps))
 
 
 def calibrate_threshold(net, circuit, images, n_candidates=8, n_cycles=None):

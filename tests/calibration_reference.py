@@ -1,4 +1,5 @@
-"""Full-scan threshold calibration by circuit runs, tests only.
+"""Full-scan threshold calibration by circuit runs, and the observed
+amplitude it scales its candidates by, tests only.
 
 The scan runs every candidate on every image and keeps the first candidate
 with the highest circuit agreement, as calibrate_threshold did before it
@@ -9,9 +10,27 @@ this scan's.
 
 import numpy as np
 
-from phasornet.circuit import decode_output, observe_amplitude, run
+from phasornet.circuit import decode_output, run
+from phasornet.errors import NumericError
 from phasornet.phasor_net import forward, predict_batch
 from phasornet.training import encode_batch
+
+
+def observe_amplitude(circuit, image, n_cycles=None):
+    """Subthreshold V_m oscillation amplitude of the first hidden layer,
+    measured with an unreachably high threshold (nothing spikes): the median
+    of its nonzero vm_max, start-up transient included."""
+    p = circuit.params
+    if n_cycles is None:
+        n_cycles = p.n_cycles
+    result = run(circuit, [(image, n_cycles)], v_threshold=1e30)
+    first = circuit.layer_offsets[0]
+    size = circuit.layer_sizes[0]
+    amps = result.vm_max[first:first + size]
+    amps = amps[amps > 0]
+    if amps.size == 0:
+        raise NumericError("no subthreshold activity observed; check the circuit")
+    return float(np.median(amps))
 
 
 def full_scan(net, circuit, images, n_candidates, n_cycles):

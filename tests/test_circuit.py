@@ -12,7 +12,6 @@ from phasornet.circuit import (
     decode_output,
     decode_over_time,
     fidelity,
-    observe_amplitude,
     run,
     soma_response,
     steady_state,
@@ -36,6 +35,7 @@ from phasornet.training import encode_batch
 
 import calibration_reference
 import decode_reference
+from calibration_reference import observe_amplitude
 import step_reference
 from conftest import small_fc_net
 
@@ -222,8 +222,9 @@ class TestBuild:
         np.testing.assert_array_equal(circuit.syn_w, want_w)
         np.testing.assert_array_equal(circuit.syn_delay, want_delay)
         phase = ck.grid_phase(circuit.syn_delay, circuit.params.dt)
-        np.testing.assert_array_equal(np.lexsort((owner, phase, layer, src)),
+        np.testing.assert_array_equal(np.lexsort((owner, phase, src)),
                                       np.arange(circuit.n_synapses))
+        np.testing.assert_array_equal(circuit.phase_key // 2, src)
         # each (source, owner) pair names one tap, so with every coefficient
         # nonzero, the count says each nonzero tap appears exactly once
         assert np.all(np.array(coeff) != 0)
@@ -624,9 +625,9 @@ class TestNullDeliveries:
         ages = []
         original = ck.Integrator._pass
 
-        def spy(self, l, chunk, r0, r1, got, *rest):
-            ages.append(got[2])
-            return original(self, l, chunk, r0, r1, got, *rest)
+        def spy(self, l, chunk, r0, r1, parts, *rest):
+            ages.extend(age for _, _, age in parts)
+            return original(self, l, chunk, r0, r1, parts, *rest)
 
         monkeypatch.setattr(ck.Integrator, "_pass", spy)
         stimuli = [(images[0], 8)]
@@ -711,9 +712,9 @@ class TestBandRule:
         computed = []
         original = ck.Integrator._queue
 
-        def spy(self, layer, steps, syn, age):
+        def spy(self, steps, syn, age):
             computed.append(steps.size)
-            return original(self, layer, steps, syn, age)
+            return original(self, steps, syn, age)
 
         with monkeypatch.context() as m:
             m.setattr(ck.Integrator, "_queue", spy)
@@ -760,30 +761,45 @@ class TestBandRule:
 
 class TestPassSchedule:
     """How a run is cut into passes moves no spike: one pass per layer, two
-    chunks and row slices give the same spikes and deliveries."""
+    chunks and row slices give the same spikes and deliveries, and every
+    delivery is filed under the pass that integrates it."""
 
     def test_rasters_do_not_depend_on_the_schedule(self, calibrated, monkeypatch):
         net, circuit, images, thr, _ = calibrated
-        quiet, widths = [], set()
+        quiet, widths, addresses = [], set(), set()
         original = ck.Integrator._pass
 
-        def spy(self, l, chunk, r0, r1, got, *rest):
-            quiet.append(got[0].size == 0)
+        def spy(self, l, chunk, r0, r1, parts, *rest):
+            # every delivery filed under the pass lands in it: its key is
+            # its owner's row in the slice * chunk + its step in the chunk
+            for key, syn, age in parts:
+                assert key.min() >= 0 and key.max() < (r1 - r0) * self.chunk
+                np.testing.assert_array_equal(circuit.syn_owner[syn],
+                                              circuit.layer_offsets[l] + r0 + key // self.chunk)
+                assert age.min() >= 1
+            quiet.append(not parts)
             widths.add((self.chunk, r1 - r0))
-            return original(self, l, chunk, r0, r1, got, *rest)
+            addresses.add(self.home.dtype)
+            return original(self, l, chunk, r0, r1, parts, *rest)
 
         monkeypatch.setattr(ck.Integrator, "_pass", spy)
         stimuli = [(images[0], 15)]  # 1500 steps, 6 blocks
-        results, schedules = [], []
-        for budget in (ck.BUDGET, 4 * BLOCK * max(circuit.layer_sizes), 4 * BLOCK):
+        results, schedules, dtypes = [], [], []
+        # 2**31 takes slices * chunks * span past 2**31, so addresses are int64
+        for budget in (ck.BUDGET, 4 * BLOCK * max(circuit.layer_sizes), 4 * BLOCK, 2 ** 31):
             monkeypatch.setattr(ck, "BUDGET", budget)
             widths.clear()
+            addresses.clear()
             results.append(run(circuit, stimuli, v_threshold=thr))
             schedules.append(sorted(widths))
-        # one pass per layer, two chunks of 3 blocks, slices of 4 rows of a block
+            dtypes.append(addresses.pop())
+        # one pass per layer, two chunks of 3 blocks, slices of 4 rows of a
+        # block, and one pass per layer again, with int64 addresses
         assert schedules == [[(6 * BLOCK, 10), (6 * BLOCK, 12)],
                              [(3 * BLOCK, 10), (3 * BLOCK, 12)],
-                             [(BLOCK, 2), (BLOCK, 4)]]
+                             [(BLOCK, 2), (BLOCK, 4)],
+                             [(6 * BLOCK, 10), (6 * BLOCK, 12)]]
+        assert dtypes == [np.int32, np.int32, np.int32, np.int64]
         assert any(quiet), "every pass got a delivery; the quiet path never ran"
         want = results[0]
         assert (want.raster.layer > 0).any(), "no soma spiked; the case checks nothing"
@@ -792,6 +808,9 @@ class TestPassSchedule:
             np.testing.assert_array_equal(got.raster.neuron, want.raster.neuron)
             np.testing.assert_allclose(got.raster.time, want.raster.time, rtol=0, atol=1e-12)
             assert got.deliveries == want.deliveries
+        # the same schedule with int64 addresses gives the same run
+        np.testing.assert_array_equal(results[-1].raster.time, want.raster.time)
+        np.testing.assert_array_equal(results[-1].vm_max, want.vm_max)
 
 
 class TestSendPlan:
@@ -810,7 +829,7 @@ class TestSendPlan:
         got = run(circuit, [(images[0], 5)], v_threshold=thr)
         np.testing.assert_array_equal(got.raster.time, want.raster.time)
 
-    @pytest.mark.parametrize("name", ["syn_w", "syn_delay", "syn_owner", "run_ptr", "phase_key"])
+    @pytest.mark.parametrize("name", ["syn_w", "syn_delay", "syn_owner", "out_ptr", "phase_key"])
     def test_synapses_and_plan_are_read_only(self, name):
         circuit = build_circuit(tiny_net(seed=0))
         with pytest.raises(ValueError, match="read-only"):
@@ -829,7 +848,7 @@ class TestSendPlan:
         assert not (noisy.syn_delay.flags.writeable or noisy.phase_key.flags.writeable)
         assert sorted(zip(noisy.syn_w, noisy.syn_delay, noisy.syn_owner)) == \
             sorted(zip(circuit.syn_w, delay, circuit.syn_owner))
-        np.testing.assert_array_equal(noisy.run_ptr, circuit.run_ptr)
+        np.testing.assert_array_equal(noisy.out_ptr, circuit.out_ptr)
         assert np.all(np.diff(noisy.phase_key) >= 0)
         assert not np.array_equal(noisy.syn_owner, circuit.syn_owner)
         TestKernelMatchesStepReference()._check(net, noisy, [(images[0], 8)], thr)
